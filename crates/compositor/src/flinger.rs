@@ -530,9 +530,8 @@ mod tests {
                 sf.submit(id, SimTime::from_millis(n as u64 * 16), true).unwrap();
                 sf.compose(SimTime::from_millis(n as u64 * 16 + 8));
             }
-            assert_eq!(
-                fast.framebuffer().as_pixels(),
-                naive.framebuffer().as_pixels(),
+            assert!(
+                fast.framebuffer().pixels().eq(naive.framebuffer().pixels()),
                 "framebuffers diverged at step {n}"
             );
         }

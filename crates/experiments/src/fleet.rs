@@ -36,6 +36,7 @@
 //! `campaign.progress` line per merged wave on the caller's [`Obs`].
 
 use std::fmt;
+use std::io::Write;
 use std::path::Path;
 
 use ccdem_core::governor::Policy;
@@ -56,8 +57,9 @@ use crate::scenario::{RunResult, RunScratch, Scenario, Workload};
 pub const DEFAULT_BATCH: u64 = 1024;
 
 /// The `"checkpoint"` marker every serialized [`FleetCheckpoint`]
-/// carries.
-pub const CHECKPOINT_MARKER: &str = "ccdem-fleet-checkpoint-v1";
+/// carries. It names the format version: v1 (0.10.0) wrote the `u64`
+/// members as JSON numbers, v2 writes them as decimal strings.
+pub const CHECKPOINT_MARKER: &str = "ccdem-fleet-checkpoint-v2";
 
 // Per-device sub-streams of the hierarchical seeding scheme. The
 // device seed is `derive_seed(campaign_seed, index)`; each dimension
@@ -257,15 +259,18 @@ pub struct FleetCheckpoint {
 }
 
 impl FleetCheckpoint {
-    /// Serializes the checkpoint document.
+    /// Serializes the checkpoint document. The `u64` members are
+    /// decimal strings: a JSON number is an `f64`, which would round a
+    /// seed above 2^53 and resume a different campaign.
     pub fn to_json(&self) -> Json {
+        let exact = |v: u64| Json::Str(v.to_string());
         Json::Obj(vec![
             ("checkpoint".into(), Json::Str(CHECKPOINT_MARKER.into())),
-            ("campaign_seed".into(), Json::Num(self.campaign_seed as f64)),
-            ("devices".into(), Json::Num(self.devices as f64)),
-            ("batch".into(), Json::Num(self.batch as f64)),
-            ("duration_us".into(), Json::Num(self.duration_us as f64)),
-            ("next_index".into(), Json::Num(self.next_index as f64)),
+            ("campaign_seed".into(), exact(self.campaign_seed)),
+            ("devices".into(), exact(self.devices)),
+            ("batch".into(), exact(self.batch)),
+            ("duration_us".into(), exact(self.duration_us)),
+            ("next_index".into(), exact(self.next_index)),
             ("stats".into(), self.stats.to_json()),
         ])
     }
@@ -276,18 +281,26 @@ impl FleetCheckpoint {
     ///
     /// Describes the first malformed member.
     pub fn from_json(doc: &Json) -> Result<FleetCheckpoint, String> {
-        if doc.get("checkpoint").and_then(Json::as_str) != Some(CHECKPOINT_MARKER) {
-            return Err(format!("missing or wrong \"checkpoint\" marker (want {CHECKPOINT_MARKER:?})"));
-        }
-        let num = |key: &str| -> Result<u64, String> {
-            let v = doc
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("checkpoint missing numeric {key:?}"))?;
-            if v < 0.0 || v.fract() != 0.0 {
-                return Err(format!("checkpoint member {key:?} is not an unsigned integer"));
+        match doc.get("checkpoint").and_then(Json::as_str) {
+            Some(CHECKPOINT_MARKER) => {}
+            Some(other) => {
+                return Err(format!(
+                    "checkpoint format {other:?} is not this version's {CHECKPOINT_MARKER:?}"
+                ))
             }
-            Ok(v as u64)
+            None => return Err(format!("missing \"checkpoint\" marker (want {CHECKPOINT_MARKER:?})")),
+        }
+        // Only the exact decimal spelling `to_json` writes is accepted,
+        // so every member round-trips bit for bit.
+        let num = |key: &str| -> Result<u64, String> {
+            let text = doc
+                .get(key)
+                .and_then(Json::as_str)
+                .ok_or_else(|| format!("checkpoint missing {key:?} (a decimal u64 string)"))?;
+            text.parse::<u64>()
+                .ok()
+                .filter(|v| v.to_string() == text)
+                .ok_or_else(|| format!("checkpoint member {key:?} is not an exact u64: {text:?}"))
         };
         let stats = doc
             .get("stats")
@@ -355,8 +368,11 @@ impl FleetCheckpoint {
     }
 }
 
-/// Writes `checkpoint` to `path` atomically (temp file + rename), so a
-/// kill mid-write can never leave a torn checkpoint behind.
+/// Writes `checkpoint` to `path` atomically and durably: the document
+/// goes to a temp file that is synced to disk before it is renamed over
+/// `path`, and on Unix the parent directory is synced after the rename.
+/// A kill mid-write can never leave a torn checkpoint behind, and once
+/// this returns `Ok` the new checkpoint survives a power loss.
 ///
 /// # Errors
 ///
@@ -366,9 +382,29 @@ pub fn write_checkpoint(path: &Path, checkpoint: &FleetCheckpoint) -> Result<(),
     json::write_json(&mut document, &checkpoint.to_json());
     document.push('\n');
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, document).map_err(|e| format!("write {}: {e}", tmp.display()))?;
+    fn io(what: &'static str, at: &Path) -> impl FnOnce(std::io::Error) -> String {
+        let at = at.display().to_string();
+        move |e| format!("{what} {at}: {e}")
+    }
+    let mut file = std::fs::File::create(&tmp).map_err(io("create", &tmp))?;
+    file.write_all(document.as_bytes()).map_err(io("write", &tmp))?;
+    file.sync_all().map_err(io("sync", &tmp))?;
+    drop(file);
     std::fs::rename(&tmp, path)
-        .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
+        .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))?;
+    #[cfg(unix)]
+    {
+        // The rename lives in the directory entry: sync the directory so
+        // the new name is on disk too.
+        let dir = match path.parent() {
+            Some(parent) if !parent.as_os_str().is_empty() => parent,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(io("sync directory", dir))?;
+    }
+    Ok(())
 }
 
 /// Reads and parses a checkpoint written by [`write_checkpoint`].
@@ -652,6 +688,68 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_u64_members_round_trip_exactly_above_two_pow_53() {
+        for seed in [(1u64 << 53) + 1, u64::MAX - 1] {
+            let checkpoint = FleetCheckpoint {
+                campaign_seed: seed,
+                devices: seed,
+                batch: 7,
+                duration_us: seed - 3,
+                next_index: seed - 1,
+                stats: CampaignStats::new(),
+            };
+            let mut document = String::new();
+            json::write_json(&mut document, &checkpoint.to_json());
+            assert!(document.contains(&format!("\"{seed}\"")), "{document}");
+            let back = FleetCheckpoint::parse(&document).expect("own document parses");
+            assert_eq!(back, checkpoint, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn checkpoint_rejects_inexact_u64_members() {
+        let checkpoint = FleetCheckpoint {
+            campaign_seed: 42,
+            devices: 100,
+            batch: 10,
+            duration_us: 1_000_000,
+            next_index: 50,
+            stats: CampaignStats::new(),
+        };
+        let mut document = String::new();
+        json::write_json(&mut document, &checkpoint.to_json());
+        for bad in [
+            "9007199254740993",             // an f64 number: may be rounded
+            "\"+42\"",                      // not the canonical spelling
+            "\"042\"",
+            "\"4.2e1\"",
+            "\"-42\"",
+            "\"18446744073709551616\"",     // u64::MAX + 1
+            "\"\"",
+        ] {
+            let tampered = document
+                .replace("\"campaign_seed\":\"42\"", &format!("\"campaign_seed\":{bad}"));
+            assert_ne!(tampered, document);
+            let err = FleetCheckpoint::parse(&tampered).expect_err(bad);
+            assert!(err.contains("campaign_seed"), "wrong member named for {bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn checkpoint_rejects_the_numeric_v1_format_by_its_marker() {
+        // What 0.10.0 wrote: the v1 marker and plain JSON numbers.
+        let mut stats = String::new();
+        json::write_json(&mut stats, &CampaignStats::new().to_json());
+        let v1 = format!(
+            "{{\"checkpoint\":\"ccdem-fleet-checkpoint-v1\",\"campaign_seed\":42,\
+             \"devices\":100,\"batch\":10,\"duration_us\":1000000,\"next_index\":50,\
+             \"stats\":{stats}}}"
+        );
+        let err = FleetCheckpoint::parse(&v1).expect_err("a v1 checkpoint");
+        assert!(err.contains("ccdem-fleet-checkpoint-v1") && err.contains(CHECKPOINT_MARKER), "{err}");
+    }
+
+    #[test]
     fn checkpoint_rejects_mismatched_configs() {
         let checkpoint = FleetCheckpoint {
             campaign_seed: 42,
@@ -671,7 +769,7 @@ mod tests {
         assert!(FleetCheckpoint::parse("{not json").is_err());
         let mut document = String::new();
         json::write_json(&mut document, &checkpoint.to_json());
-        let torn = document.replace("\"next_index\":50", "\"next_index\":101");
+        let torn = document.replace("\"next_index\":\"50\"", "\"next_index\":\"101\"");
         assert!(
             FleetCheckpoint::parse(&torn).unwrap_err().contains("beyond"),
             "cursor past the campaign accepted"

@@ -1,11 +1,14 @@
 //! The software framebuffer.
 
+use std::fmt;
+use std::ops::Range;
+
 use crate::damage::DamageRegion;
 use crate::geometry::{Rect, Resolution};
 use crate::pixel::{Pixel, PixelFormat};
-use crate::tile::TileMap;
+use crate::tile::{Tile, TileMap};
 
-/// A software framebuffer: a dense row-major grid of [`Pixel`]s with two
+/// A software framebuffer: a row-major grid of [`Pixel`]s with two
 /// monotonically increasing generation counters and a damage region.
 ///
 /// The *write generation* bumps on every write batch, including
@@ -24,8 +27,15 @@ use crate::tile::TileMap;
 ///
 /// Alongside the damage region, every draw op also maintains a
 /// [`TileMap`] of per-tile content signatures (stamp + provable solid
-/// colour) inside the same row walks — see [`tiles`](Self::tiles) and
-/// the [`tile`](crate::tile) module.
+/// colour) — see [`tiles`](Self::tiles) and the [`tile`](crate::tile)
+/// module. The signatures are the storage of solid tiles: a tile whose
+/// signature is `Some(c)` *is* the colour `c`, and its pixel slots are
+/// stale and never read. So a full-screen fill, or a copy from a buffer
+/// of solid tiles, only sets signatures; a partial write to a solid tile
+/// first writes its colour into that one tile's slots (materializes it).
+/// Every read — [`pixel`](Self::pixel), [`pixels`](Self::pixels), the
+/// grid gathers, the blits, the diffs — resolves solid tiles through
+/// the signature, so no caller can observe a stale slot.
 ///
 /// # Examples
 ///
@@ -43,10 +53,12 @@ use crate::tile::TileMap;
 /// assert_eq!(fb.generation(), 2);
 /// assert_eq!(fb.content_generation(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct FrameBuffer {
     resolution: Resolution,
     format: PixelFormat,
+    /// Row-major pixel slots, authoritative only inside tiles whose
+    /// signature is `solid: None`.
     pixels: Vec<Pixel>,
     generation: u64,
     content_generation: u64,
@@ -76,11 +88,12 @@ impl FrameBuffer {
     /// Rebuilds a framebuffer from recycled pixel `storage`: the
     /// observable state is identical to [`new`](Self::new) (black RGBA8888
     /// pixels, both generations zero, empty damage), but the storage's
-    /// allocation is reused. This is the steady-state path of scratch
-    /// reuse across sweep runs — pair it with
-    /// [`into_storage`](Self::into_storage).
+    /// allocation is reused. Every tile starts solid black, so the
+    /// surviving slots are not rewritten: only slots beyond the storage's
+    /// current length are initialized. This is the steady-state path of
+    /// scratch reuse across sweep runs, through
+    /// [`PixelPool`](crate::pool::PixelPool).
     pub fn recycled(resolution: Resolution, mut storage: Vec<Pixel>) -> FrameBuffer {
-        storage.clear();
         storage.resize(resolution.pixel_count(), Pixel::BLACK);
         FrameBuffer {
             resolution,
@@ -94,8 +107,9 @@ impl FrameBuffer {
     }
 
     /// Consumes the buffer, handing its pixel storage back for recycling
-    /// (see [`recycled`](Self::recycled)).
-    pub fn into_storage(self) -> Vec<Pixel> {
+    /// (see [`recycled`](Self::recycled)). The slots of solid tiles are
+    /// stale, which is why only the pool sees the storage.
+    pub(crate) fn into_storage(self) -> Vec<Pixel> {
         self.pixels
     }
 
@@ -165,7 +179,21 @@ impl FrameBuffer {
             "pixel ({x},{y}) out of bounds for {}",
             self.resolution
         );
-        self.pixels.get(self.index(x, y)).copied().unwrap_or(Pixel::BLACK)
+        self.resolved(x, y)
+    }
+
+    /// Every pixel value in row-major order, solid tiles resolved through
+    /// their signature. An O(pixels) walk for tests and ground-truth
+    /// diffs, not for per-frame paths.
+    pub fn pixels(&self) -> impl Iterator<Item = Pixel> + '_ {
+        let Resolution { width, height } = self.resolution;
+        (0..height).flat_map(move |y| (0..width).map(move |x| self.resolved(x, y)))
+    }
+
+    /// The raw pixel slots — stale inside solid tiles, so readers in this
+    /// crate consult [`tiles`](Self::tiles) first.
+    pub(crate) fn storage(&self) -> &[Pixel] {
+        &self.pixels
     }
 
     /// Writes the pixel at `(x, y)` (quantized to the buffer format) and
@@ -184,18 +212,23 @@ impl FrameBuffer {
             "pixel ({x},{y}) out of bounds for {}",
             self.resolution
         );
-        let i = self.index(x, y);
         let q = self.format.quantize(p);
-        if let Some(slot) = self.pixels.get_mut(i) {
-            *slot = q;
+        let written = Rect::new(x, y, 1, 1);
+        if self.tiles.solid_at(x, y).is_none() {
+            let i = self.index(x, y);
+            if let Some(slot) = self.pixels.get_mut(i) {
+                *slot = q;
+            }
+        } else {
+            self.store_fill(written, q);
         }
-        self.mark(Rect::new(x, y, 1, 1), Some(q));
+        self.mark(written, Some(q));
     }
 
-    /// Fills the whole buffer with one colour.
+    /// Fills the whole buffer with one colour: every tile becomes solid,
+    /// so only the signatures change.
     pub fn fill(&mut self, p: Pixel) {
         let q = self.format.quantize(p);
-        self.pixels.fill(q);
         self.mark(self.resolution.bounds(), Some(q));
     }
 
@@ -206,17 +239,14 @@ impl FrameBuffer {
         let q = self.format.quantize(p);
         let clipped = rect.clipped_to(self.resolution);
         if let Some(r) = clipped {
-            for y in r.y..r.bottom() {
-                let row = self.index(r.x, y);
-                if let Some(seg) = self.pixels.get_mut(row..row + r.width as usize) {
-                    seg.fill(q);
-                }
-            }
+            self.store_fill(r, q);
         }
         self.mark(clipped.unwrap_or_default(), Some(q));
     }
 
-    /// Copies the entirety of `src` into this buffer.
+    /// Copies the entirety of `src` into this buffer. Solid source tiles
+    /// copy as signatures; unknown ones copy their pixels row by row,
+    /// merged into one `memcpy` wherever whole rows are unknown.
     ///
     /// # Panics
     ///
@@ -226,14 +256,9 @@ impl FrameBuffer {
             self.resolution, src.resolution,
             "copy_from requires matching resolutions"
         );
-        if self.format == src.format {
-            self.pixels.copy_from_slice(&src.pixels);
-        } else {
-            for (dst, &s) in self.pixels.iter_mut().zip(&src.pixels) {
-                *dst = self.format.quantize(s);
-            }
-        }
-        self.mark_copied(self.resolution.bounds(), src);
+        let all = self.resolution.bounds();
+        self.store_copy(src, all);
+        self.mark_copied(all, src);
     }
 
     /// Copies `rect` (clipped) from `src` into the same position here.
@@ -248,26 +273,7 @@ impl FrameBuffer {
         );
         let clipped = rect.clipped_to(self.resolution);
         if let Some(r) = clipped {
-            let convert = self.format != src.format;
-            let format = self.format;
-            let w = r.width as usize;
-            for y in r.y..r.bottom() {
-                let i = self.index(r.x, y);
-                // Clipping keeps `i..i + w` inside both buffers (the
-                // resolutions match), so the lookups never miss.
-                let (Some(dst), Some(from)) =
-                    (self.pixels.get_mut(i..i + w), src.pixels.get(i..i + w))
-                else {
-                    continue;
-                };
-                if convert {
-                    for (d, &s) in dst.iter_mut().zip(from) {
-                        *d = format.quantize(s);
-                    }
-                } else {
-                    dst.copy_from_slice(from);
-                }
-            }
+            self.store_copy(src, r);
         }
         self.mark_copied(clipped.unwrap_or_default(), src);
     }
@@ -288,19 +294,38 @@ impl FrameBuffer {
         );
         let clipped = rect.clipped_to(self.resolution);
         if let Some(r) = clipped {
-            let format = self.format;
-            let w = r.width as usize;
-            for y in r.y..r.bottom() {
-                let i = self.index(r.x, y);
-                // Same bound as copy_rect_from: clipped to both buffers.
-                let (Some(dst), Some(from)) =
-                    (self.pixels.get_mut(i..i + w), src.pixels.get(i..i + w))
-                else {
-                    continue;
-                };
-                for (d, &s) in dst.iter_mut().zip(from) {
-                    *d = format.quantize(s.over(*d));
+            // A blend reads every destination pixel it writes.
+            self.materialize(r, |_, _| true);
+            let (format, width) = (self.format, self.resolution.width);
+            let pixels = &mut self.pixels;
+            let mut blend = |block: Rect, solid: Option<Pixel>| {
+                for range in rows(block, width) {
+                    let Some(dst) = pixels.get_mut(range.clone()) else {
+                        continue;
+                    };
+                    match solid {
+                        Some(s) => {
+                            for d in dst {
+                                *d = format.quantize(s.over(*d));
+                            }
+                        }
+                        None => {
+                            let from = src.pixels.get(range).unwrap_or_default();
+                            for (d, &s) in dst.iter_mut().zip(from) {
+                                *d = format.quantize(s.over(*d));
+                            }
+                        }
+                    }
                 }
+            };
+            if src.tiles.any_solid(r) {
+                src.tiles.for_each_tile(r, |tile_rect, tile, _| {
+                    if let Some(part) = r.intersection(tile_rect) {
+                        blend(part, tile.solid);
+                    }
+                });
+            } else {
+                blend(r, None);
             }
         }
         // Blend results depend on prior destination pixels, so the tiles
@@ -314,28 +339,22 @@ impl FrameBuffer {
         let h = self.resolution.height;
         let w = self.resolution.width as usize;
         let dy = dy.min(h);
-        if dy > 0 && dy < h {
-            let shift = dy as usize * w;
-            self.pixels.copy_within(shift.., 0);
-        }
         let q = self.format.quantize(fill);
-        let start = ((h - dy) as usize) * w;
-        if let Some(seg) = self.pixels.get_mut(start..) {
-            seg.fill(q);
-        }
         if dy >= h {
             // The whole screen is the fill colour: a provably solid write.
             self.mark(self.resolution.bounds(), Some(q));
         } else if dy > 0 {
+            // Every row moves and every tile ends unknown, so all slots
+            // must hold real values before the shift.
+            self.materialize(self.resolution.bounds(), |_, _| true);
+            self.pixels.copy_within(dy as usize * w.., 0);
+            if let Some(band) = self.pixels.get_mut((h - dy) as usize * w..) {
+                band.fill(q);
+            }
             self.mark(self.resolution.bounds(), None);
         } else {
             self.mark(Rect::default(), None);
         }
-    }
-
-    /// A read-only view of all pixels in row-major order.
-    pub fn as_pixels(&self) -> &[Pixel] {
-        &self.pixels
     }
 
     /// Mean luminance of the whole buffer in `[0, 1]`.
@@ -343,14 +362,113 @@ impl FrameBuffer {
     /// This is an O(pixels) scan; it exists for the OLED power extension
     /// and for tests, not for the per-frame hot path.
     pub fn mean_luminance(&self) -> f64 {
-        if self.pixels.is_empty() {
+        let n = self.resolution.pixel_count();
+        if n == 0 {
             return 0.0;
         }
-        self.pixels.iter().map(|p| p.luminance()).sum::<f64>() / self.pixels.len() as f64
+        self.pixels().map(|p| p.luminance()).sum::<f64>() / n as f64
+    }
+
+    /// The pixel at an on-screen `(x, y)`, through the tile signature.
+    fn resolved(&self, x: u32, y: u32) -> Pixel {
+        self.tiles
+            .solid_at(x, y)
+            .unwrap_or_else(|| self.pixels.get(self.index(x, y)).copied().unwrap_or(Pixel::BLACK))
     }
 
     fn index(&self, x: u32, y: u32) -> usize {
         (y as usize) * (self.resolution.width as usize) + x as usize
+    }
+
+    /// Materializes the solid tiles intersecting `rect` that
+    /// `pick(tile, covered)` selects: writes each one's colour into all
+    /// of its pixel slots, so storage holds real values there before a
+    /// write that leaves the tile unknown. The signature is left for the
+    /// write's `mark`.
+    fn materialize(&mut self, rect: Rect, mut pick: impl FnMut(Tile, bool) -> bool) {
+        if !self.tiles.any_solid(rect) {
+            return;
+        }
+        let width = self.resolution.width;
+        let pixels = &mut self.pixels;
+        self.tiles.for_each_tile(rect, |tile_rect, tile, covered| {
+            if let Some(c) = tile.solid.filter(|_| pick(tile, covered)) {
+                fill_block(pixels, tile_rect, width, c);
+            }
+        });
+    }
+
+    /// Stores a constant fill of `q` over the on-screen `r`. The
+    /// signature rules leave a covered tile solid `q`, and a partly
+    /// covered one solid `q` when it already was; those need no slots
+    /// written. Every other tile the fill touches degrades to unknown,
+    /// so it is materialized and then written.
+    fn store_fill(&mut self, r: Rect, q: Pixel) {
+        let width = self.resolution.width;
+        let pixels = &mut self.pixels;
+        if !self.tiles.any_solid(r) {
+            // Plain storage throughout: fill it as it stands.
+            fill_block(pixels, r, width, q);
+            return;
+        }
+        self.tiles.for_each_tile(r, |tile_rect, tile, covered| {
+            if covered || tile.solid == Some(q) {
+                return;
+            }
+            if let Some(c) = tile.solid {
+                fill_block(pixels, tile_rect, width, c);
+            }
+            if let Some(part) = r.intersection(tile_rect) {
+                fill_block(pixels, part, width, q);
+            }
+        });
+    }
+
+    /// Stores a copy of the on-screen `r` from `src`. A tile the copy
+    /// covers inherits a solid source tile's colour through its signature
+    /// alone; everywhere else the slots are written, with pixels from
+    /// unknown source tiles and the colour of solid ones. A partly
+    /// covered destination tile degrades to unknown, so it is
+    /// materialized first.
+    fn store_copy(&mut self, src: &FrameBuffer, r: Rect) {
+        if r != self.resolution.bounds() {
+            self.materialize(r, |_, covered| !covered);
+        }
+        let (format, width) = (self.format, self.resolution.width);
+        let convert = format != src.format;
+        let pixels = &mut self.pixels;
+        let mut copy = |block: Rect, solid: Option<Pixel>| {
+            if let Some(c) = solid {
+                fill_block(pixels, block, width, if convert { format.quantize(c) } else { c });
+                return;
+            }
+            for range in rows(block, width) {
+                let (Some(dst), Some(from)) =
+                    (pixels.get_mut(range.clone()), src.pixels.get(range))
+                else {
+                    continue;
+                };
+                if convert {
+                    for (d, &s) in dst.iter_mut().zip(from) {
+                        *d = format.quantize(s);
+                    }
+                } else {
+                    dst.copy_from_slice(from);
+                }
+            }
+        };
+        if src.tiles.any_solid(r) {
+            src.tiles.for_each_tile(r, |tile_rect, tile, covered| {
+                if covered && tile.solid.is_some() {
+                    return;
+                }
+                if let Some(part) = r.intersection(tile_rect) {
+                    copy(part, tile.solid);
+                }
+            });
+        } else {
+            copy(r, None);
+        }
     }
 
     /// Records one completed write batch: the write generation always
@@ -391,6 +509,59 @@ impl FrameBuffer {
     }
 }
 
+/// The storage index ranges of `block`'s pixel rows in a buffer `width`
+/// pixels wide: a single range when the block spans whole rows.
+fn rows(block: Rect, width: u32) -> impl Iterator<Item = Range<usize>> {
+    let w = width as usize;
+    let (count, len) = if block.width == width {
+        (1, block.height as usize * w)
+    } else {
+        (block.height, block.width as usize)
+    };
+    (block.y..block.y + count).map(move |y| {
+        let start = y as usize * w + block.x as usize;
+        start..start + len
+    })
+}
+
+/// Fills `block` of a row-major storage `width` pixels wide with `c`.
+fn fill_block(pixels: &mut [Pixel], block: Rect, width: u32, c: Pixel) {
+    for range in rows(block, width) {
+        if let Some(seg) = pixels.get_mut(range) {
+            seg.fill(c);
+        }
+    }
+}
+
+/// Buffers are equal when everything observable is: resolution, format,
+/// both generations, damage, signatures and every pixel value — never
+/// the stale slots of solid tiles.
+impl PartialEq for FrameBuffer {
+    fn eq(&self, other: &FrameBuffer) -> bool {
+        self.resolution == other.resolution
+            && self.format == other.format
+            && self.generation == other.generation
+            && self.content_generation == other.content_generation
+            && self.damage == other.damage
+            && self.tiles == other.tiles
+            && self.pixels().eq(other.pixels())
+    }
+}
+
+/// Omits the pixel slots, which are stale inside solid tiles.
+impl fmt::Debug for FrameBuffer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FrameBuffer")
+            .field("resolution", &self.resolution)
+            .field("format", &self.format)
+            .field("generation", &self.generation)
+            .field("content_generation", &self.content_generation)
+            .field("damage", &self.damage)
+            .field("tiles", &self.tiles)
+            .finish_non_exhaustive()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,7 +570,7 @@ mod tests {
     fn new_buffer_is_black_generation_zero() {
         let fb = FrameBuffer::new(Resolution::new(3, 3));
         assert_eq!(fb.generation(), 0);
-        assert!(fb.as_pixels().iter().all(|&p| p == Pixel::BLACK));
+        assert!(fb.pixels().all(|p| p == Pixel::BLACK));
     }
 
     #[test]
@@ -427,7 +598,7 @@ mod tests {
         a.fill_rect(Rect::new(1, 1, 2, 2), Pixel::rgb(9, 9, 9));
         let mut b = FrameBuffer::new(Resolution::new(5, 5));
         b.copy_from(&a);
-        assert_eq!(a.as_pixels(), b.as_pixels());
+        assert!(a.pixels().eq(b.pixels()));
     }
 
     #[test]
@@ -444,8 +615,9 @@ mod tests {
         fb.fill_rect(Rect::new(0, 0, 2, 1), Pixel::WHITE); // top row white
         fb.scroll_up(1, Pixel::grey(7));
         // White row moved off the top; bottom row filled with grey.
-        assert!(fb.as_pixels()[..6].iter().all(|&p| p == Pixel::BLACK));
-        assert!(fb.as_pixels()[6..].iter().all(|&p| p == Pixel::grey(7)));
+        let px: Vec<Pixel> = fb.pixels().collect();
+        assert!(px[..6].iter().all(|&p| p == Pixel::BLACK));
+        assert!(px[6..].iter().all(|&p| p == Pixel::grey(7)));
     }
 
     #[test]
@@ -453,7 +625,7 @@ mod tests {
         let mut fb = FrameBuffer::new(Resolution::new(2, 2));
         fb.fill(Pixel::WHITE);
         fb.scroll_up(5, Pixel::BLACK);
-        assert!(fb.as_pixels().iter().all(|&p| p == Pixel::BLACK));
+        assert!(fb.pixels().all(|p| p == Pixel::BLACK));
     }
 
     #[test]
@@ -545,7 +717,7 @@ mod tests {
         }
 
         dst.blend_rect_from(&overlay, rect);
-        assert_eq!(dst.as_pixels(), reference.as_pixels());
+        assert!(dst.pixels().eq(reference.pixels()));
         assert_eq!(dst.take_damage().bounding(), rect);
     }
 
@@ -559,7 +731,7 @@ mod tests {
         let ptr = storage.as_ptr();
         let recycled = FrameBuffer::recycled(res, storage);
         assert_eq!(recycled, FrameBuffer::new(res));
-        assert_eq!(recycled.as_pixels().as_ptr(), ptr, "allocation reused");
+        assert_eq!(recycled.storage().as_ptr(), ptr, "allocation reused");
         // A smaller target resolution also reuses the allocation.
         let shrunk = FrameBuffer::recycled(Resolution::new(2, 2), recycled.into_storage());
         assert_eq!(shrunk, FrameBuffer::new(Resolution::new(2, 2)));

@@ -3,7 +3,8 @@
 //! These full-resolution comparisons are the *ground truth* the grid-based
 //! scheme is evaluated against in Fig. 6: the full compare never misses a
 //! change but costs O(pixels), which is why the paper rejects it for the
-//! per-frame hot path.
+//! per-frame hot path. They compare pixel values
+//! ([`FrameBuffer::pixels`]), so solid tiles count by their colour.
 
 use crate::buffer::FrameBuffer;
 
@@ -33,7 +34,7 @@ pub fn buffers_equal(a: &FrameBuffer, b: &FrameBuffer) -> bool {
         b.resolution(),
         "buffers_equal requires matching resolutions"
     );
-    a.as_pixels() == b.as_pixels()
+    a.pixels().eq(b.pixels())
 }
 
 /// Number of pixels that differ between two buffers.
@@ -47,9 +48,8 @@ pub fn changed_pixel_count(a: &FrameBuffer, b: &FrameBuffer) -> usize {
         b.resolution(),
         "changed_pixel_count requires matching resolutions"
     );
-    a.as_pixels()
-        .iter()
-        .zip(b.as_pixels())
+    a.pixels()
+        .zip(b.pixels())
         .filter(|(x, y)| x != y)
         .count()
 }

@@ -30,9 +30,9 @@ use crate::geometry::Resolution;
 ///
 /// snaps.capture(&fb);                 // frame 0 snapshot
 /// fb.fill(Pixel::WHITE);              // frame 1 drawn
-/// assert_ne!(snaps.front().as_pixels(), fb.as_pixels());
+/// assert!(!snaps.front().pixels().eq(fb.pixels()));
 /// snaps.capture(&fb);                 // frame 1 snapshot
-/// assert_eq!(snaps.front().as_pixels(), fb.as_pixels());
+/// assert!(snaps.front().pixels().eq(fb.pixels()));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DoubleBuffer {

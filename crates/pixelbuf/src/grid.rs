@@ -6,20 +6,21 @@
 //! grid laid over the screen and treats that pixel as representative of the
 //! cell.
 //!
-//! [`GridSampler`] stores the sample positions as a **row-run layout**
-//! rather than a flat index list: the column centres decompose into a few
-//! maximal equal-stride runs (exactly one when the width divides evenly by
-//! the column count, as it does for every paper budget on the Galaxy S3),
-//! and every sampled row replays the same runs at its own base offset. A
-//! per-frame comparison is therefore a sequence of bounds-check-free
-//! slice-window sweeps instead of one bounds-checked random gather per
-//! point — and *dense* runs (stride 1, i.e. the full-resolution sampler
-//! and any budget that samples every column) compare two pixels per `u64`
-//! word and refresh the snapshot with a straight `memcpy`.
+//! Every gather walks the sampled points row-major, as **segments** of
+//! consecutive grid columns on one sampled row. A segment lies either in
+//! one solid tile — the framebuffer stores such a tile as its colour, so
+//! the segment compares against that constant and refreshes the snapshot
+//! with a `fill` — or in a run of tiles whose pixel storage is
+//! authoritative, read straight from the row. A segment of consecutive
+//! pixel columns (the full-resolution sampler, and any budget that
+//! samples every column) compares two pixels per `u64` word and refreshes
+//! the snapshot with a `memcpy`; a strided one indexes the row directly.
+
+use std::ops::ControlFlow;
 
 use crate::buffer::FrameBuffer;
 use crate::damage::DamageRegion;
-use crate::geometry::Resolution;
+use crate::geometry::{Rect, Resolution};
 use crate::pixel::Pixel;
 use crate::tile::{TileMap, TILE_SIZE};
 
@@ -82,79 +83,14 @@ fn tile_kind(tiles: &TileMap, tx: u32, ty: u32, last_content_generation: u64) ->
     }
 }
 
-/// A maximal run of equally-spaced sample columns: `count` samples
-/// starting at screen column `first_x`, `stride` pixels apart.
-///
-/// The column centres `((2·gx + 1)·W) / (2·C)` are *not* globally
-/// equispaced when `W % C != 0` (consecutive strides alternate between
-/// ⌊W/C⌋ and ⌈W/C⌉), so a row decomposes into a handful of runs rather
-/// than always exactly one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ColRun {
-    first_x: u32,
-    stride: u32,
-    count: u32,
-}
-
-/// One column run projected onto a concrete sampled row: a window into
-/// the framebuffer's pixel slice plus the matching range of the
-/// row-major snapshot.
+/// Where a segment of sampled points reads its pixels.
 #[derive(Debug, Clone, Copy)]
-struct RunSpan {
-    pixel_start: usize,
-    snap_start: usize,
-    stride: usize,
-    count: usize,
-}
-
-impl RunSpan {
-    /// The window of `pixels` spanned by this run, first sample to last
-    /// sample inclusive. Dense runs (stride 1) hold exactly the sampled
-    /// pixels; strided runs hold the sampled pixels at multiples of
-    /// `stride` from the window start.
-    fn window<'a>(&self, pixels: &'a [Pixel]) -> &'a [Pixel] {
-        let end = self.pixel_start + (self.count - 1) * self.stride + 1;
-        // ccdem-lint: allow(panic) — in-bounds by construction: every
-        // run's last sample is a cell centre inside the checked buffer.
-        &pixels[self.pixel_start..end]
-    }
-
-    /// This run's slots of the row-major snapshot.
-    fn snap<'a>(&self, snapshot: &'a [Pixel]) -> &'a [Pixel] {
-        // ccdem-lint: allow(panic) — snapshot length is checked against
-        // sample_count() before any span is formed.
-        &snapshot[self.snap_start..self.snap_start + self.count]
-    }
-
-    /// Mutable variant of [`snap`](Self::snap).
-    fn snap_mut<'a>(&self, snapshot: &'a mut [Pixel]) -> &'a mut [Pixel] {
-        // ccdem-lint: allow(panic) — see `snap`.
-        &mut snapshot[self.snap_start..self.snap_start + self.count]
-    }
-}
-
-/// Decomposes strictly increasing column centres into maximal
-/// equal-stride runs, greedily left to right.
-fn col_runs_of(col_xs: &[u32]) -> Vec<ColRun> {
-    let mut runs: Vec<ColRun> = Vec::new();
-    for &x in col_xs {
-        match runs.last_mut() {
-            // A lone trailing column adopts the next column's spacing.
-            Some(run) if run.count == 1 => {
-                run.stride = x - run.first_x;
-                run.count = 2;
-            }
-            Some(run) if x == run.first_x + run.stride * run.count => {
-                run.count += 1;
-            }
-            _ => runs.push(ColRun {
-                first_x: x,
-                stride: 1,
-                count: 1,
-            }),
-        }
-    }
-    runs
+enum Src<'a> {
+    /// The pixel storage of the sampled row, indexed by screen column;
+    /// authoritative for every column of the segment.
+    Row(&'a [Pixel]),
+    /// Every point of the segment holds exactly this colour.
+    Solid(Pixel),
 }
 
 /// Packs two pixels into one comparison word: dense runs compare two
@@ -195,29 +131,71 @@ fn first_diff_dense(window: &[Pixel], prev: &[Pixel]) -> Option<usize> {
         .map(|k| n + k)
 }
 
-/// Index of the first differing sample in a run window, dense or strided.
-fn first_diff(window: &[Pixel], stride: usize, prev: &[Pixel]) -> Option<usize> {
-    if stride == 1 {
-        first_diff_dense(window, prev)
-    } else {
-        window
-            .iter()
-            .step_by(stride)
-            .zip(prev)
-            .position(|(a, b)| a != b)
+/// The storage window of sample columns `xs` when they are consecutive
+/// pixel columns (a dense segment).
+fn dense_window<'a>(row: &'a [Pixel], xs: &[u32]) -> Option<&'a [Pixel]> {
+    let (&first, &last) = (xs.first()?, xs.last()?);
+    if (last - first) as usize + 1 != xs.len() {
+        return None;
+    }
+    row.get(first as usize..=last as usize)
+}
+
+/// Index of the first point of segment `xs` whose pixel differs from its
+/// slot in `prev`.
+fn first_diff(src: Src<'_>, xs: &[u32], prev: &[Pixel]) -> Option<usize> {
+    match src {
+        Src::Solid(c) => prev.iter().position(|&s| s != c),
+        Src::Row(row) => match dense_window(row, xs) {
+            Some(window) => first_diff_dense(window, prev),
+            None => xs
+                .iter()
+                .zip(prev)
+                .position(|(&x, s)| row.get(x as usize) != Some(s)),
+        },
     }
 }
 
-/// Copies a run's sampled pixels into `dst`: a `memcpy` for dense runs,
-/// a bounds-check-free strided sweep otherwise.
-fn capture_run(window: &[Pixel], stride: usize, dst: &mut [Pixel]) {
-    if stride == 1 {
-        dst.copy_from_slice(window);
-    } else {
-        for (slot, px) in dst.iter_mut().zip(window.iter().step_by(stride)) {
-            *slot = *px;
-        }
+/// Number of points of segment `xs` whose pixel differs from `prev`.
+fn count_diffs(src: Src<'_>, xs: &[u32], prev: &[Pixel]) -> usize {
+    match src {
+        Src::Solid(c) => prev.iter().filter(|&&s| s != c).count(),
+        Src::Row(row) => xs
+            .iter()
+            .zip(prev)
+            .filter(|&(&x, s)| row.get(x as usize) != Some(s))
+            .count(),
     }
+}
+
+/// Refreshes the snapshot slots `dst` with the pixels of segment `xs`: a
+/// `fill` for a solid tile, a `memcpy` for a dense window.
+fn capture(src: Src<'_>, xs: &[u32], dst: &mut [Pixel]) {
+    match src {
+        Src::Solid(c) => dst.fill(c),
+        Src::Row(row) => match dense_window(row, xs) {
+            Some(window) if window.len() == dst.len() => dst.copy_from_slice(window),
+            _ => {
+                for (&x, slot) in xs.iter().zip(dst) {
+                    if let Some(&p) = row.get(x as usize) {
+                        *slot = p;
+                    }
+                }
+            }
+        },
+    }
+}
+
+/// One segment of a fused gather: while `live`, compares against `snap`
+/// and, at a difference, returns its offset and refreshes the slots
+/// (slots that compared equal already hold the sampled values); once
+/// past the first difference, refreshes without comparing.
+fn compare_capture(src: Src<'_>, xs: &[u32], snap: &mut [Pixel], live: bool) -> Option<usize> {
+    let hit = if live { first_diff(src, xs, snap) } else { None };
+    if hit.is_some() || !live {
+        capture(src, xs, snap);
+    }
+    hit
 }
 
 /// Precomputed sample positions for grid-based comparison.
@@ -245,9 +223,6 @@ pub struct GridSampler {
     resolution: Resolution,
     cols: u32,
     rows: u32,
-    /// Column sample positions decomposed into equal-stride runs; every
-    /// sampled row replays the same runs at its own base offset.
-    col_runs: Vec<ColRun>,
     /// Sample x-coordinate of each grid column, strictly increasing.
     col_xs: Vec<u32>,
     /// Sample y-coordinate of each grid row, strictly increasing.
@@ -276,12 +251,10 @@ impl GridSampler {
         let row_ys: Vec<u32> = (0..rows)
             .map(|gy| ((2 * gy + 1) * resolution.height) / (2 * rows))
             .collect();
-        let col_runs = col_runs_of(&col_xs);
         GridSampler {
             resolution,
             cols,
             rows,
-            col_runs,
             col_xs,
             row_ys,
         }
@@ -349,25 +322,51 @@ impl GridSampler {
         (self.cols as usize) * (self.rows as usize)
     }
 
-    /// Every run of every sampled row, in snapshot (row-major) order.
-    fn run_spans(&self) -> impl Iterator<Item = RunSpan> + '_ {
+    /// Visits the sampled points inside `rect`, row-major, as segments:
+    /// `f(snap_start, xs, src)` gets the snapshot index of a segment's
+    /// first point, its sample columns, and where its pixels live. A
+    /// sampled row splits wherever the buffer's storage changes between
+    /// a solid tile (`Src::Solid`, its slots stale) and a run of unknown
+    /// tiles (`Src::Row`). Stops as soon as `f` breaks.
+    fn walk<'a>(
+        &self,
+        buffer: &'a FrameBuffer,
+        rect: Rect,
+        mut f: impl FnMut(usize, &[u32], Src<'a>) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let (gx0, gx1) = Self::axis_range(&self.col_xs, rect.x, rect.right());
+        let (gy0, gy1) = Self::axis_range(&self.row_ys, rect.y, rect.bottom());
+        let xs = self.col_xs.get(gx0..gx1).unwrap_or_default();
         let w = self.resolution.width as usize;
         let cols = self.cols as usize;
-        let runs = &self.col_runs;
-        self.row_ys.iter().enumerate().flat_map(move |(gy, &y)| {
-            let row_base = (y as usize) * w;
-            let mut snap_off = gy * cols;
-            runs.iter().map(move |run| {
-                let span = RunSpan {
-                    pixel_start: row_base + run.first_x as usize,
-                    snap_start: snap_off,
-                    stride: run.stride as usize,
-                    count: run.count as usize,
-                };
-                snap_off += run.count as usize;
-                span
-            })
-        })
+        let tiles = buffer.tiles();
+        for (gy, &y) in self.row_ys.iter().enumerate().take(gy1).skip(gy0) {
+            let start = y as usize * w;
+            let row = Src::Row(buffer.storage().get(start..start + w).unwrap_or_default());
+            let base = gy * cols + gx0;
+            let ty = y / TILE_SIZE;
+            // Start of the open run of columns in unknown tiles.
+            let mut unknown_from = None;
+            let mut k = 0;
+            while let Some(&x) = xs.get(k) {
+                let tx = x / TILE_SIZE;
+                let rest = xs.get(k..).unwrap_or_default();
+                let end = k + rest.partition_point(|&c| c / TILE_SIZE == tx);
+                if let Some(c) = tiles.tile(tx, ty).solid {
+                    if let Some(u) = unknown_from.take() {
+                        f(base + u, xs.get(u..k).unwrap_or_default(), row)?;
+                    }
+                    f(base + k, xs.get(k..end).unwrap_or_default(), Src::Solid(c))?;
+                } else {
+                    unknown_from.get_or_insert(k);
+                }
+                k = end;
+            }
+            if let Some(u) = unknown_from {
+                f(base + u, xs.get(u..).unwrap_or_default(), row)?;
+            }
+        }
+        ControlFlow::Continue(())
     }
 
     /// Gathers the sampled pixels of `buffer` into a new vector.
@@ -400,11 +399,13 @@ impl GridSampler {
     /// Panics if the buffer resolution does not match the sampler's.
     pub fn sample_into(&self, buffer: &FrameBuffer, out: &mut Vec<Pixel>) {
         self.check_buffer(buffer);
-        let pixels = buffer.as_pixels();
         out.resize(self.sample_count(), Pixel::TRANSPARENT);
-        for span in self.run_spans() {
-            capture_run(span.window(pixels), span.stride, span.snap_mut(out));
-        }
+        let _ = self.walk(buffer, self.resolution.bounds(), |start, xs, src| {
+            if let Some(dst) = out.get_mut(start..start + xs.len()) {
+                capture(src, xs, dst);
+            }
+            ControlFlow::Continue(())
+        });
     }
 
     /// Whether the current buffer content differs from a previously
@@ -457,21 +458,22 @@ impl GridSampler {
     /// ```
     pub fn compare(&self, buffer: &FrameBuffer, previous: &[Pixel]) -> GridCompare {
         self.check_snapshot(buffer, previous);
-        let pixels = buffer.as_pixels();
-        for span in self.run_spans() {
-            if let Some(k) = first_diff(span.window(pixels), span.stride, span.snap(previous)) {
-                let n = span.snap_start + k + 1;
-                return GridCompare {
-                    differs: true,
-                    points_compared: n,
-                    points_read: n,
-                };
+        let mut hit = None;
+        let _ = self.walk(buffer, self.resolution.bounds(), |start, xs, src| {
+            let prev = previous.get(start..start + xs.len()).unwrap_or_default();
+            match first_diff(src, xs, prev) {
+                Some(k) => {
+                    hit = Some(start + k + 1);
+                    ControlFlow::Break(())
+                }
+                None => ControlFlow::Continue(()),
             }
-        }
+        });
+        let n = hit.unwrap_or(self.sample_count());
         GridCompare {
-            differs: false,
-            points_compared: self.sample_count(),
-            points_read: self.sample_count(),
+            differs: hit.is_some(),
+            points_compared: n,
+            points_read: n,
         }
     }
 
@@ -488,7 +490,8 @@ impl GridSampler {
     /// the snapshot current, so `points_read` always equals
     /// [`sample_count`](Self::sample_count). Runs that compared equal are
     /// not rewritten (the snapshot already holds exactly those values);
-    /// dense runs past the first difference refresh via `memcpy`.
+    /// dense runs past the first difference refresh via `memcpy`. This
+    /// is the damage-restricted gather with the whole screen as damage.
     ///
     /// # Panics
     ///
@@ -499,32 +502,8 @@ impl GridSampler {
         buffer: &FrameBuffer,
         snapshot: &mut [Pixel],
     ) -> GridCompare {
-        self.check_snapshot(buffer, snapshot);
-        let pixels = buffer.as_pixels();
-        let mut differs = false;
-        let mut points_compared = 0;
-        for span in self.run_spans() {
-            let window = span.window(pixels);
-            if differs {
-                capture_run(window, span.stride, span.snap_mut(snapshot));
-            } else {
-                match first_diff(window, span.stride, span.snap(snapshot)) {
-                    Some(k) => {
-                        differs = true;
-                        points_compared += k + 1;
-                        capture_run(window, span.stride, span.snap_mut(snapshot));
-                    }
-                    // No difference in this run ⇒ its snapshot slots
-                    // already hold exactly the sampled values.
-                    None => points_compared += span.count,
-                }
-            }
-        }
-        GridCompare {
-            differs,
-            points_compared,
-            points_read: self.sample_count(),
-        }
+        let everything = DamageRegion::of(self.resolution.bounds());
+        self.compare_and_capture_damaged(buffer, &everything, snapshot)
     }
 
     /// Damage-restricted [`compare_and_capture`](Self::compare_and_capture):
@@ -540,7 +519,8 @@ impl GridSampler {
     /// cost is O(points inside the damage), not O(grid). When the damaged
     /// columns are consecutive pixels (always true for the full-resolution
     /// sampler), each damaged row compares as one dense window — two
-    /// pixels per word, `memcpy` refresh.
+    /// pixels per word, `memcpy` refresh. Points in solid tiles compare
+    /// against the tile's colour.
     ///
     /// # Panics
     ///
@@ -552,78 +532,27 @@ impl GridSampler {
         snapshot: &mut [Pixel],
     ) -> GridCompare {
         self.check_snapshot(buffer, snapshot);
-        let pixels = buffer.as_pixels();
-        let w = self.resolution.width as usize;
-        let cols = self.cols as usize;
         let mut differs = false;
         let mut points_compared = 0;
         let mut points_read = 0;
         // Damage rects are disjoint and both coordinate axes are strictly
         // increasing, so each grid point is visited at most once.
-        for rect in damage.rects() {
-            let (gx0, gx1) = Self::axis_range(&self.col_xs, rect.x, rect.right());
-            let (gy0, gy1) = Self::axis_range(&self.row_ys, rect.y, rect.bottom());
-            let Some(xs) = self.col_xs.get(gx0..gx1) else {
-                continue;
-            };
-            let (Some(&first_x), Some(&last_x)) = (xs.first(), xs.last()) else {
-                continue; // no sampled column inside this rect
-            };
-            // Consecutive damaged columns form a dense window per row.
-            let dense = (last_x - first_x) as usize == xs.len() - 1;
-            for (gy, &y) in self.row_ys.iter().enumerate().take(gy1).skip(gy0) {
-                let row_start = (y as usize) * w + first_x as usize;
-                let row_end = (y as usize) * w + last_x as usize;
-                // ccdem-lint: allow(panic) — in-bounds: cell centres lie
-                // inside the checked buffer.
-                let window = &pixels[row_start..=row_end];
-                let snap_start = gy * cols + gx0;
-                // ccdem-lint: allow(panic) — snapshot length is checked
-                // against sample_count() and gx1 ≤ cols.
-                let snap = &mut snapshot[snap_start..snap_start + xs.len()];
+        for &rect in damage.rects() {
+            let _ = self.walk(buffer, rect, |start, xs, src| {
+                let Some(snap) = snapshot.get_mut(start..start + xs.len()) else {
+                    return ControlFlow::Continue(());
+                };
                 points_read += xs.len();
-                if dense {
-                    if differs {
-                        snap.copy_from_slice(window);
-                    } else {
-                        match first_diff_dense(window, snap) {
-                            Some(k) => {
-                                differs = true;
-                                points_compared += k + 1;
-                                snap.copy_from_slice(window);
-                            }
-                            None => points_compared += xs.len(),
-                        }
+                match compare_capture(src, xs, snap, !differs) {
+                    Some(k) => {
+                        differs = true;
+                        points_compared += k + 1;
                     }
-                } else {
-                    // Strided damaged columns: scalar sweep over the row
-                    // window at the columns' offsets from `first_x`.
-                    if differs {
-                        for (&x, slot) in xs.iter().zip(snap.iter_mut()) {
-                            // ccdem-lint: allow(panic) — x ∈ [first_x,
-                            // last_x] by construction of the axis range.
-                            *slot = window[(x - first_x) as usize];
-                        }
-                    } else {
-                        let hit = xs.iter().zip(snap.iter()).position(|(&x, s)| {
-                            // ccdem-lint: allow(panic) — same bound as
-                            // the capture sweep above.
-                            window[(x - first_x) as usize] != *s
-                        });
-                        match hit {
-                            Some(k) => {
-                                differs = true;
-                                points_compared += k + 1;
-                                for (&x, slot) in xs.iter().zip(snap.iter_mut()) {
-                                    // ccdem-lint: allow(panic) — see above.
-                                    *slot = window[(x - first_x) as usize];
-                                }
-                            }
-                            None => points_compared += xs.len(),
-                        }
-                    }
+                    None if !differs => points_compared += xs.len(),
+                    None => {}
                 }
-            }
+                ControlFlow::Continue(())
+            });
         }
         GridCompare {
             differs,
@@ -638,7 +567,7 @@ impl GridSampler {
     /// and provably-solid tiles are compared against their constant
     /// colour with **zero framebuffer reads** (the snapshot refresh is a
     /// `fill`, not a gather). Only tiles with unknown content descend to
-    /// the PR 5 row-window pixel path. Both pruning mechanisms compose:
+    /// the pixel storage. Both pruning mechanisms compose:
     /// the walk covers the intersection of the damage region with the
     /// dirty tiles.
     ///
@@ -675,7 +604,7 @@ impl GridSampler {
         snapshot: &mut [Pixel],
     ) -> TileCompare {
         self.check_snapshot(buffer, snapshot);
-        let pixels = buffer.as_pixels();
+        let pixels = buffer.storage();
         let tiles = buffer.tiles();
         let w = self.resolution.width as usize;
         let cols = self.cols as usize;
@@ -765,8 +694,8 @@ impl GridSampler {
                         }
                         TileKind::Unknown => {
                             tiles_descended += seg_tiles;
-                            // Unknown content: descend to the row-window
-                            // pixel path over this segment's columns.
+                            // Unknown content: descend to the pixel
+                            // storage over this segment's columns.
                             // ccdem-lint: allow(panic) — s0 < s1 ≤
                             // n_cols = xs.len() (segment bounds).
                             let seg_xs = &xs[s0..s1];
@@ -860,17 +789,12 @@ impl GridSampler {
     /// Number of grid points whose pixel differs from the captured sample.
     pub fn changed_points(&self, buffer: &FrameBuffer, previous: &[Pixel]) -> usize {
         self.check_snapshot(buffer, previous);
-        let pixels = buffer.as_pixels();
-        self.run_spans()
-            .map(|span| {
-                span.window(pixels)
-                    .iter()
-                    .step_by(span.stride)
-                    .zip(span.snap(previous))
-                    .filter(|(a, b)| a != b)
-                    .count()
-            })
-            .sum()
+        let mut n = 0;
+        let _ = self.walk(buffer, self.resolution.bounds(), |start, xs, src| {
+            n += count_diffs(src, xs, previous.get(start..start + xs.len()).unwrap_or_default());
+            ControlFlow::Continue(())
+        });
+        n
     }
 
     /// The `(x, y)` screen position of each sample point, in grid order,
@@ -942,44 +866,28 @@ mod tests {
     }
 
     #[test]
-    fn column_runs_collapse_for_divisor_grids() {
-        // 720 divides evenly by every paper column count, so each row is
-        // exactly one equal-stride run.
-        let g = GridSampler::new(Resolution::GALAXY_S3, 36, 64);
-        assert_eq!(
-            g.col_runs,
-            vec![ColRun {
-                first_x: 10,
-                stride: 20,
-                count: 36
-            }]
-        );
-        // The full sampler is one dense run per row.
-        let full = GridSampler::full(Resolution::GALAXY_S3);
-        assert_eq!(
-            full.col_runs,
-            vec![ColRun {
-                first_x: 0,
-                stride: 1,
-                count: 720
-            }]
-        );
-    }
-
-    #[test]
-    fn column_runs_cover_non_divisor_grids_exactly() {
-        // 47 columns over 100 px: strides alternate between 2 and 3, so
-        // the decomposition must split — but replaying the runs must
-        // reproduce the exact centre list.
-        let g = GridSampler::new(Resolution::new(100, 10), 47, 5);
-        assert!(g.col_runs.len() > 1, "non-uniform strides must split");
-        let replayed: Vec<u32> = g
-            .col_runs
-            .iter()
-            .flat_map(|r| (0..r.count).map(move |k| r.first_x + k * r.stride))
-            .collect();
-        assert_eq!(replayed, g.col_xs);
-        assert_eq!(g.positions().count(), g.sample_count());
+    fn gathers_read_solid_tiles_through_their_signature() {
+        // Mixed storage on one row: a solid tile, a materialized
+        // (unknown) tile and a solid edge tile. Every gather must see
+        // the resolved colours, never the stale slots of a solid tile.
+        let res = Resolution::new(150, 70); // 3×2 tiles, uneven edges
+        for g in [GridSampler::full(res), GridSampler::new(res, 47, 13)] {
+            let mut fb = FrameBuffer::new(res);
+            fb.fill(Pixel::grey(90));
+            fb.fill_rect(Rect::new(70, 5, 9, 9), Pixel::WHITE);
+            fb.fill(Pixel::grey(30)); // every slot now stale
+            fb.fill_rect(Rect::new(64, 0, 64, 64), Pixel::grey(60));
+            fb.set_pixel(66, 33, Pixel::WHITE); // materializes tile (1, 0)
+            let expected: Vec<Pixel> = g.positions().map(|(x, y)| fb.pixel(x, y)).collect();
+            assert_eq!(g.sample(&fb), expected);
+            assert!(!g.differs(&fb, &expected));
+            assert_eq!(g.changed_points(&fb, &expected), 0);
+            let mut fused = vec![Pixel::TRANSPARENT; g.sample_count()];
+            let r = g.compare_and_capture(&fb, &mut fused);
+            assert!(r.differs);
+            assert_eq!(r.points_compared, 1);
+            assert_eq!(fused, expected);
+        }
     }
 
     #[test]
@@ -1016,6 +924,66 @@ mod tests {
         // First cell centre of a 10-col grid over 100px is pixel 5.
         assert_eq!(g.positions().next(), Some((5, 5)));
         assert_eq!(g.positions().count(), g.sample_count());
+    }
+
+    /// A buffer whose column `x` is filled with a colour encoding `x`.
+    fn column_coded(res: Resolution) -> FrameBuffer {
+        let mut fb = FrameBuffer::new(res);
+        for x in 0..res.width {
+            fb.fill_rect(Rect::new(x, 0, 1, res.height), Pixel::rgb(x as u8, (x >> 8) as u8, 1));
+        }
+        fb
+    }
+
+    /// The columns a gather actually read on its first sampled row.
+    fn sampled_columns(g: &GridSampler, fb: &FrameBuffer) -> Vec<u32> {
+        g.sample(fb)
+            .iter()
+            .take(g.cols as usize)
+            .map(|p| u32::from(p.red()) | u32::from(p.green()) << 8)
+            .collect()
+    }
+
+    #[test]
+    fn divisor_grids_sample_equal_stride_columns() {
+        // 720 divides evenly by every paper column count, so the S3's
+        // 36 column centres sit 20 px apart from x = 10.
+        let res = Resolution::GALAXY_S3;
+        let g = GridSampler::new(res, 36, 64);
+        let expected: Vec<u32> = (0..36).map(|k| 10 + 20 * k).collect();
+        assert_eq!(g.col_xs, expected);
+        assert_eq!(g.row_ys, (0..64).map(|k| 10 + 20 * k).collect::<Vec<u32>>());
+        let fb = column_coded(res);
+        assert_eq!(sampled_columns(&g, &fb), expected);
+        // The full sampler reads every column.
+        let full = GridSampler::full(res);
+        let every: Vec<u32> = (0..720).collect();
+        assert_eq!(full.col_xs, every);
+        assert_eq!(sampled_columns(&full, &fb), every);
+    }
+
+    #[test]
+    fn non_divisor_grids_sample_exact_cell_centres() {
+        // 47 columns over 100 px: the pitch is not an integer, so the
+        // centres ((2gx + 1)·W) / (2C) step by 2 or 3 pixels.
+        let res = Resolution::new(100, 10);
+        let g = GridSampler::new(res, 47, 5);
+        let expected: Vec<u32> = (0..47).map(|gx| ((2 * gx + 1) * 100) / 94).collect();
+        assert_eq!(g.col_xs, expected);
+        assert_eq!(&expected[..6], &[1, 3, 5, 7, 9, 11]);
+        assert_eq!(expected.last(), Some(&98));
+        let steps: Vec<u32> = expected.windows(2).map(|w| w[1] - w[0]).collect();
+        assert!(steps.contains(&2) && steps.contains(&3));
+        assert!(steps.iter().all(|s| (2..=3).contains(s)));
+        assert_eq!(sampled_columns(&g, &column_coded(res)), expected);
+        // Every sampled row walks the same columns, in grid order.
+        let positions: Vec<(u32, u32)> = g.positions().collect();
+        let grid: Vec<(u32, u32)> = g
+            .row_ys
+            .iter()
+            .flat_map(|&y| expected.iter().map(move |&x| (x, y)))
+            .collect();
+        assert_eq!(positions, grid);
     }
 
     #[test]

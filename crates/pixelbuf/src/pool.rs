@@ -8,11 +8,14 @@
 //! run *takes* them, and after the first run on a worker the steady
 //! state allocates nothing.
 //!
-//! Recycling never leaks state between runs: [`PixelPool::give`] clears
-//! the vector, and [`FrameBuffer::recycled`] resets pixels, generations,
-//! and damage to exactly the freshly-constructed state — results are
-//! byte-identical with or without a pool (proven end-to-end by
-//! `scratch_determinism` in `ccdem-experiments`).
+//! Recycling never leaks state between runs: [`PixelPool::take`] hands
+//! out empty vectors, and [`FrameBuffer::recycled`] resets generations,
+//! damage and every tile signature to the freshly-constructed all-black
+//! state — results are byte-identical with or without a pool (proven
+//! end-to-end by `scratch_determinism` in `ccdem-experiments`). A pooled
+//! vector keeps its length, so a recycled framebuffer reuses the
+//! initialized slots without rewriting them: its solid-black tiles never
+//! read them.
 
 use crate::buffer::FrameBuffer;
 use crate::geometry::Resolution;
@@ -48,20 +51,21 @@ impl PixelPool {
     /// Takes one buffer from the pool (empty, capacity preserved), or a
     /// fresh empty vector when the pool is dry.
     pub fn take(&mut self) -> Vec<Pixel> {
-        self.free.pop().unwrap_or_default()
+        let mut buf = self.free.pop().unwrap_or_default();
+        buf.clear();
+        buf
     }
 
-    /// Returns a buffer to the pool. The contents are cleared; only the
-    /// allocation survives.
-    pub fn give(&mut self, mut buf: Vec<Pixel>) {
-        buf.clear();
+    /// Returns a buffer to the pool. Only the allocation is ever handed
+    /// out again: [`take`](Self::take) empties it first.
+    pub fn give(&mut self, buf: Vec<Pixel>) {
         self.free.push(buf);
     }
 
     /// Takes a buffer and builds a fresh-state framebuffer from it (see
-    /// [`FrameBuffer::recycled`]).
+    /// [`FrameBuffer::recycled`]), keeping its initialized slots.
     pub fn take_framebuffer(&mut self, resolution: Resolution) -> FrameBuffer {
-        FrameBuffer::recycled(resolution, self.take())
+        FrameBuffer::recycled(resolution, self.free.pop().unwrap_or_default())
     }
 
     /// Recycles a framebuffer's storage back into the pool.
@@ -93,7 +97,7 @@ mod tests {
         pool.give(buf);
         let back = pool.take();
         assert_eq!(back.as_ptr(), ptr);
-        assert!(back.is_empty(), "give must clear contents");
+        assert!(back.is_empty(), "take must hand out an empty vector");
         assert!(back.capacity() >= 64);
         assert!(pool.is_empty());
     }
@@ -111,11 +115,12 @@ mod tests {
     fn framebuffer_round_trip_preserves_allocation() {
         let mut pool = PixelPool::new();
         let res = Resolution::new(16, 16);
-        let fb = pool.take_framebuffer(res);
-        let ptr = fb.as_pixels().as_ptr();
+        let mut fb = pool.take_framebuffer(res);
+        fb.fill_rect(crate::geometry::Rect::new(3, 3, 5, 5), Pixel::WHITE);
+        let ptr = fb.storage().as_ptr();
         pool.give_framebuffer(fb);
         let fb2 = pool.take_framebuffer(res);
-        assert_eq!(fb2.as_pixels().as_ptr(), ptr);
+        assert_eq!(fb2.storage().as_ptr(), ptr);
         assert_eq!(fb2, FrameBuffer::new(res));
     }
 }

@@ -12,6 +12,13 @@
 //! * `solid: None` — the tile's content is unknown (partial writes,
 //!   blends, scrolls, per-pixel stores).
 //!
+//! The signature is also the **storage**: a framebuffer keeps a solid
+//! tile as its one colour and leaves the tile's pixel slots stale, so
+//! full-cover fills and copies of solid tiles cost O(tiles), not
+//! O(pixels). Pixel storage is authoritative only in tiles with
+//! `solid: None`, and every reader resolves solid tiles through the
+//! signature (see [`FrameBuffer`](crate::buffer::FrameBuffer)).
+//!
 //! The content-rate meter uses the stamps to skip tiles untouched since
 //! its last observation and the solid colours to compare and refresh its
 //! snapshot without reading the framebuffer at all. Crucially the
@@ -103,6 +110,49 @@ impl TileMap {
         assert!(tx < self.cols && ty < self.rows, "tile ({tx},{ty}) out of range");
         // ccdem-lint: allow(panic) — bounds asserted on the line above.
         self.tiles[(ty * self.cols + tx) as usize]
+    }
+
+    /// The solid colour of the tile holding pixel `(x, y)`, `None` when
+    /// its content is unknown (or the pixel is off-screen).
+    pub(crate) fn solid_at(&self, x: u32, y: u32) -> Option<Pixel> {
+        if !self.resolution.contains(x, y) {
+            return None;
+        }
+        let i = (y / TILE_SIZE) as usize * self.cols as usize + (x / TILE_SIZE) as usize;
+        self.tiles.get(i).and_then(|t| t.solid)
+    }
+
+    /// Whether any tile intersecting `r` is solid. While none is, every
+    /// pixel slot under `r` holds its real value.
+    pub(crate) fn any_solid(&self, r: Rect) -> bool {
+        let Some(r) = r.clipped_to(self.resolution) else {
+            return false;
+        };
+        let (tx0, tx1) = tile_span(r.x, r.right());
+        let (ty0, ty1) = tile_span(r.y, r.bottom());
+        let cols = self.cols as usize;
+        (ty0..=ty1).any(|ty| {
+            let row = ty as usize * cols;
+            self.tiles
+                .get(row + tx0 as usize..=row + tx1 as usize)
+                .is_some_and(|tiles| tiles.iter().any(|t| t.solid.is_some()))
+        })
+    }
+
+    /// Visits `written` (clipped) tile by tile: `f(rect, tile, covered)`
+    /// gets each intersecting tile's pixel rectangle, its signature, and
+    /// whether `written` covers it fully.
+    pub(crate) fn for_each_tile(&self, written: Rect, mut f: impl FnMut(Rect, Tile, bool)) {
+        let Some(written) = written.clipped_to(self.resolution) else {
+            return;
+        };
+        let (tx0, tx1) = tile_span(written.x, written.right());
+        let (ty0, ty1) = tile_span(written.y, written.bottom());
+        for ty in ty0..=ty1 {
+            for tx in tx0..=tx1 {
+                f(self.tile_rect(tx, ty), self.tile(tx, ty), self.covers(written, tx, ty));
+            }
+        }
     }
 
     /// The pixel rectangle covered by tile `(tx, ty)` (edge tiles are

@@ -7,6 +7,7 @@ use ccdem_pixelbuf::double_buffer::DoubleBuffer;
 use ccdem_pixelbuf::geometry::{Rect, Resolution};
 use ccdem_pixelbuf::grid::GridSampler;
 use ccdem_pixelbuf::pixel::{Pixel, PixelFormat};
+use ccdem_pixelbuf::pool::PixelPool;
 use proptest::prelude::*;
 
 /// Scalar per-point reference for the grid compare: walk every sampled
@@ -88,6 +89,145 @@ fn apply_tile_op(op: TileOp, fb: &mut FrameBuffer, src: &FrameBuffer) {
         TileOp::CopyFull => fb.copy_from(src),
         TileOp::CopyRect(r) => fb.copy_rect_from(src, r),
         TileOp::BlendRect(r) => fb.blend_rect_from(src, r),
+    }
+}
+
+/// The oracle for the framebuffer's storage: a plain row-major vector
+/// holding every pixel, with no tiles, no signatures and no laziness.
+#[derive(Debug, Clone)]
+struct Model {
+    res: Resolution,
+    format: PixelFormat,
+    px: Vec<Pixel>,
+}
+
+impl Model {
+    fn new(res: Resolution, format: PixelFormat) -> Model {
+        Model { res, format, px: vec![Pixel::BLACK; res.pixel_count()] }
+    }
+
+    fn points(r: Rect, res: Resolution) -> Vec<usize> {
+        let Some(r) = r.clipped_to(res) else { return Vec::new() };
+        let w = res.width as usize;
+        (r.y..r.bottom())
+            .flat_map(|y| (r.x..r.right()).map(move |x| y as usize * w + x as usize))
+            .collect()
+    }
+
+    fn fill_rect(&mut self, r: Rect, p: Pixel) {
+        let q = self.format.quantize(p);
+        for i in Model::points(r, self.res) {
+            self.px[i] = q;
+        }
+    }
+
+    fn scroll_up(&mut self, dy: u32, p: Pixel) {
+        let q = self.format.quantize(p);
+        let w = self.res.width as usize;
+        let shift = dy.min(self.res.height) as usize * w;
+        self.px.drain(..shift);
+        self.px.resize(self.res.pixel_count(), q);
+    }
+
+    fn copy_rect(&mut self, src: &Model, r: Rect) {
+        for i in Model::points(r, self.res) {
+            self.px[i] = self.format.quantize(src.px[i]);
+        }
+    }
+
+    fn blend_rect(&mut self, src: &Model, r: Rect) {
+        for i in Model::points(r, self.res) {
+            self.px[i] = self.format.quantize(src.px[i].over(self.px[i]));
+        }
+    }
+}
+
+/// A few fixed colours (so same-colour writes onto solid tiles happen
+/// often) mixed with arbitrary RGBA words.
+fn arb_colour() -> impl Strategy<Value = Pixel> {
+    prop_oneof![
+        (0usize..4).prop_map(|i| {
+            [Pixel::BLACK, Pixel::WHITE, Pixel::grey(90), Pixel::rgba(200, 120, 7, 128)][i]
+        }),
+        any::<u32>().prop_map(Pixel::from_bits),
+    ]
+}
+
+/// Every entry point that writes a framebuffer, for the storage oracle.
+#[derive(Debug, Clone, Copy)]
+enum StoreOp {
+    Touch,
+    Fill(Pixel),
+    FillRect(Rect, Pixel),
+    SetPixel(u32, u32, Pixel),
+    Scroll(u32, Pixel),
+    CopyFrom,
+    CopyRect(Rect),
+    BlendRect(Rect),
+    Recycle,
+}
+
+fn arb_store_op() -> impl Strategy<Value = StoreOp> {
+    prop_oneof![
+        Just(StoreOp::Touch),
+        arb_colour().prop_map(StoreOp::Fill),
+        (arb_rect(), arb_colour()).prop_map(|(r, c)| StoreOp::FillRect(r, c)),
+        (arb_rect(), arb_colour()).prop_map(|(r, c)| StoreOp::FillRect(r, c)),
+        (0u32..200, 0u32..200, arb_colour()).prop_map(|(x, y, c)| StoreOp::SetPixel(x, y, c)),
+        (0u32..160, arb_colour()).prop_map(|(dy, c)| StoreOp::Scroll(dy, c)),
+        Just(StoreOp::CopyFrom),
+        arb_rect().prop_map(StoreOp::CopyRect),
+        arb_rect().prop_map(StoreOp::BlendRect),
+        Just(StoreOp::Recycle),
+    ]
+}
+
+/// Applies `op` to both the framebuffer and its model.
+fn apply_store_op(
+    op: StoreOp,
+    fb: &mut FrameBuffer,
+    model: &mut Model,
+    src: (&FrameBuffer, &Model),
+    pool: &mut PixelPool,
+) {
+    let res = fb.resolution();
+    match op {
+        StoreOp::Touch => fb.touch(),
+        StoreOp::Fill(c) => {
+            fb.fill(c);
+            model.fill_rect(res.bounds(), c);
+        }
+        StoreOp::FillRect(r, c) => {
+            fb.fill_rect(r, c);
+            model.fill_rect(r, c);
+        }
+        StoreOp::SetPixel(x, y, c) => {
+            let (x, y) = (x % res.width, y % res.height);
+            fb.set_pixel(x, y, c);
+            model.fill_rect(Rect::new(x, y, 1, 1), c);
+        }
+        StoreOp::Scroll(dy, c) => {
+            fb.scroll_up(dy, c);
+            model.scroll_up(dy, c);
+        }
+        StoreOp::CopyFrom => {
+            fb.copy_from(src.0);
+            model.copy_rect(src.1, res.bounds());
+        }
+        StoreOp::CopyRect(r) => {
+            fb.copy_rect_from(src.0, r);
+            model.copy_rect(src.1, r);
+        }
+        StoreOp::BlendRect(r) => {
+            fb.blend_rect_from(src.0, r);
+            model.blend_rect(src.1, r);
+        }
+        StoreOp::Recycle => {
+            let used = std::mem::replace(fb, FrameBuffer::new(Resolution::new(1, 1)));
+            pool.give_framebuffer(used);
+            *fb = pool.take_framebuffer(res);
+            *model = Model::new(res, PixelFormat::Rgba8888);
+        }
     }
 }
 
@@ -508,6 +648,54 @@ proptest! {
             }
         }
         prop_assert!(buffers_equal(&dst, &reference));
+    }
+
+    /// The storage oracle: over arbitrary sequences of every write entry
+    /// point — solid-tile fills, partial writes that materialize a
+    /// tile, scrolls, copies and blends from a mixed source of either
+    /// format, touches and recycling — every pixel of the framebuffer
+    /// equals a plain `Vec<Pixel>` model after every op, through
+    /// `pixels`, `pixel` and a full-resolution grid gather alike.
+    #[test]
+    fn framebuffer_matches_plain_vector_model(
+        w in 1u32..150,
+        h in 1u32..150,
+        dst_565 in any::<bool>(),
+        src_565 in any::<bool>(),
+        src_ops in proptest::collection::vec(arb_store_op(), 0..6),
+        ops in proptest::collection::vec(arb_store_op(), 1..30),
+    ) {
+        let res = Resolution::new(w, h);
+        let format =
+            |rgb565: bool| if rgb565 { PixelFormat::Rgb565 } else { PixelFormat::Rgba8888 };
+        let mut pool = PixelPool::new();
+
+        // The blit source is itself built through the same ops (blits
+        // from a blank buffer), so it mixes solid and unknown tiles.
+        let blank = FrameBuffer::new(res);
+        let blank_model = Model::new(res, PixelFormat::Rgba8888);
+        let mut src = FrameBuffer::with_format(res, format(src_565));
+        let mut src_model = Model::new(res, format(src_565));
+        for &op in &src_ops {
+            let op = if matches!(op, StoreOp::Recycle) { StoreOp::Touch } else { op };
+            apply_store_op(op, &mut src, &mut src_model, (&blank, &blank_model), &mut pool);
+        }
+        prop_assert!(src.pixels().eq(src_model.px.iter().copied()));
+
+        let full = GridSampler::full(res);
+        let mut fb = FrameBuffer::with_format(res, format(dst_565));
+        let mut model = Model::new(res, format(dst_565));
+        for (n, &op) in ops.iter().enumerate() {
+            apply_store_op(op, &mut fb, &mut model, (&src, &src_model), &mut pool);
+            prop_assert!(
+                fb.pixels().eq(model.px.iter().copied()),
+                "pixels diverged from the model after op {} ({:?})", n, op
+            );
+            let x = (n as u32 * 37) % w;
+            let y = (n as u32 * 53) % h;
+            prop_assert_eq!(fb.pixel(x, y), model.px[(y * w + x) as usize]);
+            prop_assert_eq!(&full.sample(&fb), &model.px);
+        }
     }
 
     /// Pixel channel round trip through the packed word.

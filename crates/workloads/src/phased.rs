@@ -329,9 +329,9 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(5);
         let mut fb = FrameBuffer::new(Resolution::QUARTER);
         app.render(ContentChange::FullRedraw, &mut fb, &mut rng);
-        let before = fb.as_pixels().to_vec();
+        let before: Vec<_> = fb.pixels().collect();
         app.render(ContentChange::FullRedraw, &mut fb, &mut rng);
-        assert_ne!(before, fb.as_pixels(), "consecutive redraws must differ");
+        assert!(!fb.pixels().eq(before.iter().copied()), "consecutive redraws must differ");
     }
 
     #[test]
@@ -340,9 +340,9 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(6);
         let mut fb = FrameBuffer::new(Resolution::QUARTER);
         app.render(ContentChange::Widget, &mut fb, &mut rng); // initialize
-        let before = fb.as_pixels().to_vec();
+        let before: Vec<_> = fb.pixels().collect();
         app.render(ContentChange::Scroll { dy: 40 }, &mut fb, &mut rng);
-        assert_ne!(before, fb.as_pixels());
+        assert!(!fb.pixels().eq(before.iter().copied()));
     }
 
     #[test]

@@ -231,10 +231,10 @@ mod tests {
         let mut fb = FrameBuffer::new(Resolution::QUARTER);
         app.tick(SimTime::ZERO, &ctx(None), &mut rng);
         app.render(ContentChange::FullRedraw, &mut fb, &mut rng);
-        let before = fb.as_pixels().to_vec();
+        let before: Vec<_> = fb.pixels().collect();
         app.tick(SimTime::from_millis(42), &ctx(None), &mut rng);
         app.render(ContentChange::FullRedraw, &mut fb, &mut rng);
-        assert_ne!(before, fb.as_pixels());
+        assert!(!fb.pixels().eq(before.iter().copied()));
     }
 
     #[test]

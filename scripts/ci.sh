@@ -7,6 +7,12 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 cargo test -q --workspace
+# The benchmark packages' own tests. They build apart from the
+# workspace and drive the layers through public calls (buffer_mut,
+# fill_rect, set_naive_compose, framebuffer().generation(), the meter
+# counters), so breaking one of those calls fails here.
+cargo test --release --manifest-path benchmark/e2e/Cargo.toml
+cargo test --release --manifest-path benchmark/traced/Cargo.toml
 # The trace CLI end-to-end: binary runs, JSONL parses, taxonomy holds.
 cargo test -q --test trace_jsonl
 # Profile smoke: the decision-path profiler end-to-end — binary runs,

@@ -126,7 +126,7 @@ fn killed_at_checkpoint_then_resumed_matches_uninterrupted_run() {
     let value = parse(&saved).expect("checkpoint is valid JSON");
     assert_eq!(
         value.get("checkpoint").and_then(Json::as_str),
-        Some("ccdem-fleet-checkpoint-v1")
+        Some("ccdem-fleet-checkpoint-v2")
     );
 
     // Resume under a different worker count; only flags consistent with
@@ -159,6 +159,66 @@ fn killed_at_checkpoint_then_resumed_matches_uninterrupted_run() {
     assert!(
         !mismatched.status.success(),
         "mismatched --devices on resume must fail"
+    );
+
+    for path in [&full_out, &resumed_out, &checkpoint] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn resume_above_two_pow_53_continues_the_same_campaign() {
+    // 2^53 + 1: the first seed an f64 cannot hold. A checkpoint that
+    // rounded it would resume the campaign of seed 2^53 instead.
+    let seed = "9007199254740993";
+    let full_out = temp("big_seed_full.json");
+    let resumed_out = temp("big_seed_resumed.json");
+    let checkpoint = temp("big_seed_ckpt.json");
+    for path in [&full_out, &resumed_out, &checkpoint] {
+        let _ = std::fs::remove_file(path);
+    }
+
+    let base = ["--devices", "12", "--duration", "1", "--seed", seed, "--batch", "2"];
+    let uninterrupted =
+        fleet(&[&base[..], &["--jobs", "2", "--out", full_out.to_str().unwrap()]].concat());
+    assert_clean(&uninterrupted);
+    let interrupted = fleet(
+        &[
+            &base[..],
+            &[
+                "--jobs",
+                "2",
+                "--checkpoint",
+                checkpoint.to_str().unwrap(),
+                "--checkpoint-every",
+                "2",
+                "--stop-after",
+                "1",
+            ],
+        ]
+        .concat(),
+    );
+    assert_clean(&interrupted);
+    let saved = std::fs::read_to_string(&checkpoint).expect("checkpoint written");
+    assert!(
+        saved.contains(&format!("\"campaign_seed\":\"{seed}\"")),
+        "seed not saved exactly:\n{saved}"
+    );
+
+    let resumed = fleet(&[
+        "--resume",
+        checkpoint.to_str().unwrap(),
+        "--jobs",
+        "3",
+        "--out",
+        resumed_out.to_str().unwrap(),
+    ]);
+    assert_clean(&resumed);
+    let full_doc = std::fs::read(&full_out).expect("uninterrupted --out written");
+    let resumed_doc = std::fs::read(&resumed_out).expect("resumed --out written");
+    assert_eq!(
+        full_doc, resumed_doc,
+        "resuming at seed {seed} ran a different campaign"
     );
 
     for path in [&full_out, &resumed_out, &checkpoint] {
