@@ -22,7 +22,7 @@ use ccdem_simkit::parallel::ParallelRunner;
 use ccdem_simkit::time::{SimDuration, SimTime};
 use ccdem_workloads::catalog;
 
-use crate::campaign::CampaignStats;
+use crate::campaign::{run_each, CampaignStats};
 use crate::scenario::{scaled_budget, RunScratch, Scenario, Workload};
 use ccdem_pixelbuf::geometry::Resolution;
 
@@ -105,10 +105,11 @@ fn measure_all(
     config: &AblationConfig,
     items: Vec<(String, GovernorConfig)>,
 ) -> Vec<AblationPoint> {
-    ParallelRunner::new(config.jobs)
-        .run_many_with(items, RunScratch::new, |scratch, _, (label, governor)| {
-            measure(config, label, governor, scratch)
-        })
+    run_each(
+        &ParallelRunner::new(config.jobs),
+        &items,
+        |scratch, (label, governor)| measure(config, label.clone(), *governor, scratch),
+    )
 }
 
 fn measure(
@@ -264,17 +265,16 @@ pub fn psr_sweep(config: &AblationConfig) -> Ablation {
     // no new framebuffer write, so a 60 fps-submitting game (every cycle
     // receives a frame, however redundant) is unaffected — the idle app
     // whose panel mostly self-refreshes is where the interaction lives.
-    let points = ParallelRunner::new(config.jobs).run_many_with(
-        vec![0.0f64, 0.25, 0.5, 0.75, 1.0],
-        RunScratch::new,
-        |scratch, _, discount| {
-            let mut scenario = Scenario::new(
-                Workload::App(catalog::facebook()),
-                Policy::SectionWithBoost,
-            )
-            .at_quarter_resolution()
-            .with_duration(config.duration)
-            .with_seed(config.seed);
+    let discounts = [0.0f64, 0.25, 0.5, 0.75, 1.0];
+    let points = run_each(
+        &ParallelRunner::new(config.jobs),
+        &discounts,
+        |scratch, &discount| {
+            let mut scenario =
+                Scenario::new(Workload::App(catalog::facebook()), Policy::SectionWithBoost)
+                    .at_quarter_resolution()
+                    .with_duration(config.duration)
+                    .with_seed(config.seed);
             scenario.power = PowerCoefficients::galaxy_s3().with_psr_discount(discount);
             let (governed, baseline) = scenario.run_with_baseline_scratch(scratch);
             AblationPoint {

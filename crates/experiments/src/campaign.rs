@@ -7,6 +7,10 @@
 //! length aggregates in O(buckets) memory and two half-finished
 //! campaigns (e.g. per-worker or per-shard partials) merge exactly.
 //!
+//! [`run_each`] is the dispatch the sweep, the ablations and the
+//! generalization grid share: an index → run map on
+//! [`ParallelRunner::run_batches`] that returns results in index order.
+//!
 //! Two properties make this safe to run online under a parallel runner:
 //!
 //! * **Order independence** — sketches bucket by value with
@@ -30,10 +34,11 @@ use std::fmt;
 use ccdem_metrics::table::TextTable;
 use ccdem_obs::json::Json;
 use ccdem_obs::{Obs, QuantileSketch};
+use ccdem_simkit::parallel::ParallelRunner;
 use ccdem_simkit::time::SimTime;
 
 use crate::ablation::AblationPoint;
-use crate::scenario::RunResult;
+use crate::scenario::{RunResult, RunScratch};
 
 /// Fixed-point ticks per natural unit.
 const SCALE: f64 = 1000.0;
@@ -64,6 +69,48 @@ pub const KNOWN_METRICS: [&str; 6] = [
 /// for a name no campaign observer records.
 fn intern_metric(name: &str) -> Option<&'static str> {
     KNOWN_METRICS.iter().find(|&&known| known == name).copied()
+}
+
+/// Runs `run(scratch, item)` for every item of `items` on `runner` and
+/// returns the results in item order.
+///
+/// Dispatch is [`ParallelRunner::run_batches`] over the item indices,
+/// one index per claim: each item is a whole simulation, so claiming
+/// them one at a time costs nothing measurable and leaves no worker idle
+/// behind a claimed batch. Each worker's accumulator holds its own
+/// [`RunScratch`] and its `(index, result)` pairs, which are sorted back
+/// into index order here, so the output is identical for any worker
+/// count as long as `run` derives everything from its item and resets
+/// what it takes from the scratch (as
+/// [`Scenario::run_with_scratch`](crate::Scenario::run_with_scratch)
+/// does).
+///
+/// # Panics
+///
+/// Propagates the first panic raised by `run` (after all workers stop).
+pub fn run_each<T, R, F>(runner: &ParallelRunner, items: &[T], run: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&mut RunScratch, &T) -> R + Sync,
+{
+    let partials = runner.run_batches(
+        // ccdem-lint: allow(arith-cast) — usize → u64 widens.
+        0..items.len() as u64,
+        1,
+        || (RunScratch::new(), Vec::new()),
+        |(scratch, done), index| {
+            // ccdem-lint: allow(arith-cast) — index < items.len(), a usize.
+            let index = index as usize;
+            // ccdem-lint: allow(panic) — run_batches yields only indices
+            // of the range it was given, 0..items.len()
+            let item = &items[index];
+            done.push((index, run(scratch, item)));
+        },
+    );
+    let mut done: Vec<(usize, R)> = partials.into_iter().flat_map(|(_, done)| done).collect();
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Streaming aggregate over a campaign of runs.
@@ -318,8 +365,21 @@ impl fmt::Display for CampaignStats {
 mod tests {
     use super::*;
     use ccdem_obs::RingSink;
+    use ccdem_simkit::parallel::derive_seed;
     use ccdem_simkit::rng::SimRng;
     use std::sync::Arc;
+
+    #[test]
+    fn run_each_returns_every_result_once_in_item_order() {
+        let items: Vec<u64> = (0..257).map(|i| i * 7).collect();
+        let serial: Vec<u64> = items.iter().map(|&x| derive_seed(x, 99)).collect();
+        for jobs in [1, 2, 3, 8] {
+            let runner = ParallelRunner::new(jobs);
+            let out = run_each(&runner, &items, |_, &x| derive_seed(x, 99));
+            assert_eq!(out, serial, "jobs={jobs}");
+            assert!(run_each(&runner, &[] as &[u64], |_, &x| x).is_empty());
+        }
+    }
 
     #[test]
     fn run_metrics_cover_the_documented_set() {

@@ -16,7 +16,8 @@ use ccdem_simkit::parallel::ParallelRunner;
 use ccdem_simkit::time::SimDuration;
 use ccdem_workloads::catalog;
 
-use crate::scenario::{scaled_budget, RunScratch, Scenario, Workload};
+use crate::campaign::run_each;
+use crate::scenario::{scaled_budget, Scenario, Workload};
 
 /// Configuration for the generalization sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,35 +96,31 @@ pub fn run(config: &GeneralizeConfig) -> Generalize {
                 .map(move |spec| (device.clone(), spec))
         })
         .collect();
-    let runs = ParallelRunner::new(config.jobs).run_many_with(cells, RunScratch::new, |scratch, _, (device, spec)| {
-        let native = device.resolution();
-        let quarter = Resolution::new(
-            (native.width / 4).max(32),
-            (native.height / 4).max(32),
-        );
-        let app = spec.name.clone();
-        let mut scenario = Scenario::new(
-            Workload::App(spec),
-            Policy::SectionWithBoost,
-        )
-        .with_duration(config.duration)
-        .with_seed(config.seed);
-        scenario.device = device.with_resolution(quarter);
-        scenario.governor = GovernorConfig::new(Policy::SectionWithBoost)
-            .with_grid_budget(scaled_budget(quarter, 9_216));
-        let (governed, baseline) = scenario.run_with_baseline_scratch(scratch);
-        DeviceRun {
-            device: device.name().to_string(),
-            app,
-            max_hz: device.rates().max().hz(),
-            saved_mw: baseline.avg_power_mw - governed.avg_power_mw,
-            saved_pct: (baseline.avg_power_mw - governed.avg_power_mw)
-                / baseline.avg_power_mw
-                * 100.0,
-            quality_pct: governed.quality_pct(),
-            avg_refresh_hz: governed.avg_refresh_hz,
-        }
-    });
+    let runs = run_each(
+        &ParallelRunner::new(config.jobs),
+        &cells,
+        |scratch, (device, spec)| {
+            let native = device.resolution();
+            let quarter = Resolution::new((native.width / 4).max(32), (native.height / 4).max(32));
+            let mut scenario = Scenario::new(Workload::App(spec.clone()), Policy::SectionWithBoost)
+                .with_duration(config.duration)
+                .with_seed(config.seed);
+            scenario.device = device.clone().with_resolution(quarter);
+            scenario.governor = GovernorConfig::new(Policy::SectionWithBoost)
+                .with_grid_budget(scaled_budget(quarter, 9_216));
+            let (governed, baseline) = scenario.run_with_baseline_scratch(scratch);
+            DeviceRun {
+                device: device.name().to_string(),
+                app: spec.name.clone(),
+                max_hz: device.rates().max().hz(),
+                saved_mw: baseline.avg_power_mw - governed.avg_power_mw,
+                saved_pct: (baseline.avg_power_mw - governed.avg_power_mw) / baseline.avg_power_mw
+                    * 100.0,
+                quality_pct: governed.quality_pct(),
+                avg_refresh_hz: governed.avg_refresh_hz,
+            }
+        },
+    );
     Generalize { runs }
 }
 

@@ -13,8 +13,8 @@
 //! | [`fig8`] | Fig. 8 — saved-power traces (Facebook, Jelly Splash) |
 //! | [`sweep`] | Figs. 9–11 and Table 1 — the 30-app × policy sweep |
 //! | [`fleet`] | population-scale device campaigns with checkpoint/resume |
-//! | [`perf`] | the metering benchmark (`BENCH_PR3.json` … `BENCH_PR6.json`) |
-//! | [`perfcmp`] | report-vs-report delta table and the generation-keyed speedup gate |
+//! | [`perf`] | the metering benchmark (`BENCH_PR3.json` … `BENCH_PR8.json`) |
+//! | [`perfcmp`] | report-vs-report delta table and the regression gate |
 //! | [`perf_sweep`] | scratch-reuse wall-clock harness (fresh vs reused) |
 //! | [`ablation`] | design-knob sweeps beyond the paper |
 //! | [`generalize`] | the section table on 90/120 Hz rate ladders |

@@ -36,21 +36,12 @@
 //! made checkable from a committed artifact.
 //!
 //! The fleet-scheduler generation adds a **devices/sec throughput**
-//! measurement: the same sampled device population dispatched through
-//! the streaming work-stealing scheduler ([`crate::fleet::run`]) and
-//! through naive full materialization (a `Vec` of every
-//! [`crate::fleet::DeviceSpec`], then `ParallelRunner::run_many` with
-//! fresh per-run buffers, then a fold over the `Vec` of every result —
-//! `run_many`'s documented allocation contract). Both paths must
-//! produce *equal* [`crate::campaign::CampaignStats`] — the
-//! benchmark asserts it — so the comparison isolates dispatch overhead.
-//! [`validate`] checks the member's shape; the speedup floor
-//! ([`FLEET_SPEEDUP_FLOOR`]) is enforced by
-//! [`perfcmp::check`](crate::perfcmp::check), which CI runs against the
-//! committed release-built `BENCH_PR8.json` — debug-built smoke reports
-//! are structurally valid but their dispatch delta drowns in
-//! interpreter-speed noise, so the timing gate keys off the committed
-//! artifact, exactly like the budget-speedup gates before it.
+//! measurement: one sampled device population dispatched through the
+//! work-stealing fleet scheduler ([`crate::fleet::run`]), recorded as
+//! its wall-clock time. [`validate`] checks the member's shape. The
+//! committed `BENCH_PR8.json` also carries a `materialized` sample, from
+//! a naive dispatch path it was once raced against; that path is gone
+//! and the sample is read as history only.
 
 use std::fmt;
 use std::time::Instant;
@@ -76,24 +67,18 @@ pub const CASES: [&str; 4] = ["redundant", "small_damage", "full_change", "naive
 
 /// The `"bench"` marker newly generated reports carry (the fleet
 /// scheduler generation: same metering engine and decision-tick budget
-/// as PR 7, plus the devices/sec fleet-throughput comparison).
+/// as PR 7, plus the devices/sec fleet-throughput measurement).
 pub const MARKER: &str = "ccdem-pr8-fleet-scheduler";
 
 /// The marker of the committed PR 7 streaming-telemetry baseline report
-/// (decision-tick budget, pre fleet). The metering engine is unchanged
-/// since PR 6, so [`perfcmp::check`](crate::perfcmp::check) applies a
-/// regression-only gate against this marker.
+/// (decision-tick budget, pre fleet).
 pub const MARKER_PR7: &str = "ccdem-pr7-streaming-telemetry";
 
 /// The marker of the committed PR 6 tile-signature baseline report.
-/// [`perfcmp::check`](crate::perfcmp::check) applies a regression-only
-/// gate against this marker — the metering engine is unchanged since
-/// PR 6, so no further speedup is owed, only no slowdown.
 pub const MARKER_PR6: &str = "ccdem-pr6-tile-signature-metering";
 
 /// The marker of the committed PR 5 baseline report (row-run metering,
-/// pre tile gating). [`perfcmp::check`](crate::perfcmp::check) keys its
-/// speedup target on this marker.
+/// pre tile gating).
 pub const MARKER_PR5: &str = "ccdem-pr5-row-run-metering";
 
 /// The marker of the committed PR 3 baseline report. [`validate`]
@@ -113,15 +98,14 @@ pub struct PerfConfig {
     /// then carries `"decision_tick": null`, which only pre-PR 7
     /// markers may).
     pub tick_secs: u64,
-    /// Devices in the fleet-throughput comparison; `0` skips the
-    /// measurement (the report then carries `"fleet": null`, which only
-    /// pre-PR 8 markers may).
+    /// Devices in the fleet-throughput measurement; `0` skips it (the
+    /// report then carries `"fleet": null`, which only pre-PR 8 markers
+    /// may).
     pub fleet_devices: u64,
     /// Simulated milliseconds per device in the fleet-throughput
-    /// comparison. Deliberately short: the comparison isolates *dispatch*
-    /// overhead (lazy generation and scratch reuse vs materialized specs,
-    /// fresh buffers, and a collected result vector), and per-device
-    /// fixed costs are only visible against a small per-device payload.
+    /// measurement. Deliberately short, so that per-device dispatch
+    /// costs (sampling, scratch reuse, the campaign fold) stay visible
+    /// against the per-device simulation.
     pub fleet_sim_ms: u64,
     /// Root seed for the sweep portion.
     pub seed: u64,
@@ -244,53 +228,29 @@ impl DecisionTick {
     }
 }
 
-/// Required streaming-over-materialized advantage in a committed
-/// fleet-generation report, enforced by
-/// [`perfcmp::check`](crate::perfcmp::check): the streaming scheduler
-/// reuses one `RunScratch` and one app catalog per worker and never
-/// allocates the device or result vectors, so a release build must
-/// clear naive dispatch by a real margin. Kept conservative because
-/// the recorded pair is a median wall-clock sample on a shared CI
-/// machine; release measurements land around 1.08x.
-pub const FLEET_SPEEDUP_FLOOR: f64 = 1.02;
-
-/// The devices/sec throughput comparison embedded in a fleet-generation
+/// The devices/sec throughput measurement embedded in a fleet-generation
 /// report: one sampled device population dispatched through the
-/// streaming work-stealing scheduler and through naive
-/// materialize-everything dispatch. Rates are derived on demand from
-/// the stored wall-clock samples, so the serialized document and the
+/// work-stealing fleet scheduler. The rate is derived on demand from the
+/// stored wall-clock sample, so the serialized document and the
 /// in-memory report can never disagree.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetThroughput {
-    /// Devices simulated by each dispatch path.
+    /// Devices simulated.
     pub devices: u64,
     /// Simulated milliseconds per device.
     pub sim_ms_per_device: u64,
-    /// Wall-clock seconds of the streaming work-stealing scheduler.
+    /// Wall-clock seconds of the fleet scheduler.
     pub streaming_wall_secs: f64,
-    /// Wall-clock seconds of naive full-materialization dispatch.
-    pub materialized_wall_secs: f64,
 }
 
 impl FleetThroughput {
-    /// Streaming-scheduler throughput in devices per second.
+    /// Fleet-scheduler throughput in devices per second.
     pub fn streaming_devices_per_sec(&self) -> f64 {
         self.devices as f64 / self.streaming_wall_secs.max(f64::MIN_POSITIVE)
     }
 
-    /// Naive-dispatch throughput in devices per second.
-    pub fn materialized_devices_per_sec(&self) -> f64 {
-        self.devices as f64 / self.materialized_wall_secs.max(f64::MIN_POSITIVE)
-    }
-
-    /// Streaming speedup over naive dispatch (>1 means faster).
-    pub fn speedup(&self) -> f64 {
-        self.materialized_wall_secs / self.streaming_wall_secs.max(f64::MIN_POSITIVE)
-    }
-
-    /// Serializes the measurement: the wall-clock samples are the
-    /// source of truth; the rates are display sugar [`validate`]
-    /// recomputes.
+    /// Serializes the measurement: the wall-clock sample is the source
+    /// of truth; the rate is display sugar [`validate`] recomputes.
     fn to_json(self) -> Json {
         Json::Obj(vec![
             ("devices".into(), Json::Num(self.devices as f64)),
@@ -305,16 +265,6 @@ impl FleetThroughput {
                     (
                         "devices_per_sec".into(),
                         Json::Num(self.streaming_devices_per_sec()),
-                    ),
-                ]),
-            ),
-            (
-                "materialized".into(),
-                Json::Obj(vec![
-                    ("wall_secs".into(), Json::Num(self.materialized_wall_secs)),
-                    (
-                        "devices_per_sec".into(),
-                        Json::Num(self.materialized_devices_per_sec()),
                     ),
                 ]),
             ),
@@ -370,82 +320,41 @@ pub fn run(config: &PerfConfig) -> PerfReport {
     }
 }
 
-/// Times one sampled device population through both dispatch paths.
-///
-/// The naive reference is exactly what `run_many`'s allocation contract
-/// documents: a `Vec` of every item built up front, a `Vec` of every
-/// result collected in input order, each run on fresh buffers — then a
-/// serial fold over the results. The streaming path is the fleet
-/// scheduler: lazy index-derived devices, per-worker scratch reuse,
-/// per-worker partial statistics. Both must aggregate to *equal*
-/// statistics (asserted), so the delta is pure dispatch overhead.
+/// Times one sampled device population through the fleet scheduler:
+/// one untimed warmup run so no sample pays first-touch costs, then the
+/// median of five timed runs, each of which must reproduce the warmup's
+/// statistics exactly.
 fn measure_fleet(devices: u64, sim_ms: u64, seed: u64) -> FleetThroughput {
-    use crate::campaign::CampaignStats;
-    use crate::fleet::{self, DeviceSpec, FleetConfig};
-    use ccdem_simkit::parallel::ParallelRunner;
+    use crate::fleet::{self, FleetConfig};
 
-    let duration = SimDuration::from_millis(sim_ms);
     let config = FleetConfig {
         devices,
         seed,
-        duration,
+        duration: SimDuration::from_millis(sim_ms),
         ..FleetConfig::default()
     };
-
-    let streaming = || {
+    let timed = || {
         let started = Instant::now();
         // ccdem-lint: allow(panic) — no checkpoint path configured, so
         // the scheduler performs no I/O and cannot fail
         let outcome = fleet::run(&config, &ccdem_obs::Obs::disabled()).expect("no checkpoint I/O");
         (started.elapsed().as_secs_f64(), outcome.stats)
     };
-    let naive = || {
-        let started = Instant::now();
-        let specs: Vec<DeviceSpec> = (0..devices)
-            .map(|index| DeviceSpec::sample(seed, index))
-            .collect();
-        let results = ParallelRunner::new(config.jobs)
-            .run_many(specs, |_, spec| spec.scenario(duration).run());
-        let mut stats = CampaignStats::new();
-        for result in &results {
-            stats.observe_run(result);
-        }
-        (started.elapsed().as_secs_f64(), stats)
-    };
 
-    // One untimed warmup run so neither path pays first-touch costs,
-    // then five alternating timed pairs. The recorded sample is the
-    // pair with the *median* materialized/streaming ratio: the two
-    // paths inside one pair run back to back and therefore share the
-    // same clock/thermal regime, so the paired ratio cancels the slow
-    // host drift that makes independent min-of-N unstable, and the
-    // median discards the occasional pair where a scheduler hiccup
-    // lands inside one path's timed region.
-    let (_, warm) = streaming();
-    let mut pairs: Vec<(f64, f64)> = Vec::new();
-    for _ in 0..5 {
-        let (streaming_wall, stats) = streaming();
-        assert_eq!(stats, warm, "streaming dispatch is not reproducible");
-        let (materialized_wall, stats) = naive();
-        assert_eq!(
-            stats, warm,
-            "dispatch paths disagree — the comparison would be meaningless"
-        );
-        pairs.push((streaming_wall, materialized_wall));
-    }
-    pairs.sort_by(|a, b| {
-        let ra = a.1 / a.0.max(f64::MIN_POSITIVE);
-        let rb = b.1 / b.0.max(f64::MIN_POSITIVE);
-        // ccdem-lint: allow(panic) — wall-clock seconds are finite
-        ra.partial_cmp(&rb).expect("finite wall-clock ratios")
-    });
-    // ccdem-lint: allow(panic) — five pairs were just pushed
-    let (streaming_wall_secs, materialized_wall_secs) = pairs[pairs.len() / 2];
+    let (_, warm) = timed();
+    let mut walls: Vec<f64> = (0..5)
+        .map(|_| {
+            let (wall, stats) = timed();
+            assert_eq!(stats, warm, "fleet dispatch is not reproducible");
+            wall
+        })
+        .collect();
+    walls.sort_by(f64::total_cmp);
     FleetThroughput {
         devices,
         sim_ms_per_device: sim_ms,
-        streaming_wall_secs,
-        materialized_wall_secs,
+        // ccdem-lint: allow(panic) — five samples were just collected
+        streaming_wall_secs: walls[walls.len() / 2],
     }
 }
 
@@ -647,13 +556,10 @@ impl fmt::Display for PerfReport {
         if let Some(fleet) = &self.fleet {
             write!(
                 f,
-                "\nfleet throughput ({} devices, {} ms each): streaming {:.0} devices/sec \
-                 vs materialized {:.0} devices/sec ({:.2}x)",
+                "\nfleet throughput ({} devices, {} ms each): {:.0} devices/sec",
                 fleet.devices,
                 fleet.sim_ms_per_device,
                 fleet.streaming_devices_per_sec(),
-                fleet.materialized_devices_per_sec(),
-                fleet.speedup(),
             )?;
         }
         Ok(())
@@ -669,9 +575,8 @@ impl fmt::Display for PerfReport {
 /// `decision_tick` sketch whose **recomputed** p99 stays within
 /// [`DECISION_TICK_BUDGET_US`] — the stored percentile members are
 /// display sugar; the sketch is the source of truth. The *timing*
-/// criteria (speedup over the committed baseline, keyed on the
-/// baseline's marker generation) live in [`crate::perfcmp::check`],
-/// which compares two reports.
+/// criterion (no regression against a baseline report) lives in
+/// [`crate::perfcmp::check`], which compares two reports.
 ///
 /// # Errors
 ///
@@ -754,9 +659,7 @@ pub fn validate(document: &str) -> Result<(), String> {
 
 /// Checks the `fleet` member: required for fleet-generation reports,
 /// absent (or null) in every earlier committed baseline. Shape and
-/// sanity only — the [`FLEET_SPEEDUP_FLOOR`] timing gate lives in
-/// [`perfcmp::check`](crate::perfcmp::check), which runs against the
-/// committed release-built artifact.
+/// sanity only; no timing gate applies to it.
 fn validate_fleet(doc: &Json, required: bool) -> Result<(), String> {
     match doc.get("fleet") {
         None | Some(Json::Null) if required => {
@@ -767,9 +670,10 @@ fn validate_fleet(doc: &Json, required: bool) -> Result<(), String> {
     }
 }
 
-/// Parses and sanity-checks a serialized `fleet` member; the rates are
-/// reconstructed from the wall-clock samples, never trusted from the
-/// `devices_per_sec` display members.
+/// Parses and sanity-checks a serialized `fleet` member; the rate is
+/// reconstructed from the wall-clock sample, never trusted from the
+/// `devices_per_sec` display member. A `materialized` member (the
+/// committed `BENCH_PR8.json` has one) is history and is not read.
 ///
 /// # Errors
 ///
@@ -785,22 +689,18 @@ pub fn parse_fleet(fleet: &Json) -> Result<FleetThroughput, String> {
         }
         Ok(v as u64)
     };
-    let wall = |path: &str| -> Result<f64, String> {
-        let secs = fleet
-            .get(path)
-            .and_then(|engine| engine.get("wall_secs"))
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("\"fleet\" missing {path:?} wall_secs"))?;
-        if secs <= 0.0 || !secs.is_finite() {
-            return Err(format!("\"fleet\" {path:?} wall_secs is not a positive time"));
-        }
-        Ok(secs)
-    };
+    let secs = fleet
+        .get("streaming")
+        .and_then(|engine| engine.get("wall_secs"))
+        .and_then(Json::as_f64)
+        .ok_or("\"fleet\" missing \"streaming\" wall_secs")?;
+    if secs <= 0.0 || !secs.is_finite() {
+        return Err("\"fleet\" \"streaming\" wall_secs is not a positive time".into());
+    }
     Ok(FleetThroughput {
         devices: unsigned("devices")?,
         sim_ms_per_device: unsigned("sim_ms_per_device")?,
-        streaming_wall_secs: wall("streaming")?,
-        materialized_wall_secs: wall("materialized")?,
+        streaming_wall_secs: secs,
     })
 }
 
@@ -872,12 +772,11 @@ mod tests {
         assert!(tick.ticks() >= 11, "only {} ticks recorded", tick.ticks());
         assert!(tick.quantile_us(0.5) > 0.0);
         assert!(tick.quantile_us(0.99) <= tick.max_us() * (1.0 + 0.04));
-        // The quick config also runs the fleet dispatch comparison.
+        // The quick config also measures fleet throughput.
         let fleet = r.fleet.expect("quick config measures fleet throughput");
         assert_eq!(fleet.devices, 256);
         assert_eq!(fleet.sim_ms_per_device, 31);
         assert!(fleet.streaming_wall_secs > 0.0);
-        assert!(fleet.materialized_wall_secs > 0.0);
         assert!(fleet.streaming_devices_per_sec() > 0.0);
     }
 
@@ -1036,6 +935,42 @@ mod tests {
         assert_ne!(forged, good, "streaming wall_secs not found in document");
         let err = validate(&forged).unwrap_err();
         assert!(err.contains("positive time"), "wrong violation: {err}");
+
+        // The committed PR 8 report still validates: its `materialized`
+        // sample is history and is not read, while its streaming sample
+        // is checked exactly like a new report's.
+        let committed = include_str!("../../../BENCH_PR8.json");
+        validate(committed).expect("the committed BENCH_PR8.json must stay valid");
+        let parsed = json::parse(committed).expect("committed report parses");
+        let fleet = parse_fleet(parsed.get("fleet").expect("committed fleet member"))
+            .expect("committed fleet member parses");
+        assert_eq!(fleet.devices, 32_768);
+        let forged = committed.replace(
+            &format!(
+                "\"streaming\":{{\"wall_secs\":{}",
+                Json::Num(fleet.streaming_wall_secs)
+            ),
+            "\"streaming\":{\"wall_secs\":0",
+        );
+        assert_ne!(forged, committed, "committed streaming wall_secs not found");
+        let err = validate(&forged).unwrap_err();
+        assert!(err.contains("positive time"), "wrong violation: {err}");
+    }
+
+    #[test]
+    fn hostile_committed_reports_are_rejected_not_panicked_on() {
+        let committed = include_str!("../../../BENCH_PR8.json");
+        // Swapped extremes would make the recomputed p99's clamp panic.
+        let swapped = committed.replace("\"min\":358,\"max\":3741", "\"min\":3741,\"max\":358");
+        assert_ne!(swapped, committed, "decision-tick extremes not found");
+        let err = validate(&swapped).unwrap_err();
+        assert!(
+            err.contains("sketch missing or malformed"),
+            "wrong violation: {err}"
+        );
+        // Nesting deep enough to overflow a recursive parser's stack.
+        let nested = "[".repeat(200_000);
+        assert!(validate(&nested).unwrap_err().contains("nesting"));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Comparing two benchmark reports — the delta table behind
-//! `ccdem bench --compare` and the speedup gate behind
+//! `ccdem bench --compare` and the regression gate behind
 //! `ccdem bench --check <new> --baseline <old>`.
 //!
 //! [`perf::validate`] checks one report in isolation (structure plus the
@@ -11,20 +11,12 @@
 //!   say, the committed `BENCH_PR3.json` and `BENCH_PR5.json` — plus,
 //!   when both reports embed decision-tick sketches, the p50/p99 tick
 //!   latency deltas **recomputed from the committed sketches** (never
-//!   the stored headline numbers).
-//! * [`check`] additionally enforces the acceptance gate keyed on the
-//!   baseline's generation: against the PR 5 row-run report,
-//!   `full_change` at the full 720×1280 grid owes a 1.5× speedup;
-//!   against older baselines, 2×; against the PR 6 tile-signature
-//!   report (or newer), the metering engine is unchanged, so the gate
-//!   is regression-only. Every gated case must stay within a noise
-//!   margin of the baseline — both files are committed artifacts
-//!   measured on possibly different hosts, so the margin absorbs clock
-//!   jitter without letting a real regression through. When the *new*
-//!   report embeds a fleet throughput measurement, the streaming
-//!   scheduler must additionally clear naive materialized dispatch by
-//!   [`perf::FLEET_SPEEDUP_FLOOR`] — that comparison is internal to one
-//!   report (same host, same build), so no cross-host margin applies.
+//!   the stored headline numbers), and the fleet devices/sec table.
+//! * [`check`] additionally enforces the regression gate, the same for
+//!   every baseline: every timed fast-path case must stay within a noise
+//!   margin of the baseline. Both files are committed artifacts measured
+//!   on possibly different hosts, so the margin absorbs clock jitter
+//!   without letting an algorithmic regression through.
 //!
 //! Timing gates on freshly measured numbers would be flaky; CI therefore
 //! runs [`check`] on the two *committed* reports, which is deterministic.
@@ -37,21 +29,9 @@ use ccdem_obs::QuantileSketch;
 
 use crate::perf;
 
-/// Required speedup of `full_change` at the largest (full-grid) budget
-/// against a pre-PR 5 baseline: new ns/frame × this factor must not
-/// exceed the baseline's.
-pub const FULL_CHANGE_SPEEDUP: f64 = 2.0;
-
-/// Required `full_change` speedup when the baseline is the committed
-/// PR 5 row-run report ([`perf::MARKER_PR5`]). The row-run gather is
-/// already memory-bandwidth-efficient, so the tile-signature engine's
-/// gate is 1.5× against it rather than the 2× demanded over the older
-/// scalar baseline.
-pub const TILE_FULL_CHANGE_SPEEDUP: f64 = 1.5;
-
 /// Allowed ratio of new/baseline ns/frame on the cases that must not
-/// regress (`redundant`, `small_damage`, and `full_change` against a
-/// regression-only baseline). Committed reports come from real hosts
+/// regress (`redundant`, `small_damage` and `full_change`, at every
+/// budget). Committed reports come from real hosts
 /// in different sessions, so exact equality is unattainable: the
 /// microsecond-scale L1-resident cases scatter up to ~1.35× between
 /// sessions of the same unchanged binary (the memory-bound full-grid
@@ -252,22 +232,11 @@ pub fn compare(new_document: &str, baseline_document: &str) -> Result<Comparison
     })
 }
 
-/// [`compare`], then enforces the speedup gate:
-///
-/// 1. at the largest budget, `full_change` must beat the baseline by
-///    the factor owed to that baseline's generation —
-///    [`TILE_FULL_CHANGE_SPEEDUP`]× over the PR 5 row-run report,
-///    [`FULL_CHANGE_SPEEDUP`]× over anything older. Against a PR 6 or
-///    newer baseline the metering engine is unchanged, so `full_change`
-///    joins the regression-only set instead of owing a speedup;
-/// 2. at every budget, `redundant` and `small_damage` must stay within
-///    [`REGRESSION_MARGIN`]× of the baseline, with [`NOISE_FLOOR_NS`]
-///    of absolute slack for the sub-microsecond cases;
-/// 3. when the new report embeds a fleet throughput measurement, its
-///    streaming scheduler must beat its own naive materialized dispatch
-///    by [`perf::FLEET_SPEEDUP_FLOOR`] — the devices/sec claim of the
-///    committed `BENCH_PR8.json`, recomputed from the embedded
-///    wall-clock samples.
+/// [`compare`], then enforces the regression gate: at every budget,
+/// `redundant`, `small_damage` and `full_change` must stay within
+/// [`REGRESSION_MARGIN`]× of the baseline, with [`NOISE_FLOOR_NS`] of
+/// absolute slack for the sub-microsecond cases. `naive_redundant` is
+/// the reference path and is not gated.
 ///
 /// # Errors
 ///
@@ -275,30 +244,12 @@ pub fn compare(new_document: &str, baseline_document: &str) -> Result<Comparison
 /// violation.
 pub fn check(new_document: &str, baseline_document: &str) -> Result<Comparison, String> {
     let comparison = compare(new_document, baseline_document)?;
-    let top = comparison
-        .pairs
-        .last()
-        .ok_or("no budgets to compare")?;
-    let speedup = match comparison.baseline_marker.as_str() {
-        m if m == perf::MARKER || m == perf::MARKER_PR7 || m == perf::MARKER_PR6 => None,
-        m if m == perf::MARKER_PR5 => Some(TILE_FULL_CHANGE_SPEEDUP),
-        _ => Some(FULL_CHANGE_SPEEDUP),
-    };
-    if let Some(speedup) = speedup {
-        if top.new.full_change_ns * speedup > top.baseline.full_change_ns {
-            return Err(format!(
-                "full_change at {} px: {:.1} ns/frame vs baseline {:.1} — \
-                 less than the required {speedup}x speedup",
-                top.new.pixels, top.new.full_change_ns, top.baseline.full_change_ns
-            ));
-        }
-    }
     for pair in &comparison.pairs {
         for ((name, new_ns), (_, baseline_ns)) in
             pair.new.cases().into_iter().zip(pair.baseline.cases())
         {
-            if name == "naive_redundant" || (name == "full_change" && speedup.is_some()) {
-                continue; // reference only / gated above
+            if name == "naive_redundant" {
+                continue; // reference only
             }
             if new_ns > baseline_ns * REGRESSION_MARGIN && new_ns > baseline_ns + NOISE_FLOOR_NS {
                 return Err(format!(
@@ -307,18 +258,6 @@ pub fn check(new_document: &str, baseline_document: &str) -> Result<Comparison, 
                     pair.new.pixels
                 ));
             }
-        }
-    }
-    if let (_, Some(fleet)) = &comparison.fleet {
-        if fleet.speedup() < perf::FLEET_SPEEDUP_FLOOR {
-            return Err(format!(
-                "fleet streaming dispatch is only {:.3}x the materialized path \
-                 ({:.0} vs {:.0} devices/sec) — below the required {}x",
-                fleet.speedup(),
-                fleet.streaming_devices_per_sec(),
-                fleet.materialized_devices_per_sec(),
-                perf::FLEET_SPEEDUP_FLOOR,
-            ));
         }
     }
     Ok(comparison)
@@ -363,28 +302,16 @@ impl fmt::Display for Comparison {
                 new.devices, new.sim_ms_per_device
             )?;
             let mut t = TextTable::new(["path", "baseline dev/s", "new dev/s", "new wall s"]);
-            let rate = |r: Option<f64>| match r {
-                Some(rate) => format!("{rate:.0}"),
-                None => "-".into(),
-            };
             t.row([
                 "streaming".into(),
-                rate(baseline.map(|b| b.streaming_devices_per_sec())),
+                baseline.map_or_else(
+                    || "-".into(),
+                    |b| format!("{:.0}", b.streaming_devices_per_sec()),
+                ),
                 format!("{:.0}", new.streaming_devices_per_sec()),
                 format!("{:.3}", new.streaming_wall_secs),
             ]);
-            t.row([
-                "materialized".into(),
-                rate(baseline.map(|b| b.materialized_devices_per_sec())),
-                format!("{:.0}", new.materialized_devices_per_sec()),
-                format!("{:.3}", new.materialized_wall_secs),
-            ]);
             write!(f, "{t}")?;
-            write!(
-                f,
-                "streaming beats materialized dispatch by {:.2}x",
-                new.speedup()
-            )?;
         }
         Ok(())
     }
@@ -400,7 +327,7 @@ mod tests {
     /// case index)` comes from `ns_of`. Points-read columns satisfy the
     /// PR 3 criteria by construction, a small fixed tick sketch
     /// (10/20/30 µs) satisfies the PR 7 budget, and a fixed fleet
-    /// measurement (1.10x streaming advantage) satisfies the PR 8 gate.
+    /// measurement (10 s for 1000 devices) satisfies the PR 8 schema.
     fn synthetic_report(ns_of: impl Fn(usize, usize) -> f64) -> PerfReport {
         let budgets = PAPER_BUDGETS
             .iter()
@@ -441,7 +368,6 @@ mod tests {
                 devices: 1000,
                 sim_ms_per_device: 31,
                 streaming_wall_secs: 10.0,
-                materialized_wall_secs: 11.0,
             }),
         }
     }
@@ -452,30 +378,39 @@ mod tests {
 
     #[test]
     fn self_comparison_is_unit_speedup_and_passes_the_regression_gate() {
-        // A telemetry-generation baseline owes no further speedup, so a
-        // report compared against itself passes the regression-only gate.
         let doc = synthetic(|_, _| 100.0);
-        let cmp = check(&doc, &doc).expect("self compare must pass a regression-only gate");
+        let cmp = check(&doc, &doc).expect("self compare must pass the regression gate");
         assert_eq!(cmp.pairs.len(), PAPER_BUDGETS.len());
         for pair in &cmp.pairs {
             assert_eq!(pair.baseline, pair.new);
         }
-        // The same equal timings against a pre-PR 5 baseline still owe 2x.
-        let old = doc.replace(perf::MARKER, perf::MARKER_PR3);
-        let err = check(&doc, &old).unwrap_err();
-        assert!(err.contains("full_change"), "gate must name the case: {err}");
     }
 
     #[test]
-    fn pr6_baseline_gates_full_change_regressions_only() {
-        let baseline = synthetic(|_, _| 1000.0).replace(perf::MARKER, perf::MARKER_PR6);
-        // Unchanged full_change passes — no speedup owed over PR 6…
-        check(&synthetic(|_, _| 1000.0), &baseline).expect("equal timings must pass");
-        // …but a real slowdown is still a regression.
-        let slow = synthetic(|_, case| if case == 2 { 2000.0 } else { 1000.0 });
-        let err = check(&slow, &baseline).unwrap_err();
-        assert!(err.contains("full_change"), "wrong violation: {err}");
-        assert!(err.contains("regressed"), "wrong violation: {err}");
+    fn every_baseline_gates_full_change_regressions_only() {
+        for marker in [
+            perf::MARKER,
+            perf::MARKER_PR7,
+            perf::MARKER_PR6,
+            perf::MARKER_PR5,
+            perf::MARKER_PR3,
+        ] {
+            let baseline = synthetic(|_, _| 1000.0).replace(perf::MARKER, marker);
+            // Unchanged full_change passes — no speedup is owed…
+            check(&synthetic(|_, _| 1000.0), &baseline)
+                .unwrap_or_else(|e| panic!("{marker}: equal timings must pass: {e}"));
+            // …but a real slowdown is a regression.
+            let slow = synthetic(|_, case| if case == 2 { 2000.0 } else { 1000.0 });
+            let err = check(&slow, &baseline).unwrap_err();
+            assert!(
+                err.contains("full_change"),
+                "{marker}: wrong violation: {err}"
+            );
+            assert!(
+                err.contains("regressed"),
+                "{marker}: wrong violation: {err}"
+            );
+        }
     }
 
     #[test]
@@ -513,26 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn pr5_baseline_selects_the_tile_gate() {
-        // Mark the baseline as the PR 5 row-run report: the gate drops
-        // from 2x to 1.5x for the tile-signature generation.
-        let baseline = synthetic(|_, _| 1000.0).replace(perf::MARKER, perf::MARKER_PR5);
-        let fast = synthetic(|_, case| if case == 2 { 600.0 } else { 1000.0 });
-        let cmp = check(&fast, &baseline).expect("1.67x must pass the 1.5x tile gate");
-        assert_eq!(cmp.baseline_marker, perf::MARKER_PR5);
-
-        // The same report against a pre-PR 5 baseline still owes 2x.
-        let old_baseline = synthetic(|_, _| 1000.0).replace(perf::MARKER, perf::MARKER_PR3);
-        let err = check(&fast, &old_baseline).unwrap_err();
-        assert!(err.contains("2x speedup"), "wrong violation: {err}");
-
-        // And 1.5x is a floor, not a suggestion.
-        let slow = synthetic(|_, case| if case == 2 { 700.0 } else { 1000.0 });
-        let err = check(&slow, &baseline).unwrap_err();
-        assert!(err.contains("1.5x speedup"), "wrong violation: {err}");
-    }
-
-    #[test]
     fn small_damage_regression_fails_the_gate() {
         let baseline = synthetic(|_, _| 1000.0);
         let new = synthetic(|_, case| match case {
@@ -565,34 +480,50 @@ mod tests {
     }
 
     #[test]
-    fn fleet_gate_enforces_the_streaming_floor() {
-        let good = synthetic(|_, _| 100.0);
-        let cmp = check(&good, &good).expect("a 1.10x streaming advantage must pass");
-        assert!(cmp.fleet.0.is_some() && cmp.fleet.1.is_some());
-        let rendered = cmp.to_string();
-        assert!(rendered.contains("fleet dispatch"), "delta table missing");
-        assert!(rendered.contains("materialized"), "delta table missing a path");
-        assert!(rendered.contains("1.10x"), "speedup line missing: {rendered}");
+    fn fleet_table_shows_the_streaming_rate_only() {
+        // The fleet table's one row, split into its cells.
+        fn fleet_row(cmp: &Comparison) -> Vec<String> {
+            let rendered = cmp.to_string();
+            assert!(
+                rendered.contains("fleet dispatch"),
+                "no fleet table: {rendered}"
+            );
+            assert!(
+                !rendered.contains("materialized"),
+                "retired path: {rendered}"
+            );
+            let row = rendered.lines().find(|l| l.starts_with("streaming"));
+            row.expect("streaming row")
+                .split_whitespace()
+                .map(String::from)
+                .collect()
+        }
 
-        // A report whose streaming path does not clear the floor fails
-        // the gate even when every metering case passes.
-        let mut report = synthetic_report(|_, _| 100.0);
-        report.fleet = Some(FleetThroughput {
+        // 1000 devices in 10 s on both sides: path, baseline dev/s, new
+        // dev/s, new wall seconds.
+        let good = synthetic(|_, _| 100.0);
+        let cmp = check(&good, &good).expect("self compare must pass");
+        assert!(cmp.fleet.0.is_some() && cmp.fleet.1.is_some());
+        assert_eq!(fleet_row(&cmp), ["streaming", "100", "100", "10.000"]);
+
+        // Fleet throughput is reported, not gated: a slower fleet passes
+        // when every metering case does.
+        let mut slower = synthetic_report(|_, _| 100.0);
+        slower.fleet = Some(FleetThroughput {
             devices: 1000,
             sim_ms_per_device: 31,
-            streaming_wall_secs: 11.0,
-            materialized_wall_secs: 11.0,
+            streaming_wall_secs: 40.0,
         });
-        let err = check(&report.to_json(), &good).unwrap_err();
-        assert!(err.contains("below the required"), "wrong violation: {err}");
+        let cmp = check(&slower.to_json(), &good).expect("fleet throughput is not gated");
+        assert_eq!(fleet_row(&cmp), ["streaming", "100", "25", "40.000"]);
 
-        // A pre-PR 8 baseline has no fleet member; the new report still
-        // gates against its own materialized path.
+        // A pre-PR 8 baseline has no fleet member; its column shows "-".
         let mut old = synthetic_report(|_, _| 100.0);
         old.fleet = None;
         let old = old.to_json().replace(perf::MARKER, perf::MARKER_PR7);
         let cmp = check(&good, &old).expect("fleet-less baseline must still pass");
         assert!(cmp.fleet.0.is_none() && cmp.fleet.1.is_some());
+        assert_eq!(fleet_row(&cmp), ["streaming", "-", "100", "10.000"]);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //!   application class.
 
 use std::fmt;
+use std::sync::Mutex;
 // ccdem-lint: allow(determinism) — wall-clock feeds TimingReport only,
 // never a RunResult (asserted by the `obs_determinism` test).
 use std::time::Instant;
@@ -28,8 +29,8 @@ use ccdem_workloads::app::AppClass;
 use ccdem_workloads::catalog;
 use ccdem_workloads::phased::AppSpec;
 
-use crate::campaign::CampaignStats;
-use crate::scenario::{RunResult, RunScratch, Scenario, Workload};
+use crate::campaign::{run_each, CampaignStats};
+use crate::scenario::{RunResult, Scenario, Workload};
 
 /// The two governed policies evaluated against the baseline.
 pub const EVALUATED_POLICIES: [Policy; 2] = [Policy::SectionOnly, Policy::SectionWithBoost];
@@ -144,10 +145,11 @@ pub fn run(config: &SweepConfig) -> Sweep {
 /// Runs the sweep and also reports how long each run took on the host.
 ///
 /// The 90 `(app, policy)` scenarios are independent, so they are fanned
-/// out over a [`ParallelRunner`] with `config.jobs` workers. Each run's
-/// seed is [`derive_seed`]`(config.seed, app_index)` — a pure function of
-/// the work item, never of worker identity or completion order — and
-/// results are collected in input order, so the returned [`Sweep`] is
+/// out over a [`ParallelRunner`] with `config.jobs` workers (see
+/// [`run_each`]). Each run's seed is
+/// [`derive_seed`]`(config.seed, app_index)` — a pure function of the
+/// work item, never of worker identity or completion order — and
+/// results come back in input order, so the returned [`Sweep`] is
 /// identical for any worker count.
 pub fn run_timed(config: &SweepConfig) -> (Sweep, TimingReport) {
     run_timed_with_obs(config, &Obs::disabled())
@@ -168,23 +170,22 @@ pub fn run_timed_with_obs(config: &SweepConfig, obs: &Obs) -> (Sweep, TimingRepo
 /// [`run_timed_with_obs`], additionally folding every completed run into
 /// a streaming [`CampaignStats`] as it finishes.
 ///
-/// The fold happens on the calling thread in run *completion* order — a
-/// `campaign.progress` event (running count plus headline percentiles)
-/// goes out on `obs` after each run, and a final deterministic
-/// `campaign.end` once every run has folded in. Because sketch folding
-/// is order-independent, the returned statistics are identical for any
-/// worker count even though the progress lines are not.
+/// Each worker folds its run into the shared aggregate under one lock,
+/// in run *completion* order — a `campaign.progress` event (running
+/// count plus headline percentiles) goes out on `obs` after each run,
+/// and a final deterministic `campaign.end` once every run has folded
+/// in. Because sketch folding is order-independent, the returned
+/// statistics are identical for any worker count even though the
+/// progress lines are not.
 pub fn run_timed_with_campaign(
     config: &SweepConfig,
     obs: &Obs,
 ) -> (Sweep, TimingReport, CampaignStats) {
     let specs = catalog::all_apps();
-    let items: Vec<(usize, AppSpec, Policy)> = specs
-        .into_iter()
+    let items: Vec<(usize, &AppSpec, Policy)> = specs
+        .iter()
         .enumerate()
-        .flat_map(|(app_index, spec)| {
-            SWEEP_POLICIES.map(|policy| (app_index, spec.clone(), policy))
-        })
+        .flat_map(|(app_index, spec)| SWEEP_POLICIES.map(|policy| (app_index, spec, policy)))
         .collect();
 
     let runner = ParallelRunner::new(config.jobs);
@@ -198,36 +199,35 @@ pub fn run_timed_with_campaign(
     let mut span = obs.span("sweep", ccdem_simkit::time::SimTime::ZERO);
     span.field("runs", items.len());
     let total = items.len();
-    let mut campaign = CampaignStats::new();
-    let runs = runner.run_many_observed(
-        items,
-        RunScratch::new,
-        |scratch, _, (app_index, spec, policy)| {
-            let seed = derive_seed(config.seed, app_index as u64);
-            let run_started = Instant::now(); // ccdem-lint: allow(determinism) — timing only
-            let mut s = Scenario::new(Workload::App(spec), policy)
-                .with_duration(config.duration)
-                .with_seed(seed)
-                .with_naive_metering(config.naive_metering)
-                .with_obs(obs.clone());
-            if config.profile {
-                s = s.with_profiling();
-            }
-            if config.quarter_resolution {
-                s = s.at_quarter_resolution();
-            }
-            let result = s.run_with_scratch(scratch);
-            let timing = RunTiming::new(
-                format!("{} / {}", result.app_name, policy),
-                run_started.elapsed(),
-            );
-            (result, timing)
-        },
-        |_, (result, _)| {
-            campaign.observe_run(result);
-            campaign.emit_progress(obs, total);
-        },
-    );
+    let campaign = Mutex::new(CampaignStats::new());
+    let runs = run_each(&runner, &items, |scratch, &(app_index, spec, policy)| {
+        let seed = derive_seed(config.seed, app_index as u64);
+        let run_started = Instant::now(); // ccdem-lint: allow(determinism) — timing only
+        let mut s = Scenario::new(Workload::App(spec.clone()), policy)
+            .with_duration(config.duration)
+            .with_seed(seed)
+            .with_naive_metering(config.naive_metering)
+            .with_obs(obs.clone());
+        if config.profile {
+            s = s.with_profiling();
+        }
+        if config.quarter_resolution {
+            s = s.at_quarter_resolution();
+        }
+        let result = s.run_with_scratch(scratch);
+        let timing = RunTiming::new(
+            format!("{} / {}", result.app_name, policy),
+            run_started.elapsed(),
+        );
+        // ccdem-lint: allow(panic) — poisoned lock means another worker
+        // panicked; re-raising is correct
+        let mut campaign = campaign.lock().expect("campaign poisoned");
+        campaign.observe_run(&result);
+        campaign.emit_progress(obs, total);
+        (result, timing)
+    });
+    // ccdem-lint: allow(panic) — poisoned lock re-raises a worker panic
+    let campaign = campaign.into_inner().expect("campaign poisoned");
 
     let mut report = TimingReport::new(runner.jobs());
     let mut apps = Vec::new();

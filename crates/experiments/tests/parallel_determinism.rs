@@ -5,7 +5,10 @@
 //! worker count can never leak into simulation results. These tests pin
 //! that down end to end on the real 30-app sweep.
 
+use ccdem_experiments::ablation::{self, AblationConfig};
+use ccdem_experiments::generalize::{self, GeneralizeConfig};
 use ccdem_experiments::sweep::{self, SweepConfig};
+use ccdem_obs::Obs;
 use ccdem_simkit::time::SimDuration;
 
 fn config(jobs: usize) -> SweepConfig {
@@ -65,4 +68,40 @@ fn timing_report_covers_every_run() {
     // simulated results.
     let again = sweep::run(&config(1));
     assert_eq!(format!("{:?}", sweep.apps), format!("{:?}", again.apps));
+}
+
+#[test]
+fn ablations_do_not_depend_on_worker_count() {
+    let ablate = |jobs| {
+        let config = AblationConfig {
+            duration: SimDuration::from_secs(3),
+            seed: 4321,
+            jobs,
+        };
+        ablation::run_all_with_campaign(&config, &Obs::disabled())
+    };
+    let (serial, serial_stats) = ablate(1);
+    let (parallel, parallel_stats) = ablate(3);
+    assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
+    // 5 windows + 5 budgets + 6 holds + 3 rules + 5 alphas + 4 dwells
+    // + 5 PSR discounts.
+    assert_eq!(serial_stats.runs(), 33);
+    assert_eq!(
+        serial_stats, parallel_stats,
+        "campaign stats depend on worker count"
+    );
+}
+
+#[test]
+fn generalization_does_not_depend_on_worker_count() {
+    let generalize = |jobs| {
+        generalize::run(&GeneralizeConfig {
+            duration: SimDuration::from_secs(3),
+            seed: 4321,
+            jobs,
+        })
+    };
+    let serial = generalize(1);
+    assert_eq!(serial.runs.len(), 9);
+    assert_eq!(format!("{serial:?}"), format!("{:?}", generalize(3)));
 }

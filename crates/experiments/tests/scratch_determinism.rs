@@ -1,12 +1,14 @@
 //! Scratch-reuse runs must be byte-identical to fresh-allocation runs.
 //!
 //! `RunScratch` recycles framebuffers and meter snapshots between
-//! scenario runs; `ParallelRunner::run_many_with` holds one scratch per
-//! worker. Neither may leak any trace of a previous run into the next
-//! one's results — these tests pin that contract across heterogeneous
-//! scenarios, repeated reuse, and worker counts.
+//! scenario runs; `campaign::run_each`, the sweeps' dispatch on
+//! `ParallelRunner::run_batches`, holds one scratch per worker. Neither
+//! may leak any trace of a previous run into the next one's results —
+//! these tests pin that contract across heterogeneous scenarios,
+//! repeated reuse, and worker counts.
 
 use ccdem_core::governor::Policy;
+use ccdem_experiments::campaign::run_each;
 use ccdem_experiments::scenario::{RunResult, RunScratch, Scenario, Workload};
 use ccdem_simkit::parallel::ParallelRunner;
 use ccdem_simkit::time::SimDuration;
@@ -68,10 +70,10 @@ fn per_worker_scratch_sweep_matches_fresh_serial_sweep() {
     let fresh = fresh_results(&scenarios);
 
     for jobs in [1, 4] {
-        let swept: Vec<RunResult> = ParallelRunner::new(jobs).run_many_with(
-            scenarios.clone(),
-            RunScratch::new,
-            |scratch, _, scenario| scenario.run_with_scratch(scratch),
+        let swept: Vec<RunResult> = run_each(
+            &ParallelRunner::new(jobs),
+            &scenarios,
+            |scratch, scenario| scenario.run_with_scratch(scratch),
         );
         assert_eq!(
             format!("{fresh:?}"),

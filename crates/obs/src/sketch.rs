@@ -330,12 +330,16 @@ impl QuantileSketch {
     }
 
     /// Reconstructs a sketch serialized by [`to_json`](Self::to_json).
-    /// Returns `None` on any structural problem (missing members, bad
-    /// precision, out-of-range bucket index, count mismatch).
+    /// Returns `None` on any structural problem: a missing member; a
+    /// precision, bucket index, bucket count or `count` that is not an
+    /// integer in range; bucket counts whose sum overflows `u64` or
+    /// differs from `count`; or a `min`/`max` pair with `min > max` or
+    /// outside the value range of the non-empty buckets. Checkpoints and
+    /// committed reports arrive from outside the program, so a hostile
+    /// document must come back as `None`, never as a sketch whose
+    /// [`quantile`](Self::quantile) could panic.
     pub fn from_json(doc: &Json) -> Option<QuantileSketch> {
-        // ccdem-lint: allow(arith-cast) — deserialization: the cast
-        // reproduces what to_json wrote; range-checked on the next line.
-        let precision = doc.get("precision")?.as_f64()? as u32;
+        let precision = u32::try_from(exact_u64(doc.get("precision")?)?).ok()?;
         if !(1..=12).contains(&precision) {
             return None;
         }
@@ -348,18 +352,13 @@ impl QuantileSketch {
             let [index, count] = pair.as_slice() else {
                 return None;
             };
-            // ccdem-lint: allow(arith-cast) — round-trips the u64 values
-            // to_json wrote; a hostile index is bounds-checked below.
-            let index = index.as_f64()? as usize;
-            let count = count.as_f64()? as u64; // ccdem-lint: allow(arith-cast) — see above
-            *sketch.buckets.get_mut(index)? += count;
-            // ccdem-lint: allow(arith-cast) — totals are verified
-            // against the serialized "count" member below.
-            sketch.count += count;
+            let index = usize::try_from(exact_u64(index)?).ok()?;
+            let count = exact_u64(count)?;
+            let bucket = sketch.buckets.get_mut(index)?;
+            *bucket = bucket.checked_add(count)?;
+            sketch.count = sketch.count.checked_add(count)?;
         }
-        // ccdem-lint: allow(arith-cast) — comparison only; a mismatch
-        // (including f64 truncation) rejects the document.
-        if sketch.count != doc.get("count")?.as_f64()? as u64 {
+        if sketch.count != exact_u64(doc.get("count")?)? {
             return None;
         }
         // ccdem-lint: allow(arith-cast) — sums beyond 2^53 lose low bits
@@ -367,13 +366,31 @@ impl QuantileSketch {
         // a deserialized telemetry sketch.
         sketch.sum = doc.get("sum")?.as_f64()? as u128;
         if sketch.count > 0 {
-            // ccdem-lint: allow(arith-cast) — round-trips the u64
-            // extremes to_json wrote.
-            sketch.min = doc.get("min")?.as_f64()? as u64;
-            sketch.max = doc.get("max")?.as_f64()? as u64; // ccdem-lint: allow(arith-cast) — see min
+            sketch.min = exact_u64(doc.get("min")?)?;
+            sketch.max = exact_u64(doc.get("max")?)?;
+            // Exact extremes lie in the first and last non-empty buckets;
+            // the inclusive upper bound admits a `max` that the f64 round
+            // trip rounded up to its bucket's end.
+            let first = sketch.buckets.iter().position(|&n| n > 0)?;
+            let last = sketch.buckets.iter().rposition(|&n| n > 0)?;
+            let lowest = bucket_bounds(precision, first).0;
+            let highest = bucket_bounds(precision, last).1;
+            if !(lowest <= sketch.min && sketch.min <= sketch.max && sketch.max <= highest) {
+                return None;
+            }
         }
         Some(sketch)
     }
+}
+
+/// A JSON number as an exact `u64`: integral, non-negative and below
+/// 2^64, or `None`.
+fn exact_u64(value: &Json) -> Option<u64> {
+    let v = value.as_f64()?;
+    // 2^64 is the first integer a u64 cannot hold; every f64 below it
+    // that passes the other checks converts exactly.
+    // ccdem-lint: allow(arith-cast) — range- and integrality-checked.
+    (v >= 0.0 && v.fract() == 0.0 && v < 18_446_744_073_709_551_616.0).then_some(v as u64)
 }
 
 /// A concurrently recordable [`QuantileSketch`]: same bucket layout, all
@@ -665,6 +682,88 @@ mod tests {
         crate::json::write_json(&mut text, &doc);
         let reparsed = crate::json::parse(&text).expect("sketch JSON parses");
         assert_eq!(QuantileSketch::from_json(&reparsed), Some(sketch));
+    }
+
+    /// Whether `from_json` rejects the JSON text `doc`.
+    fn rejects(doc: &str) -> bool {
+        let doc = crate::json::parse(doc).expect("test inputs are valid JSON");
+        QuantileSketch::from_json(&doc).is_none()
+    }
+
+    #[test]
+    fn from_json_accepts_extremes_inside_their_buckets() {
+        // Bucket 7 holds exactly 7; values 80 and 81 share bucket 72.
+        assert!(!rejects(
+            r#"{"precision":5,"count":3,"sum":168,"min":7,"max":81,"buckets":[[7,1],[72,2]]}"#
+        ));
+    }
+
+    #[test]
+    fn from_json_rejects_min_above_max() {
+        // `quantile` clamps to [min, max], which panics when min > max.
+        assert!(rejects(
+            r#"{"precision":5,"count":1,"sum":7,"min":10,"max":5,"buckets":[[7,1]]}"#
+        ));
+    }
+
+    #[test]
+    fn from_json_rejects_extremes_outside_the_buckets() {
+        // One sample, the value 7 (bucket 7): a `min` below its bucket
+        // or a `max` above it is rejected.
+        assert!(rejects(
+            r#"{"precision":5,"count":1,"sum":7,"min":0,"max":7,"buckets":[[7,1]]}"#
+        ));
+        assert!(rejects(
+            r#"{"precision":5,"count":1,"sum":7,"min":7,"max":100,"buckets":[[7,1]]}"#
+        ));
+    }
+
+    #[test]
+    fn from_json_rejects_bucket_counts_whose_sum_overflows() {
+        // 2^63 + 2^63 wraps to 0, which would match "count": 0 and give
+        // an "empty" sketch with full buckets.
+        assert!(rejects(
+            r#"{"precision":5,"count":0,"sum":0,"buckets":[[1,9223372036854775808],[2,9223372036854775808]]}"#
+        ));
+        // The same wrap within one bucket.
+        assert!(rejects(
+            r#"{"precision":5,"count":0,"sum":0,"buckets":[[1,9223372036854775808],[1,9223372036854775808]]}"#
+        ));
+    }
+
+    #[test]
+    fn from_json_rejects_negative_or_fractional_bucket_indices() {
+        // Both would otherwise truncate to bucket 0.
+        assert!(rejects(
+            r#"{"precision":5,"count":1,"sum":0,"min":0,"max":0,"buckets":[[-1,1]]}"#
+        ));
+        assert!(rejects(
+            r#"{"precision":5,"count":1,"sum":0,"min":0,"max":0,"buckets":[[0.5,1]]}"#
+        ));
+    }
+
+    #[test]
+    fn from_json_rejects_non_integral_counts() {
+        assert!(rejects(
+            r#"{"precision":5,"count":1,"sum":3,"min":3,"max":3,"buckets":[[3,1.5]]}"#
+        ));
+        assert!(rejects(
+            r#"{"precision":5,"count":-1,"sum":3,"min":3,"max":3,"buckets":[[3,-1]]}"#
+        ));
+        assert!(rejects(
+            r#"{"precision":5,"count":1.5,"sum":3,"min":3,"max":3,"buckets":[[3,1]]}"#
+        ));
+        // 2^64 itself does not fit a u64 (a cast would saturate).
+        assert!(rejects(
+            r#"{"precision":5,"count":18446744073709551616,"sum":0,"buckets":[[1,18446744073709551616]]}"#
+        ));
+    }
+
+    #[test]
+    fn from_json_rejects_fractional_precision() {
+        assert!(rejects(
+            r#"{"precision":5.5,"count":0,"sum":0,"buckets":[]}"#
+        ));
     }
 
     #[test]

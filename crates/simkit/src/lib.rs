@@ -6,10 +6,10 @@
 //! forkable randomness ([`rng`]), streaming statistics ([`stats`]),
 //! fixed-bin histograms ([`histogram`]), time-series traces ([`trace`])
 //! and a deterministic worker pool for independent runs ([`parallel`]),
-//! including a streaming batch mode (`ParallelRunner::run_batches`)
-//! that folds results into per-worker accumulators without ever
-//! materializing the full work list — the substrate for
-//! population-scale fleet campaigns.
+//! whose one dispatch loop (`ParallelRunner::run_batches`) hands item
+//! indices to workers that fold results into per-worker accumulators
+//! without ever materializing the full work list — the substrate for
+//! every campaign, from a 30-app sweep to a million-device fleet.
 //!
 //! Everything here is independent of the display domain; the display stack
 //! (panel, compositor, workloads) is built on top of these primitives in the

@@ -1,45 +1,47 @@
-//! A deterministic scoped worker pool for running many independent
+//! A deterministic scoped worker pool for campaigns of independent
 //! simulations.
 //!
-//! The experiment sweeps are embarrassingly parallel: each `(app, policy)`
-//! scenario owns its RNG (seeded purely from the scenario description) and
-//! shares no mutable state with its siblings. [`ParallelRunner::run_many`]
-//! exploits that with plain `std::thread::scope` workers pulling chunks
-//! from a shared queue — no external dependencies, no work stealing, no
-//! unsafe code.
+//! Every campaign — the 30-app sweep, the ablations, the
+//! generalization grid and the fleet — maps item indices to runs:
+//! [`ParallelRunner::run_batches`] hands indices out from one shared
+//! atomic cursor to plain `std::thread::scope` workers, and each worker
+//! folds its runs into a private accumulator. No external dependencies,
+//! no unsafe code.
 //!
 //! # Determinism
 //!
 //! Two rules keep parallel output byte-identical to serial output:
 //!
-//! 1. **Seeds never depend on scheduling.** The job closure receives the
-//!    item's *input index*; any randomness must derive from the item and
-//!    that index (see [`derive_seed`]), never from worker identity,
-//!    completion order or wall-clock time.
-//! 2. **Results are collected in input order.** Each result is written to
-//!    the slot of its input index, so the output `Vec` is independent of
-//!    which worker finished first.
+//! 1. **Seeds never depend on scheduling.** The fold receives the item's
+//!    *index*; any randomness must derive from that index (see
+//!    [`derive_seed`]), never from worker identity, completion order or
+//!    wall-clock time.
+//! 2. **Results never depend on which worker folded them.** Accumulators
+//!    either merge commutatively and associatively (mergeable sketches)
+//!    or keep `(index, result)` pairs that the caller sorts back into
+//!    index order.
 //!
-//! With `jobs = 1` the pool is bypassed entirely and items run on the
-//! calling thread in input order — the exact legacy serial path.
+//! With `jobs = 1` the pool is bypassed entirely and every index folds on
+//! the calling thread in ascending order — the exact serial path.
 //!
 //! # Examples
 //!
 //! ```
 //! use ccdem_simkit::parallel::ParallelRunner;
 //!
-//! let squares = ParallelRunner::new(4).run_many((0u64..100).collect(), |i, x| {
-//!     let _ = i;
-//!     x * x
+//! // Four workers, one index per claim; each keeps (index, square) pairs.
+//! let partials = ParallelRunner::new(4).run_batches(0..100, 1, Vec::new, |done, i| {
+//!     done.push((i, i * i));
 //! });
-//! assert_eq!(squares[7], 49);
+//! let mut squares: Vec<(u64, u64)> = partials.into_iter().flatten().collect();
+//! squares.sort_unstable();
+//! assert_eq!(squares[7], (7, 49));
 //! assert_eq!(squares.len(), 100);
 //! ```
 
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 
 /// Derives a per-run seed as a pure function of a root seed and a stream
 /// index. Uses the SplitMix64 finalizer, so nearby indices yield
@@ -106,225 +108,6 @@ impl ParallelRunner {
         self.jobs
     }
 
-    /// Runs `f(index, item)` for every item and returns the results in
-    /// input order. `f` receives each item's index in `items` so it can
-    /// derive per-run seeds (see [`derive_seed`]).
-    ///
-    /// # Allocation contract
-    ///
-    /// This path **materializes everything**: the caller builds a
-    /// `Vec<T>` of all items up front, and the runner holds a `Vec<R>`
-    /// of all results until it returns — memory is O(items + results)
-    /// for the life of the call. That is the right trade for sweeps of
-    /// tens or hundreds of runs whose results are all consumed; for
-    /// campaigns of 10⁵–10⁶ independent items whose results fold into a
-    /// bounded aggregate, use [`run_batches`](Self::run_batches), which
-    /// generates items lazily from their index and keeps only one
-    /// accumulator per worker.
-    ///
-    /// With one worker (or one item) everything runs on the calling
-    /// thread, in order, with no thread or lock overhead — the exact
-    /// legacy serial path. Otherwise workers pull chunks from a shared
-    /// queue; chunking keeps queue contention negligible while still
-    /// balancing uneven run times.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first panic raised by `f` (after all workers stop).
-    pub fn run_many<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        self.run_many_with(items, || (), |(), i, t| f(i, t))
-    }
-
-    /// [`run_many`](Self::run_many) with **per-worker scratch state**:
-    /// each worker lazily builds one `S` via `init` the first time it
-    /// picks up work, then passes `&mut` of that same state to every
-    /// `f(state, index, item)` it executes. With one worker (or one
-    /// item), a single state serves all items on the calling thread in
-    /// input order.
-    ///
-    /// This is how sweeps reuse expensive per-run scratch (framebuffers,
-    /// snapshots) without allocating per item. Determinism is preserved
-    /// as long as `f`'s *result* does not depend on the incoming state —
-    /// i.e. the scratch is reset before use, which `RunScratch` consumers
-    /// guarantee. Which items share a state *is* scheduling-dependent;
-    /// results must not be.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first panic raised by `init` or `f` (after all
-    /// workers stop).
-    pub fn run_many_with<S, T, R, I, F>(&self, items: Vec<T>, init: I, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, T) -> R + Sync,
-    {
-        let n = items.len();
-        let jobs = self.jobs.min(n).max(1);
-        if jobs == 1 {
-            let mut state = init();
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| f(&mut state, i, t))
-                .collect();
-        }
-
-        // Chunks of roughly a quarter of a fair share: large enough that
-        // the queue lock is cold, small enough to rebalance stragglers.
-        let chunk = n.div_ceil(jobs * 4).max(1);
-        let queue: Mutex<VecDeque<(usize, T)>> =
-            Mutex::new(items.into_iter().enumerate().collect());
-        let results: Mutex<Vec<Option<R>>> =
-            Mutex::new((0..n).map(|_| None).collect());
-
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| {
-                    // Built on first use so workers that never win a
-                    // batch never pay for a state.
-                    let mut state: Option<S> = None;
-                    loop {
-                        let batch: Vec<(usize, T)> = {
-                            // ccdem-lint: allow(panic) — poisoned lock means a
-                            // worker already panicked; re-raising is correct
-                            let mut q = queue.lock().expect("queue poisoned");
-                            let take = chunk.min(q.len());
-                            if take == 0 {
-                                break;
-                            }
-                            q.drain(..take).collect()
-                        };
-                        for (index, item) in batch {
-                            let result = f(state.get_or_insert_with(&init), index, item);
-                            // ccdem-lint: allow(panic) — poison re-raises a
-                            // worker panic; `index` < `n` by construction
-                            results.lock().expect("results poisoned")[index] = Some(result);
-                        }
-                    }
-                });
-            }
-        });
-
-        results
-            .into_inner()
-            // ccdem-lint: allow(panic) — poisoned lock re-raises a worker
-            // panic; every slot was filled before the scope closed
-            .expect("results poisoned")
-            .into_iter()
-            .map(|r| r.expect("worker completed every drained job")) // ccdem-lint: allow(panic)
-            .collect()
-    }
-
-    /// [`run_many_with`](Self::run_many_with) plus a **streaming
-    /// observer**: as each item completes, `observe(index, &result)` runs
-    /// on the *calling thread* before the result is slotted, so a sweep
-    /// can fold per-run metric deltas into campaign-level aggregates
-    /// online — memory stays bounded by the aggregate, never by the run
-    /// count — and emit progress while workers are still busy.
-    ///
-    /// Ordering contract: results are returned in input order as always,
-    /// but `observe` sees them in **completion order**, which is
-    /// scheduling-dependent. Observers must therefore be order-oblivious
-    /// folds (e.g. mergeable sketches, whose merge is commutative and
-    /// associative) for their final state to be deterministic; anything
-    /// order-sensitive they surface (like progress lines) is monitoring,
-    /// not results. With one worker (or one item) `observe` runs inline
-    /// after each item, in input order — the exact serial path.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first panic raised by `init`, `f`, or `observe`
-    /// (after all workers stop).
-    pub fn run_many_observed<S, T, R, I, F, O>(
-        &self,
-        items: Vec<T>,
-        init: I,
-        f: F,
-        mut observe: O,
-    ) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, T) -> R + Sync,
-        O: FnMut(usize, &R),
-    {
-        let n = items.len();
-        let jobs = self.jobs.min(n).max(1);
-        if jobs == 1 {
-            let mut state = init();
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    let result = f(&mut state, i, t);
-                    observe(i, &result);
-                    result
-                })
-                .collect();
-        }
-
-        let chunk = n.div_ceil(jobs * 4).max(1);
-        let queue: Mutex<VecDeque<(usize, T)>> =
-            Mutex::new(items.into_iter().enumerate().collect());
-        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-
-        std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel::<(usize, R)>();
-            for _ in 0..jobs {
-                let tx = tx.clone();
-                scope.spawn(|| {
-                    let tx = tx; // move the clone, not the original
-                    let mut state: Option<S> = None;
-                    loop {
-                        let batch: Vec<(usize, T)> = {
-                            // ccdem-lint: allow(panic) — poisoned lock means a
-                            // worker already panicked; re-raising is correct
-                            let mut q = queue.lock().expect("queue poisoned");
-                            let take = chunk.min(q.len());
-                            if take == 0 {
-                                break;
-                            }
-                            q.drain(..take).collect()
-                        };
-                        for (index, item) in batch {
-                            let result = f(state.get_or_insert_with(&init), index, item);
-                            if tx.send((index, result)).is_err() {
-                                // Receiver gone: the calling thread is
-                                // unwinding; stop quietly.
-                                return;
-                            }
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            // Drain on the calling thread until every worker clone hangs
-            // up; a worker panic closes the channel early and the scope
-            // re-raises it after this loop ends.
-            while let Ok((index, result)) = rx.recv() {
-                observe(index, &result);
-                // ccdem-lint: allow(panic) — workers only send indices
-                // of the items slice, which sized this vec.
-                results[index] = Some(result);
-            }
-        });
-
-        results
-            .into_iter()
-            // ccdem-lint: allow(panic) — every index was sent exactly once
-            // before the workers hung up
-            .map(|r| r.expect("worker completed every drained job"))
-            .collect()
-    }
-
     /// Streams the item indices in `range` through per-worker
     /// accumulators without materializing items or results: workers
     /// claim fixed-size batches of indices from a shared atomic cursor
@@ -335,12 +118,14 @@ impl ParallelRunner {
     /// never O(items) — and the only in-flight work is one batch per
     /// worker.
     ///
-    /// This is the primitive under fleet-scale campaigns: `fold`
+    /// This is the one dispatch loop under every campaign: `fold`
     /// derives the item from its index (see [`derive_seed`]), runs it,
     /// and folds the result into the accumulator, so a million-item
-    /// campaign needs neither a `Vec<T>` of specs nor a `Vec<R>` of
-    /// results (contrast the [`run_many`](Self::run_many) allocation
-    /// contract).
+    /// fleet needs neither a `Vec<T>` of specs nor a `Vec<R>` of
+    /// results. Campaigns of tens of whole simulations (the sweep, the
+    /// ablations) pass a `batch_size` of 1, so no worker waits while
+    /// another holds a claimed but unstarted run, and keep
+    /// `(index, result)` pairs in the accumulator.
     ///
     /// # Determinism
     ///
@@ -349,10 +134,11 @@ impl ParallelRunner {
     /// deterministic (indices are pure inputs), so the *multiset* of
     /// folded results is not; callers therefore need an accumulator
     /// whose merge is commutative and associative (e.g. mergeable
-    /// sketches) for the combined final state to be independent of
-    /// worker count and steal order. With one worker the whole range
-    /// folds into a single accumulator in ascending index order on the
-    /// calling thread — the exact serial path.
+    /// sketches), or one that records each result's index, for the
+    /// combined final state to be independent of worker count and steal
+    /// order. With one worker the whole range folds into a single
+    /// accumulator in ascending index order on the calling thread — the
+    /// exact serial path.
     ///
     /// `batch_size` is clamped to at least 1. An empty range returns no
     /// accumulators.
@@ -418,52 +204,10 @@ impl ParallelRunner {
     }
 }
 
-/// Convenience free function: [`ParallelRunner::run_many`] with `jobs`
-/// workers (`0` = all cores).
-pub fn run_many<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    ParallelRunner::new(jobs).run_many(items, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn results_in_input_order_regardless_of_jobs() {
-        let items: Vec<u64> = (0..257).collect();
-        for jobs in [1, 2, 3, 8] {
-            let out = ParallelRunner::new(jobs).run_many(items.clone(), |i, x| {
-                assert_eq!(i as u64, x);
-                x * 3
-            });
-            assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn parallel_matches_serial_exactly() {
-        let work = |i: usize, x: u64| derive_seed(x, i as u64);
-        let items: Vec<u64> = (0..100).map(|i| i * 7).collect();
-        let serial = ParallelRunner::new(1).run_many(items.clone(), work);
-        let parallel = ParallelRunner::new(4).run_many(items, work);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn all_items_processed_once() {
-        let calls = AtomicUsize::new(0);
-        let out = ParallelRunner::new(4).run_many(vec![(); 1000], |_, ()| {
-            calls.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(out.len(), 1000);
-        assert_eq!(calls.load(Ordering::Relaxed), 1000);
-    }
 
     #[test]
     fn zero_jobs_resolves_to_available_parallelism() {
@@ -473,121 +217,19 @@ mod tests {
     }
 
     #[test]
-    fn empty_input_yields_empty_output() {
-        let out: Vec<u64> = ParallelRunner::new(4).run_many(Vec::<u64>::new(), |_, x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn actually_uses_multiple_threads() {
         use std::collections::HashSet;
-        let ids = Mutex::new(HashSet::new());
-        ParallelRunner::new(4).run_many(vec![(); 64], |_, ()| {
-            ids.lock().unwrap().insert(std::thread::current().id());
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        });
-        assert!(
-            ids.lock().unwrap().len() > 1,
-            "expected more than one worker thread"
-        );
-    }
-
-    #[test]
-    fn run_many_with_builds_at_most_one_state_per_worker() {
-        let inits = AtomicUsize::new(0);
-        let out = ParallelRunner::new(4).run_many_with(
-            (0u64..64).collect(),
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                0u64 // per-worker accumulator
-            },
-            |acc, _, x| {
-                *acc += x;
-                x * 2
+        let partials = ParallelRunner::new(4).run_batches(
+            0..64,
+            1,
+            HashSet::new,
+            |ids: &mut HashSet<std::thread::ThreadId>, _| {
+                ids.insert(std::thread::current().id());
+                std::thread::sleep(std::time::Duration::from_millis(1));
             },
         );
-        assert_eq!(out, (0u64..64).map(|x| x * 2).collect::<Vec<_>>());
-        let states = inits.load(Ordering::Relaxed);
-        assert!(
-            (1..=4).contains(&states),
-            "lazy init must cap states at the worker count, got {states}"
-        );
-    }
-
-    #[test]
-    fn run_many_with_serial_shares_one_state_in_order() {
-        let out = ParallelRunner::new(1).run_many_with(
-            vec![3u64, 1, 4],
-            Vec::new,
-            |seen: &mut Vec<u64>, i, x| {
-                seen.push(x);
-                // The serial path must visit items in input order on one
-                // shared state.
-                assert_eq!(seen.len(), i + 1);
-                seen.iter().sum::<u64>()
-            },
-        );
-        assert_eq!(out, vec![3, 4, 8]);
-    }
-
-    #[test]
-    fn run_many_with_matches_run_many_when_state_is_unused() {
-        let work = |i: usize, x: u64| derive_seed(x, i as u64);
-        let items: Vec<u64> = (0..100).map(|i| i * 3).collect();
-        let plain = ParallelRunner::new(4).run_many(items.clone(), work);
-        let with = ParallelRunner::new(4).run_many_with(items, || (), |(), i, x| work(i, x));
-        assert_eq!(plain, with);
-    }
-
-    #[test]
-    fn observed_results_match_unobserved_in_input_order() {
-        let work = |i: usize, x: u64| derive_seed(x, i as u64);
-        let items: Vec<u64> = (0..200).map(|i| i * 11).collect();
-        let plain = ParallelRunner::new(4).run_many(items.clone(), work);
-        let mut seen = Vec::new();
-        let observed = ParallelRunner::new(4).run_many_observed(
-            items,
-            || (),
-            |(), i, x| work(i, x),
-            |i, r| seen.push((i, *r)),
-        );
-        assert_eq!(observed, plain);
-        // Every result was observed exactly once, with the value that was
-        // returned for that index (completion order is unspecified).
-        assert_eq!(seen.len(), observed.len());
-        seen.sort_unstable();
-        for (i, r) in seen {
-            assert_eq!(r, observed[i]);
-        }
-    }
-
-    #[test]
-    fn observed_serial_path_runs_observer_in_input_order() {
-        let mut order = Vec::new();
-        let out = ParallelRunner::new(1).run_many_observed(
-            vec![10u64, 20, 30],
-            || (),
-            |(), _, x| x + 1,
-            |i, r| order.push((i, *r)),
-        );
-        assert_eq!(out, vec![11, 21, 31]);
-        assert_eq!(order, vec![(0, 11), (1, 21), (2, 31)]);
-    }
-
-    #[test]
-    fn observer_runs_on_the_calling_thread() {
-        let caller = std::thread::current().id();
-        ParallelRunner::new(4).run_many_observed(
-            vec![(); 64],
-            || (),
-            |(), _, ()| std::thread::current().id(),
-            |_, worker| {
-                assert_eq!(std::thread::current().id(), caller);
-                // Under >1 jobs at least some work happens off-thread, but
-                // observation never does.
-                let _ = worker;
-            },
-        );
+        let ids: HashSet<_> = partials.into_iter().flatten().collect();
+        assert!(ids.len() > 1, "expected more than one worker thread");
     }
 
     #[test]

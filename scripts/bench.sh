@@ -1,18 +1,18 @@
 #!/usr/bin/env bash
 # Regenerates BENCH_PR8.json — the tracked performance report for the
 # fleet-scheduler generation (tile-signature metering engine, the
-# decision-tick latency budget, and the streaming-vs-materialized fleet
-# dispatch measurement) — or compares two existing reports. Run from
-# the repo root.
+# decision-tick latency budget, and the fleet dispatch throughput) — or
+# compares two existing reports. Run from the repo root.
 #
 #   scripts/bench.sh           full run: 200 timed frames per case, the
 #                              30 s end-to-end sweep wall clock, a 30 s
 #                              profiled decision-tick measurement, and
-#                              the 256-device fleet throughput pair;
-#                              checked against the committed
-#                              BENCH_PR7.json baseline before exiting
+#                              the 32 768-device fleet throughput (median
+#                              of five timed runs); checked against the
+#                              committed BENCH_PR7.json baseline by the
+#                              regression gate before exiting
 #   scripts/bench.sh --quick   CI smoke: 10 frames, no sweep, short tick
-#                              scenario, 48-device fleet pair; the exact
+#                              scenario, 256-device fleet; the exact
 #                              points-read columns are identical, only
 #                              the timings get noisier (no baseline
 #                              check — quick timings are too coarse)

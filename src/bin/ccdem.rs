@@ -117,7 +117,7 @@ fn print_usage() {
          [--compare <file.json> --baseline <file.json>]\n                                \
          measure the metering cost at the paper's five pixel\n                                \
          budgets and write BENCH_PR7.json; --check validates an\n                                \
-         existing report (plus the speedup gate when --baseline\n                                \
+         existing report (plus the regression gate when --baseline\n                                \
          is given); --compare prints a baseline-vs-new delta table\n  \
          lint [--json] [--fix-baseline] [--stats]\n                                \
          run the workspace static-analysis pass (DESIGN.md \u{a7}10);\n                                \
@@ -625,7 +625,7 @@ fn cmd_bench(args: &[String]) -> ExitCode {
     }
 
     // --check validates an existing report instead of measuring; with
-    // --baseline it additionally enforces the PR 5 speedup gate.
+    // --baseline it additionally enforces the regression gate.
     if let Some(path) = flags.value("--check") {
         let Some(document) = read(path) else {
             return ExitCode::FAILURE;
@@ -637,7 +637,7 @@ fn cmd_bench(args: &[String]) -> ExitCode {
             return match ccdem::experiments::perfcmp::check(&document, &baseline) {
                 Ok(comparison) => {
                     println!("{comparison}");
-                    println!("{path}: speedup gate passed against {baseline_path}");
+                    println!("{path}: regression gate passed against {baseline_path}");
                     ExitCode::SUCCESS
                 }
                 Err(e) => {

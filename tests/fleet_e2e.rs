@@ -4,7 +4,8 @@
 //! count must not change the emitted statistics document, a campaign
 //! killed at a checkpoint and resumed must finish byte-identical to an
 //! uninterrupted one, `--replay-device` must reproduce a single device
-//! in isolation, and `--trace` must stream well-formed fleet.* events.
+//! in isolation, `--trace` must stream well-formed fleet.* events, and
+//! a hostile `--resume` file must fail with a message, never a crash.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -223,6 +224,81 @@ fn resume_above_two_pow_53_continues_the_same_campaign() {
 
     for path in [&full_out, &resumed_out, &checkpoint] {
         let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn hostile_resume_files_exit_1_with_a_message() {
+    let checkpoint = temp("hostile_ckpt.json");
+    let _ = std::fs::remove_file(&checkpoint);
+    let interrupted = fleet(&[
+        "--devices",
+        "4",
+        "--duration",
+        "1",
+        "--batch",
+        "2",
+        "--checkpoint",
+        checkpoint.to_str().unwrap(),
+        "--checkpoint-every",
+        "1",
+        "--stop-after",
+        "1",
+    ]);
+    assert_clean(&interrupted);
+    let saved = std::fs::read_to_string(&checkpoint).expect("checkpoint written");
+    let _ = std::fs::remove_file(&checkpoint);
+
+    // Each hostile sketch joins the real checkpoint as a `saved_mw`
+    // metric, so everything around it stays well-formed.
+    let with_sketch = |sketch: &str| {
+        let spliced = saved.replacen(
+            "\"metrics\":{",
+            &format!("\"metrics\":{{\"saved_mw\":{sketch},"),
+            1,
+        );
+        assert_ne!(spliced, saved, "checkpoint has no metrics object");
+        spliced
+    };
+    let hostile = [
+        (
+            "min_above_max",
+            with_sketch(r#"{"precision":5,"count":1,"sum":7,"min":10,"max":5,"buckets":[[7,1]]}"#),
+        ),
+        (
+            "count_overflow",
+            with_sketch(
+                r#"{"precision":5,"count":0,"sum":0,"buckets":[[1,9223372036854775808],[2,9223372036854775808]]}"#,
+            ),
+        ),
+        (
+            "negative_index",
+            with_sketch(r#"{"precision":5,"count":1,"sum":0,"min":0,"max":0,"buckets":[[-1,1]]}"#),
+        ),
+        (
+            "fractional_index",
+            with_sketch(r#"{"precision":5,"count":1,"sum":0,"min":0,"max":0,"buckets":[[0.5,1]]}"#),
+        ),
+        ("deep_nesting", "[".repeat(200_000)),
+        ("truncated", saved[..saved.len() / 2].to_string()),
+    ];
+    for (name, document) in hostile {
+        let path = temp(&format!("hostile_{name}.json"));
+        std::fs::write(&path, document).expect("write hostile checkpoint");
+        let resumed = fleet(&["--resume", path.to_str().unwrap()]);
+        let _ = std::fs::remove_file(&path);
+        let stderr = String::from_utf8_lossy(&resumed.stderr);
+        // 101 is a Rust panic; a stack overflow aborts (134, or no code).
+        assert_eq!(
+            resumed.status.code(),
+            Some(1),
+            "{name}: want exit 1, got {}\n{stderr}",
+            resumed.status
+        );
+        assert!(
+            stderr.contains("cannot resume"),
+            "{name}: no message on stderr: {stderr}"
+        );
     }
 }
 
