@@ -7,61 +7,24 @@
 //! far smaller, but the growth with pixel count — and the full scan
 //! costing orders of magnitude more than the 9K grid — reproduces.
 //!
+//! The step timed is the one `ccdem_core::meter::measure_metering_cost`
+//! times for the figure: the scalar oracle over the whole screen, which
+//! compares until the first difference and re-captures every grid point.
+//! The production gather's own costs are in `micro_core` and
+//! `ccdem bench`.
+//!
 //! Run with `cargo bench -p ccdem-bench --bench fig6_metering_cost`.
 
 use ccdem_pixelbuf::buffer::FrameBuffer;
 use ccdem_pixelbuf::damage::DamageRegion;
-use ccdem_pixelbuf::geometry::{Rect, Resolution};
+use ccdem_pixelbuf::geometry::Resolution;
 use ccdem_pixelbuf::grid::GridSampler;
-use ccdem_pixelbuf::pixel::Pixel;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-fn bench_compare(c: &mut Criterion) {
+fn bench_reference_capture(c: &mut Criterion) {
     let resolution = Resolution::GALAXY_S3;
-    let mut group = c.benchmark_group("fig6/compare");
-    for budget in [2_304usize, 4_080, 9_216, 36_864, 921_600] {
-        let sampler = GridSampler::for_pixel_budget(resolution, budget);
-        let fb = FrameBuffer::new(resolution);
-        let snapshot = sampler.sample(&fb);
-        group.throughput(Throughput::Elements(sampler.sample_count() as u64));
-        group.bench_with_input(
-            BenchmarkId::from_parameter(sampler.sample_count()),
-            &budget,
-            |b, _| {
-                b.iter(|| sampler.differs(std::hint::black_box(&fb), &snapshot));
-            },
-        );
-    }
-    group.finish();
-}
-
-fn bench_capture(c: &mut Criterion) {
-    // The snapshot (double-buffer) side of the meter step.
-    let resolution = Resolution::GALAXY_S3;
-    let mut group = c.benchmark_group("fig6/capture");
-    for budget in [2_304usize, 9_216, 36_864, 921_600] {
-        let sampler = GridSampler::for_pixel_budget(resolution, budget);
-        let mut fb = FrameBuffer::new(resolution);
-        fb.fill(Pixel::grey(80));
-        let mut scratch = sampler.sample(&fb);
-        group.throughput(Throughput::Elements(sampler.sample_count() as u64));
-        group.bench_with_input(
-            BenchmarkId::from_parameter(sampler.sample_count()),
-            &budget,
-            |b, _| {
-                b.iter(|| sampler.sample_into(std::hint::black_box(&fb), &mut scratch));
-            },
-        );
-    }
-    group.finish();
-}
-
-fn bench_fused(c: &mut Criterion) {
-    // The PR 3 fast path: one fused gather classifies and refreshes the
-    // snapshot together, where the legacy meter paid bench_compare plus
-    // bench_capture per frame.
-    let resolution = Resolution::GALAXY_S3;
-    let mut group = c.benchmark_group("fig6/fused_compare_and_capture");
+    let everything = DamageRegion::of(resolution.bounds());
+    let mut group = c.benchmark_group("fig6/reference_capture");
     for budget in [2_304usize, 4_080, 9_216, 36_864, 921_600] {
         let sampler = GridSampler::for_pixel_budget(resolution, budget);
         let fb = FrameBuffer::new(resolution);
@@ -71,56 +34,14 @@ fn bench_fused(c: &mut Criterion) {
             BenchmarkId::from_parameter(sampler.sample_count()),
             &budget,
             |b, _| {
-                b.iter(|| sampler.compare_and_capture(std::hint::black_box(&fb), &mut snapshot));
+                b.iter(|| {
+                    sampler.reference_capture(std::hint::black_box(&fb), &everything, &mut snapshot)
+                });
             },
         );
     }
     group.finish();
 }
 
-fn bench_damage_restricted(c: &mut Criterion) {
-    // A status-bar-sized change: the gather touches only the grid rows
-    // and columns intersecting the damage, found by binary search.
-    let resolution = Resolution::GALAXY_S3;
-    let sampler = GridSampler::for_pixel_budget(resolution, 9_216);
-    let fb = FrameBuffer::new(resolution);
-    let mut snapshot = sampler.sample(&fb);
-    let damage = DamageRegion::of(Rect::new(0, 0, resolution.width, 32));
-    c.bench_function("fig6/damaged_gather_9k_status_bar", |b| {
-        b.iter(|| {
-            sampler.compare_and_capture_damaged(
-                std::hint::black_box(&fb),
-                &damage,
-                &mut snapshot,
-            )
-        });
-    });
-}
-
-fn bench_worst_case_redundant(c: &mut Criterion) {
-    // A redundant frame pays the full scan (no early exit); this was the
-    // meter's steady-state cost on idle apps before the O(1)
-    // generation check (see core/meter_observe/redundant_9k_naive in
-    // micro_core for the end-to-end contrast).
-    let resolution = Resolution::GALAXY_S3;
-    let sampler = GridSampler::for_pixel_budget(resolution, 9_216);
-    let fb = FrameBuffer::new(resolution);
-    let snapshot = sampler.sample(&fb);
-    c.bench_function("fig6/redundant_frame_9k_full_scan", |b| {
-        b.iter(|| {
-            let differs = sampler.differs(std::hint::black_box(&fb), &snapshot);
-            assert!(!differs);
-            differs
-        });
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_compare,
-    bench_capture,
-    bench_fused,
-    bench_damage_restricted,
-    bench_worst_case_redundant
-);
+criterion_group!(benches, bench_reference_capture);
 criterion_main!(benches);

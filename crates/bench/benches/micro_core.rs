@@ -13,11 +13,10 @@ use ccdem_core::meter::ContentRateMeter;
 use ccdem_core::section::{RateMapper, SectionTable};
 use ccdem_panel::refresh::RefreshRateSet;
 use ccdem_pixelbuf::buffer::FrameBuffer;
-use ccdem_pixelbuf::double_buffer::DoubleBuffer;
 use ccdem_pixelbuf::geometry::Resolution;
 use ccdem_pixelbuf::grid::GridSampler;
 use ccdem_pixelbuf::pixel::Pixel;
-use ccdem_simkit::time::{SimDuration, SimTime};
+use ccdem_simkit::time::SimTime;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_meter_observe(c: &mut Criterion) {
@@ -37,8 +36,8 @@ fn bench_meter_observe(c: &mut Criterion) {
         });
     });
 
-    // The same redundant frame through the pre-PR pipeline: a full
-    // compare pass plus a full capture pass (2 × 9 216 reads).
+    // The same redundant frame in naive mode: one scalar-oracle pass
+    // over the whole grid (9 216 reads).
     group.bench_function("redundant_9k_naive", |b| {
         let mut meter = ContentRateMeter::new(GridSampler::for_pixel_budget(res, 9_216));
         meter.set_naive(true);
@@ -143,15 +142,6 @@ fn bench_governor_window(c: &mut Criterion) {
     });
 }
 
-fn bench_double_buffer_capture(c: &mut Criterion) {
-    let res = Resolution::GALAXY_S3;
-    c.bench_function("pixelbuf/double_buffer_capture_full_res", |b| {
-        let mut db = DoubleBuffer::new(res);
-        let fb = FrameBuffer::new(res);
-        b.iter(|| db.capture(std::hint::black_box(&fb)));
-    });
-}
-
 fn bench_compose(c: &mut Criterion) {
     let res = Resolution::GALAXY_S3;
     let mut group = c.benchmark_group("compositor/compose");
@@ -177,22 +167,6 @@ fn bench_compose(c: &mut Criterion) {
         });
     });
     group.finish();
-}
-
-fn bench_frame_budget_check(c: &mut Criterion) {
-    // The paper's feasibility bar: one meter step must fit far inside a
-    // 60 Hz frame (16.67 ms). Criterion's report makes the margin visible.
-    let res = Resolution::GALAXY_S3;
-    let sampler = GridSampler::for_pixel_budget(res, 36_864);
-    let fb = FrameBuffer::new(res);
-    let mut scratch = sampler.sample(&fb);
-    c.bench_function("core/full_meter_step_36k", |b| {
-        b.iter(|| {
-            let d = sampler.compare_and_capture(&fb, &mut scratch).differs;
-            let _ = SimDuration::from_hz(60); // the budget being beaten
-            d
-        });
-    });
 }
 
 fn bench_workload_tick(c: &mut Criterion) {
@@ -232,9 +206,7 @@ criterion_group!(
     bench_meter_observe,
     bench_section_lookup,
     bench_governor_window,
-    bench_double_buffer_capture,
     bench_compose,
-    bench_frame_budget_check,
     bench_workload_tick,
     bench_wallpaper_render
 );

@@ -219,9 +219,11 @@ impl GovernorConfig {
         self.boost_hold
     }
 
-    /// Runs the meter on the naive pre-optimisation path (full compare
-    /// plus a second full gather, every frame), ignoring content
-    /// generations and damage. Classifications and decisions are
+    /// Runs the meter in naive mode: every frame is one scalar-oracle
+    /// pass over the whole screen
+    /// ([`GridSampler::reference_capture`](ccdem_pixelbuf::grid::GridSampler::reference_capture)),
+    /// reading every grid point once and ignoring content generations,
+    /// damage and tile signatures. Classifications and decisions are
     /// identical to the default fast paths; this exists for equivalence
     /// tests and benchmark baselines. See [`ContentRateMeter::set_naive`].
     pub fn with_naive_metering(mut self, naive: bool) -> GovernorConfig {

@@ -7,8 +7,9 @@
 //! * [`content_rate`] — the **content rate** metric: meaningful (content-
 //!   changing) frames per second, i.e. frame rate minus redundant frame
 //!   rate.
-//! * [`meter`] — low-cost runtime metering of the content rate via double
-//!   buffering and grid-based comparison (paper §3.1).
+//! * [`meter`] — low-cost runtime metering of the content rate via a
+//!   grid snapshot compared point by point with the next frame (paper
+//!   §3.1).
 //! * [`section`] — the **section table** (Eq. 1) mapping a measured
 //!   content rate to a panel refresh rate with headroom, plus the rejected
 //!   naive rate-matching rule for ablation.

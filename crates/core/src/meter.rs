@@ -35,9 +35,11 @@
 //! All paths maintain the same invariant — after every observation the
 //! snapshot equals the framebuffer at every grid point — so they produce
 //! bit-identical classifications and luminance estimates. The naive
-//! double-gather path is kept behind
-//! [`set_naive`](ContentRateMeter::set_naive) as the reference for
-//! equivalence tests and benchmarks.
+//! mode, behind [`set_naive`](ContentRateMeter::set_naive), skips every
+//! fast path: each frame is one call of the scalar oracle
+//! [`GridSampler::reference_capture`] over the whole screen, which reads
+//! every grid point once. It is the reference for equivalence tests and
+//! benchmarks.
 //!
 //! Because the O(1) path keys on the content generation, one meter must
 //! observe one logical framebuffer: alternating a single meter between
@@ -46,11 +48,8 @@
 //! engine, owned by the compositor.)
 
 use std::sync::Arc;
-// ccdem-lint: allow(determinism) — feeds the `meter.diff_us` host-time
-// histogram only; frame classification never reads it.
-use std::time::Instant;
 
-use ccdem_obs::{AtomicHistogram, Counter, Obs};
+use ccdem_obs::{Counter, Obs};
 use ccdem_pixelbuf::buffer::FrameBuffer;
 use ccdem_pixelbuf::damage::DamageRegion;
 use ccdem_pixelbuf::grid::GridSampler;
@@ -71,6 +70,15 @@ pub enum FrameClass {
 }
 
 impl FrameClass {
+    /// The class of a frame whose gather found a difference or not.
+    fn of(differs: bool) -> FrameClass {
+        if differs {
+            FrameClass::Meaningful
+        } else {
+            FrameClass::Redundant
+        }
+    }
+
     /// Whether the frame was classified as meaningful.
     pub fn is_meaningful(self) -> bool {
         matches!(self, FrameClass::Meaningful)
@@ -97,7 +105,6 @@ struct MeterMetrics {
     points_skipped: Arc<Counter>,
     tiles_checked: Arc<Counter>,
     tiles_descended: Arc<Counter>,
-    diff_us: Arc<AtomicHistogram>,
 }
 
 impl MeterMetrics {
@@ -112,7 +119,6 @@ impl MeterMetrics {
             points_skipped: registry.counter("meter.points_skipped"),
             tiles_checked: registry.counter("meter.tiles_checked"),
             tiles_descended: registry.counter("meter.tiles_descended"),
-            diff_us: registry.histogram("meter.diff_us", 0.0, 1_000.0, 20),
         }
     }
 }
@@ -145,8 +151,6 @@ impl MeterMetrics {
 pub struct ContentRateMeter {
     sampler: GridSampler,
     snapshot: Vec<Pixel>,
-    /// Scratch for the naive reference path's ping-pong capture.
-    naive_back: Vec<Pixel>,
     primed: bool,
     last_content_generation: u64,
     naive: bool,
@@ -171,7 +175,6 @@ impl ContentRateMeter {
         ContentRateMeter {
             sampler,
             snapshot: Vec::new(),
-            naive_back: Vec::new(),
             primed: false,
             last_content_generation: 0,
             naive: false,
@@ -188,7 +191,7 @@ impl ContentRateMeter {
         }
     }
 
-    /// [`new`](Self::new), but seeding the snapshot buffers from recycled
+    /// [`new`](Self::new), but seeding the snapshot buffer from recycled
     /// `pool` storage instead of allocating. The observable state is
     /// identical to a fresh meter: the snapshot is unprimed and fully
     /// overwritten on the first observation, so results cannot depend on
@@ -197,21 +200,21 @@ impl ContentRateMeter {
     pub fn with_scratch(sampler: GridSampler, pool: &mut PixelPool) -> ContentRateMeter {
         let mut meter = ContentRateMeter::new(sampler);
         meter.snapshot = pool.take();
-        meter.naive_back = pool.take();
         meter
     }
 
     /// Consumes the meter, handing its snapshot storage back to `pool`.
     pub fn recycle(self, pool: &mut PixelPool) {
         pool.give(self.snapshot);
-        pool.give(self.naive_back);
     }
 
-    /// Switches the meter to the naive pre-optimisation path: a full grid
-    /// comparison followed by a second full gather into a ping-pong
-    /// snapshot, on every frame, ignoring generations and damage. The
-    /// classifications are identical to the fast paths'; this exists as
-    /// the reference behaviour for equivalence tests and benchmarks.
+    /// Switches the meter to naive mode: after the priming capture, every
+    /// frame is one call of the scalar oracle
+    /// [`GridSampler::reference_capture`] over the whole screen, ignoring
+    /// generations, damage and tile signatures. It reads every grid point
+    /// once per frame. The classifications are identical to the fast
+    /// paths'; this exists as the reference behaviour for equivalence
+    /// tests and benchmarks.
     pub fn set_naive(&mut self, naive: bool) {
         self.naive = naive;
     }
@@ -246,8 +249,8 @@ impl ContentRateMeter {
     /// nothing to something).
     ///
     /// Without damage information the meter can still skip all pixel
-    /// reads when the content generation is unchanged, and otherwise
-    /// falls back to one fused full-grid gather. When the caller knows
+    /// reads when the content generation is unchanged, and otherwise runs
+    /// the tile-gated gather over the whole screen. When the caller knows
     /// which pixels could have changed, prefer
     /// [`observe_damaged`](Self::observe_damaged).
     ///
@@ -287,17 +290,22 @@ impl ContentRateMeter {
         now: SimTime,
     ) -> FrameClass {
         self.frames.record(now);
-        let started = Instant::now(); // ccdem-lint: allow(determinism) — telemetry only
         let grid_px = self.sampler.sample_count();
         // (class, points compared, points read, O(1) fast path taken,
         //  tiles checked, tiles descended)
-        let (class, compared, read, fast, t_checked, t_descended) = if self.naive {
-            self.observe_naive(framebuffer)
-        } else if !self.primed {
+        let (class, compared, read, fast, t_checked, t_descended) = if !self.primed {
             // Baseline capture: one full gather, no comparison.
             self.primed = true;
             self.sampler.sample_into(framebuffer, &mut self.snapshot);
             (FrameClass::Meaningful, 0, grid_px, false, 0, 0)
+        } else if self.naive {
+            // One oracle pass over the whole screen.
+            let everything = DamageRegion::of(self.sampler.resolution().bounds());
+            let result = self
+                .sampler
+                .reference_capture(framebuffer, &everything, &mut self.snapshot);
+            let class = FrameClass::of(result.differs);
+            (class, result.points_compared, result.points_read, false, 0, 0)
         } else if framebuffer.content_generation() == self.last_content_generation {
             // O(1): no draw op ran since the last capture, so no pixel —
             // sampled or not — can have changed.
@@ -322,13 +330,8 @@ impl ContentRateMeter {
                 self.last_content_generation,
                 &mut self.snapshot,
             );
-            let class = if result.grid.differs {
-                FrameClass::Meaningful
-            } else {
-                FrameClass::Redundant
-            };
             (
-                class,
+                FrameClass::of(result.grid.differs),
                 result.grid.points_compared,
                 result.grid.points_read,
                 false,
@@ -344,7 +347,6 @@ impl ContentRateMeter {
         self.points_skipped_total += skipped as u64;
         self.tiles_checked_total += t_checked as u64;
         self.tiles_descended_total += t_descended as u64;
-        let diff_us = started.elapsed().as_secs_f64() * 1e6;
         if class.is_meaningful() {
             self.meaningful.record(now);
             self.metrics.meaningful.inc();
@@ -359,7 +361,6 @@ impl ContentRateMeter {
         self.metrics.points_skipped.add(skipped as u64);
         self.metrics.tiles_checked.add(t_checked as u64);
         self.metrics.tiles_descended.add(t_descended as u64);
-        self.metrics.diff_us.record(diff_us);
         self.obs.emit("meter.frame", now, |event| {
             event
                 .field("class", class.name())
@@ -369,37 +370,9 @@ impl ContentRateMeter {
                 .field("skipped_px", skipped)
                 .field("tiles_checked", t_checked)
                 .field("tiles_descended", t_descended)
-                .field("fast_path", fast)
-                .field("diff_us", diff_us);
+                .field("fast_path", fast);
         });
         class
-    }
-
-    /// The pre-optimisation reference step: full compare, then a second
-    /// full gather into the ping-pong back buffer. Returns the same
-    /// `(class, compared, read, fast, tiles_checked, tiles_descended)`
-    /// tuple as the fast paths (the naive path never consults tiles).
-    fn observe_naive(
-        &mut self,
-        framebuffer: &FrameBuffer,
-    ) -> (FrameClass, usize, usize, bool, usize, usize) {
-        let grid_px = self.sampler.sample_count();
-        let (class, compared, compare_reads) = if !self.primed {
-            self.primed = true;
-            (FrameClass::Meaningful, 0, 0)
-        } else {
-            let compare = self.sampler.compare(framebuffer, &self.snapshot);
-            let class = if compare.differs {
-                FrameClass::Meaningful
-            } else {
-                FrameClass::Redundant
-            };
-            (class, compare.points_compared, compare.points_read)
-        };
-        // Capture into the back snapshot, then promote it (ping-pong).
-        self.sampler.sample_into(framebuffer, &mut self.naive_back);
-        std::mem::swap(&mut self.snapshot, &mut self.naive_back);
-        (class, compared, compare_reads + grid_px, false, 0, 0)
     }
 
     /// Content rate measured over the window `[now - window, now)`.
@@ -470,10 +443,10 @@ impl ContentRateMeter {
 
     /// Total framebuffer pixels read across all observations — the
     /// deterministic metering-cost measure the fast paths minimise. The
-    /// naive path reads up to `2 × sample_count` per frame; the
-    /// tile-gated paths only the damaged points under unknown-content
-    /// tiles (clean and provably-solid tiles are resolved without
-    /// reads); the O(1) path zero.
+    /// naive mode reads `sample_count` per frame; the tile-gated paths
+    /// only the damaged points under unknown-content tiles (clean and
+    /// provably-solid tiles are resolved without reads); the O(1) path
+    /// zero.
     pub fn points_read(&self) -> u64 {
         self.points_read_total
     }
@@ -498,10 +471,11 @@ impl ContentRateMeter {
     }
 }
 
-/// Wall-clock cost of one fused meter step (compare and snapshot capture
-/// in a single gather) — the quantity on Fig. 6's right axis. Runs
-/// `iterations` steps against `framebuffer` and returns the mean duration
-/// of one.
+/// Wall-clock cost of one naive meter step — the scalar oracle
+/// [`GridSampler::reference_capture`] over the whole screen, comparing
+/// until the first difference and re-capturing every grid point — the
+/// quantity on Fig. 6's right axis. Runs `iterations` steps against
+/// `framebuffer` and returns the mean duration of one.
 ///
 /// This measures *host* time, not simulated time: the paper's claim is
 /// about the real computational cost of metering at different pixel
@@ -520,11 +494,11 @@ pub fn measure_metering_cost(
     // `GridSampler::sample` allocates per call and is not for hot paths.
     let mut snapshot = Vec::new();
     sampler.sample_into(framebuffer, &mut snapshot);
+    let everything = DamageRegion::of(sampler.resolution().bounds());
     // ccdem-lint: allow(determinism) — micro-bench helper; host time is its output
     let start = std::time::Instant::now();
     for _ in 0..iterations {
-        // One full meter step: compare and re-capture, fused.
-        let result = sampler.compare_and_capture(framebuffer, &mut snapshot);
+        let result = sampler.reference_capture(framebuffer, &everything, &mut snapshot);
         std::hint::black_box(result.differs);
     }
     start.elapsed() / iterations
@@ -690,7 +664,7 @@ mod tests {
         // rows, and each tile-row group checks (and descends) 2 tiles.
         assert_eq!((m.tiles_checked(), m.tiles_descended()), (1 + 4, 1 + 4));
 
-        // The naive reference path reads every point twice per frame.
+        // The naive mode reads every point once per frame.
         let mut naive = ContentRateMeter::new(GridSampler::new(res, 10, 10));
         naive.set_naive(true);
         naive.observe(&fb, SimTime::ZERO);
@@ -699,8 +673,8 @@ mod tests {
         naive.observe(&fb, SimTime::from_millis(16));
         assert_eq!(
             naive.points_read(),
-            grid + 2 * grid,
-            "a naive redundant frame costs a full compare plus a full re-capture"
+            grid + grid,
+            "a naive redundant frame is one oracle pass over the whole screen"
         );
     }
 

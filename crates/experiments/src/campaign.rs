@@ -33,6 +33,7 @@ use std::fmt;
 
 use ccdem_metrics::table::TextTable;
 use ccdem_obs::json::Json;
+use ccdem_obs::sketch::exact_u64;
 use ccdem_obs::{Obs, QuantileSketch};
 use ccdem_simkit::parallel::ParallelRunner;
 use ccdem_simkit::time::SimTime;
@@ -301,13 +302,12 @@ impl CampaignStats {
     /// The round trip is **exact**: every bucket count, sum, min, max
     /// and the run count survive, so a resumed campaign continues to
     /// byte-identical final statistics (pinned by a proptest in
-    /// `tests/`). Returns `None` on a malformed document, an unknown
-    /// metric name (see [`KNOWN_METRICS`]), or a malformed sketch.
+    /// `tests/`). Returns `None` on a malformed document, a run count
+    /// that is not an exact integer below 2^53 ([`exact_u64`]), an
+    /// unknown metric name (see [`KNOWN_METRICS`]), or a malformed
+    /// sketch.
     pub fn from_json(doc: &Json) -> Option<CampaignStats> {
-        let runs = doc.get("runs")?.as_f64()?;
-        if runs < 0.0 || runs.fract() != 0.0 {
-            return None;
-        }
+        let runs = exact_u64(doc.get("runs")?)?;
         let Json::Obj(members) = doc.get("metrics")? else {
             return None;
         };
@@ -315,12 +315,7 @@ impl CampaignStats {
         for (name, sketch) in members {
             metrics.insert(intern_metric(name)?, QuantileSketch::from_json(sketch)?);
         }
-        Some(CampaignStats {
-            // ccdem-lint: allow(arith-cast) — deserialization of the
-            // count this type serialized; f64 is exact below 2^53.
-            runs: runs as u64,
-            metrics,
-        })
+        Some(CampaignStats { runs, metrics })
     }
 
     /// Headline (field, metric, quantile) triples shared by progress and
@@ -528,6 +523,14 @@ mod tests {
         assert_eq!(CampaignStats::from_json(&fractional), None);
         let negative = parse(r#"{"runs": -2, "metrics": {}}"#).unwrap();
         assert_eq!(CampaignStats::from_json(&negative), None);
+        // So are counts an f64 cannot hold exactly: a resume would add
+        // its runs to a saturated or rounded total.
+        for huge in ["1e30", "9007199254740992"] {
+            let doc = parse(&format!(r#"{{"runs": {huge}, "metrics": {{}}}}"#)).unwrap();
+            assert_eq!(CampaignStats::from_json(&doc), None, "runs {huge}");
+        }
+        let below = parse(r#"{"runs": 9007199254740991, "metrics": {}}"#).unwrap();
+        assert_eq!(CampaignStats::from_json(&below).map(|s| s.runs), Some((1 << 53) - 1));
         // Missing members.
         let empty = parse("{}").unwrap();
         assert_eq!(CampaignStats::from_json(&empty), None);

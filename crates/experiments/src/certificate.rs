@@ -160,7 +160,6 @@ pub fn issue(config: &CertificateConfig) -> Certificate {
         seed: config.seed,
         quarter_resolution: true,
         jobs: 0,
-        naive_metering: false,
         profile: false,
     });
     let mean_saved = |class: AppClass| {

@@ -15,8 +15,10 @@
 //!   signatures resolve every tile to a known solid colour, so the
 //!   gather compares against constants and refreshes the snapshot
 //!   without reading the framebuffer at all;
-//! * **naive_redundant** — the pre-fast-path reference on the redundant
-//!   frame: a full compare pass plus a full capture pass.
+//! * **naive_redundant** — the meter's naive mode on the redundant
+//!   frame: one pass of the scalar oracle
+//!   ([`GridSampler::reference_capture`]) over the whole screen, n reads
+//!   per frame.
 //!
 //! Timings use the host clock and vary run to run; the
 //! `points_read_per_frame` figures are exact and deterministic, so the
@@ -302,7 +304,6 @@ pub fn run(config: &PerfConfig) -> PerfReport {
             seed: config.seed,
             quarter_resolution: true,
             jobs: 0,
-            naive_metering: false,
             profile: false,
         });
         (config.sweep_secs, started.elapsed().as_secs_f64())
@@ -420,7 +421,7 @@ fn run_budget(config: &PerfConfig, resolution: Resolution, budget: usize) -> Bud
 
 /// Times `frames` metering steps. Each frame: `mutate` the framebuffer
 /// (untimed — app rendering is not metering cost), then observe through
-/// the damage-aware path (or the naive double-gather when `naive`).
+/// the damage-aware path (or the naive oracle pass when `naive`).
 /// Returns mean ns/frame and the meter's own exact points-read count.
 fn bench_case(
     sampler: &GridSampler,
@@ -784,10 +785,10 @@ mod tests {
     fn redundant_frames_read_zero_pixels() {
         for b in &quick().budgets {
             assert_eq!(b.case("redundant").unwrap().points_read_per_frame, 0.0);
-            // Naive reference pays a compare pass plus a capture pass.
+            // Naive mode pays one oracle pass over the whole grid.
             assert_eq!(
                 b.case("naive_redundant").unwrap().points_read_per_frame,
-                2.0 * b.pixels as f64
+                b.pixels as f64
             );
         }
     }

@@ -220,10 +220,10 @@ impl Scenario {
 
     /// Disables (or re-enables) every damage-aware fast path: the
     /// compositor recomposes the full screen each frame and the meter
-    /// gathers the full grid twice per observed frame, exactly as before
-    /// the fused fast path existed. Results are bit-identical either
-    /// way; this exists so equivalence tests and benchmarks can compare
-    /// the two implementations.
+    /// runs one scalar-oracle pass over the full grid per observed frame
+    /// ([`ContentRateMeter::set_naive`](ccdem_core::meter::ContentRateMeter::set_naive)).
+    /// Results are bit-identical either way; this exists so equivalence
+    /// tests and benchmarks can compare the two implementations.
     pub fn with_naive_metering(mut self, naive: bool) -> Scenario {
         self.governor = self.governor.with_naive_metering(naive);
         self

@@ -50,10 +50,6 @@ pub struct SweepConfig {
     /// Worker threads; `0` = all available cores, `1` = the exact legacy
     /// serial path. Results are identical for every value.
     pub jobs: usize,
-    /// Run with every damage-aware fast path disabled (full recompose +
-    /// double-gather metering). Results are bit-identical to the fast
-    /// path; used by equivalence tests and the benchmark harness.
-    pub naive_metering: bool,
     /// Profile the decision path of every run into the global
     /// `profile.*` sketches (see [`Profiler`](crate::profile::Profiler)).
     /// Strictly outward: results are byte-identical either way.
@@ -67,7 +63,6 @@ impl Default for SweepConfig {
             seed: 9,
             quarter_resolution: true,
             jobs: 0,
-            naive_metering: false,
             profile: false,
         }
     }
@@ -206,7 +201,6 @@ pub fn run_timed_with_campaign(
         let mut s = Scenario::new(Workload::App(spec.clone()), policy)
             .with_duration(config.duration)
             .with_seed(seed)
-            .with_naive_metering(config.naive_metering)
             .with_obs(obs.clone());
         if config.profile {
             s = s.with_profiling();
@@ -427,7 +421,6 @@ mod tests {
                 seed: 21,
                 quarter_resolution: true,
                 jobs: 0,
-                naive_metering: false,
                 profile: false,
             })
         })

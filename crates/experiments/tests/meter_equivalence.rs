@@ -1,9 +1,10 @@
 //! End-to-end equivalence of the damage-aware fast path.
 //!
 //! Runs full scenarios twice — once with every fast path enabled
-//! (incremental composition, damage-restricted gathers, O(1) redundant
-//! classification) and once with `naive_metering` forcing the pre-PR
-//! full-recompose + double-gather pipeline — and asserts the entire
+//! (incremental composition, tile-gated damage-restricted gathers, O(1)
+//! redundant classification) and once with `with_naive_metering(true)`
+//! forcing a full recompose and one scalar-oracle pass over the grid per
+//! frame — and asserts the entire
 //! [`RunResult`] is field-for-field identical. Power, refresh decisions,
 //! latencies and per-second series all derive from the meter's
 //! classifications and the composed pixels, so equality here proves the

@@ -18,7 +18,6 @@ fn config(jobs: usize) -> SweepConfig {
         seed: 20814,
         quarter_resolution: true,
         jobs,
-        naive_metering: false,
         profile: false,
     }
 }

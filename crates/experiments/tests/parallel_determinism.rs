@@ -17,7 +17,6 @@ fn config(jobs: usize) -> SweepConfig {
         seed: 1234,
         quarter_resolution: true,
         jobs,
-        naive_metering: false,
         profile: false,
     }
 }

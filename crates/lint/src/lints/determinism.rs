@@ -15,9 +15,9 @@
 //!   nondeterministic; use `BTreeMap`/`BTreeSet` or sorted iteration.
 //!
 //! The lint flags any mention in a result-affecting crate outside the
-//! whitelisted host-timing modules. Telemetry-only uses (the meter's
-//! `diff_us` measurement, sweep wall-clock reporting) carry a line-level
-//! `// ccdem-lint: allow(determinism)` with justification.
+//! whitelisted host-timing modules. Telemetry-only uses (sweep
+//! wall-clock reporting, the Fig. 6 metering-cost timer) carry a
+//! line-level `// ccdem-lint: allow(determinism)` with justification.
 
 use crate::diag::{Diagnostic, LintId};
 use crate::source::SourceFile;

@@ -331,8 +331,9 @@ impl QuantileSketch {
 
     /// Reconstructs a sketch serialized by [`to_json`](Self::to_json).
     /// Returns `None` on any structural problem: a missing member; a
-    /// precision, bucket index, bucket count or `count` that is not an
-    /// integer in range; bucket counts whose sum overflows `u64` or
+    /// precision, bucket index, bucket count, `count`, `min` or `max`
+    /// that is not an integer in range (all below 2^53, see
+    /// [`exact_u64`]); bucket counts whose sum overflows `u64` or
     /// differs from `count`; or a `min`/`max` pair with `min > max` or
     /// outside the value range of the non-empty buckets. Checkpoints and
     /// committed reports arrive from outside the program, so a hostile
@@ -384,13 +385,15 @@ impl QuantileSketch {
 }
 
 /// A JSON number as an exact `u64`: integral, non-negative and below
-/// 2^64, or `None`.
-fn exact_u64(value: &Json) -> Option<u64> {
+/// 2^53, or `None`. JSON numbers are `f64`s, which hold every integer
+/// only below 2^53; a larger member may have been rounded when it was
+/// written, so it is rejected rather than trusted. Every integral sketch
+/// member goes through this check, and so does the run count of a
+/// campaign checkpoint.
+pub fn exact_u64(value: &Json) -> Option<u64> {
     let v = value.as_f64()?;
-    // 2^64 is the first integer a u64 cannot hold; every f64 below it
-    // that passes the other checks converts exactly.
     // ccdem-lint: allow(arith-cast) — range- and integrality-checked.
-    (v >= 0.0 && v.fract() == 0.0 && v < 18_446_744_073_709_551_616.0).then_some(v as u64)
+    (v >= 0.0 && v.fract() == 0.0 && v < 9_007_199_254_740_992.0).then_some(v as u64)
 }
 
 /// A concurrently recordable [`QuantileSketch`]: same bucket layout, all
@@ -756,6 +759,13 @@ mod tests {
         // 2^64 itself does not fit a u64 (a cast would saturate).
         assert!(rejects(
             r#"{"precision":5,"count":18446744073709551616,"sum":0,"buckets":[[1,18446744073709551616]]}"#
+        ));
+        // 2^53 is the first count an f64 may have rounded.
+        assert!(rejects(
+            r#"{"precision":5,"count":9007199254740992,"sum":0,"min":1,"max":1,"buckets":[[1,9007199254740992]]}"#
+        ));
+        assert!(!rejects(
+            r#"{"precision":5,"count":9007199254740991,"sum":0,"min":1,"max":1,"buckets":[[1,9007199254740991]]}"#
         ));
     }
 

@@ -6,21 +6,26 @@
 //! grid laid over the screen and treats that pixel as representative of the
 //! cell.
 //!
-//! Every gather walks the sampled points row-major, as **segments** of
-//! consecutive grid columns on one sampled row. A segment lies either in
-//! one solid tile — the framebuffer stores such a tile as its colour, so
-//! the segment compares against that constant and refreshes the snapshot
-//! with a `fill` — or in a run of tiles whose pixel storage is
-//! authoritative, read straight from the row. A segment of consecutive
-//! pixel columns (the full-resolution sampler, and any budget that
-//! samples every column) compares two pixels per `u64` word and refreshes
-//! the snapshot with a `memcpy`; a strided one indexes the row directly.
-
-use std::ops::ControlFlow;
+//! A meter step compares the grid points a frame may have changed with a
+//! snapshot of the previous frame, stops comparing at the first
+//! difference, and refreshes the snapshot. The sampler has one gather
+//! that does this per frame and one oracle that defines it:
+//!
+//! * [`GridSampler::compare_and_capture_tiled`], the production gather,
+//!   consults the buffer's tile signatures first. It skips tiles
+//!   unwritten since the last observation, compares a provably solid
+//!   tile's points against its colour (a `fill` refreshes them), and
+//!   reads pixel storage only in tiles of unknown content: two pixels
+//!   per `u64` word along consecutive columns (a `memcpy` refreshes
+//!   them), one at a time along strided ones.
+//! * [`GridSampler::reference_capture`], the scalar oracle, reads every
+//!   grid point inside the damage through [`FrameBuffer::pixel`], one at
+//!   a time in row-major order. The production gather is proptested
+//!   against it: same verdict, same early-exit point, same snapshot.
 
 use crate::buffer::FrameBuffer;
 use crate::damage::DamageRegion;
-use crate::geometry::{Rect, Resolution};
+use crate::geometry::Resolution;
 use crate::pixel::Pixel;
 use crate::tile::{TileMap, TILE_SIZE};
 
@@ -34,10 +39,9 @@ pub struct GridCompare {
     pub points_compared: usize,
     /// Grid points whose framebuffer pixel was actually read, comparisons
     /// and snapshot refreshes combined. This is the per-frame gather cost:
-    /// [`GridSampler::compare`] reads each compared point once, the fused
-    /// [`GridSampler::compare_and_capture`] reads every grid point exactly
-    /// once, and the damage-restricted variant reads only the points
-    /// inside the damage region.
+    /// the oracle [`GridSampler::reference_capture`] reads every grid
+    /// point inside the damage exactly once; the tiled gather reads only
+    /// the points under tiles of unknown content.
     pub points_read: usize,
 }
 
@@ -47,10 +51,10 @@ pub struct GridCompare {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileCompare {
     /// The verdict and accounting. `differs` and `points_compared` are
-    /// bit-identical to what
-    /// [`GridSampler::compare_and_capture_damaged`] reports for the same
-    /// inputs; `points_read` counts only the framebuffer pixels actually
-    /// read, which the clean- and solid-tile paths avoid entirely.
+    /// bit-identical to what [`GridSampler::reference_capture`] reports
+    /// for the same inputs; `points_read` counts only the framebuffer
+    /// pixels actually read, which the clean- and solid-tile paths avoid
+    /// entirely.
     pub grid: GridCompare,
     /// Tiles whose signature was examined (per damage rect and tile-row
     /// group, so a tile revisited for another rect counts again).
@@ -81,16 +85,6 @@ fn tile_kind(tiles: &TileMap, tx: u32, ty: u32, last_content_generation: u64) ->
     } else {
         TileKind::Unknown
     }
-}
-
-/// Where a segment of sampled points reads its pixels.
-#[derive(Debug, Clone, Copy)]
-enum Src<'a> {
-    /// The pixel storage of the sampled row, indexed by screen column;
-    /// authoritative for every column of the segment.
-    Row(&'a [Pixel]),
-    /// Every point of the segment holds exactly this colour.
-    Solid(Pixel),
 }
 
 /// Packs two pixels into one comparison word: dense runs compare two
@@ -131,79 +125,13 @@ fn first_diff_dense(window: &[Pixel], prev: &[Pixel]) -> Option<usize> {
         .map(|k| n + k)
 }
 
-/// The storage window of sample columns `xs` when they are consecutive
-/// pixel columns (a dense segment).
-fn dense_window<'a>(row: &'a [Pixel], xs: &[u32]) -> Option<&'a [Pixel]> {
-    let (&first, &last) = (xs.first()?, xs.last()?);
-    if (last - first) as usize + 1 != xs.len() {
-        return None;
-    }
-    row.get(first as usize..=last as usize)
-}
-
-/// Index of the first point of segment `xs` whose pixel differs from its
-/// slot in `prev`.
-fn first_diff(src: Src<'_>, xs: &[u32], prev: &[Pixel]) -> Option<usize> {
-    match src {
-        Src::Solid(c) => prev.iter().position(|&s| s != c),
-        Src::Row(row) => match dense_window(row, xs) {
-            Some(window) => first_diff_dense(window, prev),
-            None => xs
-                .iter()
-                .zip(prev)
-                .position(|(&x, s)| row.get(x as usize) != Some(s)),
-        },
-    }
-}
-
-/// Number of points of segment `xs` whose pixel differs from `prev`.
-fn count_diffs(src: Src<'_>, xs: &[u32], prev: &[Pixel]) -> usize {
-    match src {
-        Src::Solid(c) => prev.iter().filter(|&&s| s != c).count(),
-        Src::Row(row) => xs
-            .iter()
-            .zip(prev)
-            .filter(|&(&x, s)| row.get(x as usize) != Some(s))
-            .count(),
-    }
-}
-
-/// Refreshes the snapshot slots `dst` with the pixels of segment `xs`: a
-/// `fill` for a solid tile, a `memcpy` for a dense window.
-fn capture(src: Src<'_>, xs: &[u32], dst: &mut [Pixel]) {
-    match src {
-        Src::Solid(c) => dst.fill(c),
-        Src::Row(row) => match dense_window(row, xs) {
-            Some(window) if window.len() == dst.len() => dst.copy_from_slice(window),
-            _ => {
-                for (&x, slot) in xs.iter().zip(dst) {
-                    if let Some(&p) = row.get(x as usize) {
-                        *slot = p;
-                    }
-                }
-            }
-        },
-    }
-}
-
-/// One segment of a fused gather: while `live`, compares against `snap`
-/// and, at a difference, returns its offset and refreshes the slots
-/// (slots that compared equal already hold the sampled values); once
-/// past the first difference, refreshes without comparing.
-fn compare_capture(src: Src<'_>, xs: &[u32], snap: &mut [Pixel], live: bool) -> Option<usize> {
-    let hit = if live { first_diff(src, xs, snap) } else { None };
-    if hit.is_some() || !live {
-        capture(src, xs, snap);
-    }
-    hit
-}
-
 /// Precomputed sample positions for grid-based comparison.
 ///
 /// # Examples
 ///
 /// ```
 /// use ccdem_pixelbuf::buffer::FrameBuffer;
+/// use ccdem_pixelbuf::damage::DamageRegion;
 /// use ccdem_pixelbuf::geometry::Resolution;
 /// use ccdem_pixelbuf::grid::GridSampler;
 /// use ccdem_pixelbuf::pixel::Pixel;
@@ -214,9 +142,11 @@ fn compare_capture(src: Src<'_>, xs: &[u32], snap: &mut [Pixel], live: bool) -> 
 /// assert_eq!(sampler.sample_count(), 9216);
 ///
 /// let mut fb = FrameBuffer::new(res);
-/// let before = sampler.sample(&fb);
+/// let mut snapshot = sampler.sample(&fb);
 /// fb.fill(Pixel::WHITE);
-/// assert!(sampler.differs(&fb, &before));
+/// let everything = DamageRegion::of(res.bounds());
+/// assert!(sampler.reference_capture(&fb, &everything, &mut snapshot).differs);
+/// assert_eq!(snapshot, sampler.sample(&fb)); // refreshed
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridSampler {
@@ -322,53 +252,6 @@ impl GridSampler {
         (self.cols as usize) * (self.rows as usize)
     }
 
-    /// Visits the sampled points inside `rect`, row-major, as segments:
-    /// `f(snap_start, xs, src)` gets the snapshot index of a segment's
-    /// first point, its sample columns, and where its pixels live. A
-    /// sampled row splits wherever the buffer's storage changes between
-    /// a solid tile (`Src::Solid`, its slots stale) and a run of unknown
-    /// tiles (`Src::Row`). Stops as soon as `f` breaks.
-    fn walk<'a>(
-        &self,
-        buffer: &'a FrameBuffer,
-        rect: Rect,
-        mut f: impl FnMut(usize, &[u32], Src<'a>) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        let (gx0, gx1) = Self::axis_range(&self.col_xs, rect.x, rect.right());
-        let (gy0, gy1) = Self::axis_range(&self.row_ys, rect.y, rect.bottom());
-        let xs = self.col_xs.get(gx0..gx1).unwrap_or_default();
-        let w = self.resolution.width as usize;
-        let cols = self.cols as usize;
-        let tiles = buffer.tiles();
-        for (gy, &y) in self.row_ys.iter().enumerate().take(gy1).skip(gy0) {
-            let start = y as usize * w;
-            let row = Src::Row(buffer.storage().get(start..start + w).unwrap_or_default());
-            let base = gy * cols + gx0;
-            let ty = y / TILE_SIZE;
-            // Start of the open run of columns in unknown tiles.
-            let mut unknown_from = None;
-            let mut k = 0;
-            while let Some(&x) = xs.get(k) {
-                let tx = x / TILE_SIZE;
-                let rest = xs.get(k..).unwrap_or_default();
-                let end = k + rest.partition_point(|&c| c / TILE_SIZE == tx);
-                if let Some(c) = tiles.tile(tx, ty).solid {
-                    if let Some(u) = unknown_from.take() {
-                        f(base + u, xs.get(u..k).unwrap_or_default(), row)?;
-                    }
-                    f(base + k, xs.get(k..end).unwrap_or_default(), Src::Solid(c))?;
-                } else {
-                    unknown_from.get_or_insert(k);
-                }
-                k = end;
-            }
-            if let Some(u) = unknown_from {
-                f(base + u, xs.get(u..).unwrap_or_default(), row)?;
-            }
-        }
-        ControlFlow::Continue(())
-    }
-
     /// Gathers the sampled pixels of `buffer` into a new vector.
     ///
     /// **Allocation contract:** allocates a fresh vector on every call.
@@ -380,19 +263,19 @@ impl GridSampler {
     ///
     /// Panics if the buffer resolution does not match the sampler's.
     pub fn sample(&self, buffer: &FrameBuffer) -> Vec<Pixel> {
-        let mut out = vec![Pixel::TRANSPARENT; self.sample_count()];
+        let mut out = Vec::new();
         self.sample_into(buffer, &mut out);
         out
     }
 
-    /// Gathers the sampled pixels of `buffer` into `out`, resizing it to
-    /// [`sample_count`](Self::sample_count). Every slot of `out` is
-    /// overwritten, so recycled storage needs no clearing first.
+    /// Gathers the sampled pixels of `buffer` into `out`, in grid order,
+    /// resizing it to [`sample_count`](Self::sample_count). Every slot of
+    /// `out` is overwritten, so recycled storage needs no clearing first.
+    /// The meter primes its snapshot with this, once per run.
     ///
     /// **Allocation contract:** allocation-free once `out` has reached
-    /// capacity — reusing `out` across frames is the double-buffering
-    /// "extra buffer" of §3.1, and the only supported way to sample on a
-    /// hot path.
+    /// capacity, so a recycled snapshot — the double-buffering "extra
+    /// buffer" of §3.1 — is primed without allocating.
     ///
     /// # Panics
     ///
@@ -400,182 +283,80 @@ impl GridSampler {
     pub fn sample_into(&self, buffer: &FrameBuffer, out: &mut Vec<Pixel>) {
         self.check_buffer(buffer);
         out.resize(self.sample_count(), Pixel::TRANSPARENT);
-        let _ = self.walk(buffer, self.resolution.bounds(), |start, xs, src| {
-            if let Some(dst) = out.get_mut(start..start + xs.len()) {
-                capture(src, xs, dst);
-            }
-            ControlFlow::Continue(())
-        });
-    }
-
-    /// Whether the current buffer content differs from a previously
-    /// captured sample at any grid point. Early-exits on the first
-    /// difference, so redundant frames pay the full scan and changed
-    /// frames usually return almost immediately.
-    ///
-    /// # Panics
-    ///
-    /// Panics if resolutions mismatch or `previous` has the wrong length.
-    pub fn differs(&self, buffer: &FrameBuffer, previous: &[Pixel]) -> bool {
-        self.compare(buffer, previous).differs
-    }
-
-    /// Compares the current buffer against a previously captured sample,
-    /// reporting both the verdict and how many grid points were actually
-    /// inspected before the early exit — the per-frame comparison cost
-    /// that grid sampling exists to bound (paper §3.1, Fig. 6).
-    ///
-    /// A redundant frame inspects every point
-    /// ([`sample_count`](Self::sample_count)); a changed frame stops at
-    /// the first differing point. Dense runs compare two pixels per
-    /// `u64` word but still report the exact first-differing point, so
-    /// the accounting is bit-identical to a scalar sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if resolutions mismatch or `previous` has the wrong length.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ccdem_pixelbuf::buffer::FrameBuffer;
-    /// use ccdem_pixelbuf::geometry::Resolution;
-    /// use ccdem_pixelbuf::grid::GridSampler;
-    /// use ccdem_pixelbuf::pixel::Pixel;
-    ///
-    /// let g = GridSampler::new(Resolution::new(100, 100), 10, 10);
-    /// let mut fb = FrameBuffer::new(Resolution::new(100, 100));
-    /// let snap = g.sample(&fb);
-    ///
-    /// let unchanged = g.compare(&fb, &snap);
-    /// assert!(!unchanged.differs);
-    /// assert_eq!(unchanged.points_compared, g.sample_count());
-    ///
-    /// fb.fill(Pixel::WHITE);
-    /// let changed = g.compare(&fb, &snap);
-    /// assert!(changed.differs);
-    /// assert_eq!(changed.points_compared, 1); // first point already differs
-    /// ```
-    pub fn compare(&self, buffer: &FrameBuffer, previous: &[Pixel]) -> GridCompare {
-        self.check_snapshot(buffer, previous);
-        let mut hit = None;
-        let _ = self.walk(buffer, self.resolution.bounds(), |start, xs, src| {
-            let prev = previous.get(start..start + xs.len()).unwrap_or_default();
-            match first_diff(src, xs, prev) {
-                Some(k) => {
-                    hit = Some(start + k + 1);
-                    ControlFlow::Break(())
-                }
-                None => ControlFlow::Continue(()),
-            }
-        });
-        let n = hit.unwrap_or(self.sample_count());
-        GridCompare {
-            differs: hit.is_some(),
-            points_compared: n,
-            points_read: n,
+        for ((x, y), slot) in self.positions().zip(out.iter_mut()) {
+            *slot = buffer.pixel(x, y);
         }
     }
 
-    /// Compares the current buffer against `snapshot` and refreshes the
-    /// snapshot to the current content, in a single gather: each grid
-    /// point is read exactly once, where a separate
-    /// [`compare`](Self::compare) + [`sample_into`](Self::sample_into)
-    /// pair reads redundant frames twice. The verdict is identical to
-    /// `compare` and the refreshed snapshot is identical to
-    /// `sample_into`'s output.
+    /// The scalar oracle of a meter step, which defines the verdict every
+    /// gather must reproduce. For each rect of `damage` in order, it
+    /// takes each grid point inside the rect in row-major order, reads it
+    /// through [`FrameBuffer::pixel`], compares it with its `snapshot`
+    /// slot until the first difference, and writes it back.
     ///
-    /// Comparisons stop at the first difference (`points_compared`
-    /// early-exits like `compare`), but every point is still read to keep
-    /// the snapshot current, so `points_read` always equals
-    /// [`sample_count`](Self::sample_count). Runs that compared equal are
-    /// not rewritten (the snapshot already holds exactly those values);
-    /// dense runs past the first difference refresh via `memcpy`. This
-    /// is the damage-restricted gather with the whole screen as damage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if resolutions mismatch or `snapshot` has the wrong length
-    /// (prime it first with [`sample_into`](Self::sample_into)).
-    pub fn compare_and_capture(
-        &self,
-        buffer: &FrameBuffer,
-        snapshot: &mut [Pixel],
-    ) -> GridCompare {
-        let everything = DamageRegion::of(self.resolution.bounds());
-        self.compare_and_capture_damaged(buffer, &everything, snapshot)
-    }
-
-    /// Damage-restricted [`compare_and_capture`](Self::compare_and_capture):
-    /// inspects and refreshes only the grid points whose sample position
-    /// lies inside `damage`, reading nothing else.
+    /// `points_compared` counts the comparisons up to and including the
+    /// first difference; `points_read` counts every point inside the
+    /// damage. With the whole screen as damage this is the naive meter
+    /// step: n reads per frame.
     ///
     /// **Soundness contract:** `damage` must cover every pixel of `buffer`
     /// written since `snapshot` was last captured (the guarantee
-    /// [`FrameBuffer::take_damage`] provides). Points outside the damage
-    /// are then unchanged, so skipping them cannot alter the verdict and
-    /// the snapshot remains current everywhere. Per damage rectangle the
-    /// intersecting grid rows/columns are found by binary search, so the
-    /// cost is O(points inside the damage), not O(grid). When the damaged
-    /// columns are consecutive pixels (always true for the full-resolution
-    /// sampler), each damaged row compares as one dense window — two
-    /// pixels per word, `memcpy` refresh. Points in solid tiles compare
-    /// against the tile's colour.
+    /// [`FrameBuffer::take_damage`] provides). Points outside it are then
+    /// unchanged, so skipping them cannot alter the verdict and the
+    /// snapshot stays current everywhere.
     ///
     /// # Panics
     ///
     /// Panics if resolutions mismatch or `snapshot` has the wrong length.
-    pub fn compare_and_capture_damaged(
+    pub fn reference_capture(
         &self,
         buffer: &FrameBuffer,
         damage: &DamageRegion,
         snapshot: &mut [Pixel],
     ) -> GridCompare {
         self.check_snapshot(buffer, snapshot);
-        let mut differs = false;
-        let mut points_compared = 0;
-        let mut points_read = 0;
-        // Damage rects are disjoint and both coordinate axes are strictly
-        // increasing, so each grid point is visited at most once.
-        for &rect in damage.rects() {
-            let _ = self.walk(buffer, rect, |start, xs, src| {
-                let Some(snap) = snapshot.get_mut(start..start + xs.len()) else {
-                    return ControlFlow::Continue(());
-                };
-                points_read += xs.len();
-                match compare_capture(src, xs, snap, !differs) {
-                    Some(k) => {
-                        differs = true;
-                        points_compared += k + 1;
+        let cols = self.cols as usize;
+        let mut result = GridCompare {
+            differs: false,
+            points_compared: 0,
+            points_read: 0,
+        };
+        for rect in damage.rects() {
+            let (gx0, gx1) = Self::axis_range(&self.col_xs, rect.x, rect.right());
+            let (gy0, gy1) = Self::axis_range(&self.row_ys, rect.y, rect.bottom());
+            for (gy, &y) in self.row_ys.iter().enumerate().take(gy1).skip(gy0) {
+                for (gx, &x) in self.col_xs.iter().enumerate().take(gx1).skip(gx0) {
+                    let Some(slot) = snapshot.get_mut(gy * cols + gx) else {
+                        continue;
+                    };
+                    let pixel = buffer.pixel(x, y);
+                    result.points_read += 1;
+                    if !result.differs {
+                        result.points_compared += 1;
+                        result.differs = pixel != *slot;
                     }
-                    None if !differs => points_compared += xs.len(),
-                    None => {}
+                    *slot = pixel;
                 }
-                ControlFlow::Continue(())
-            });
+            }
         }
-        GridCompare {
-            differs,
-            points_compared,
-            points_read,
-        }
+        result
     }
 
-    /// Tile-gated [`compare_and_capture_damaged`][ccd]: consults the
-    /// buffer's per-tile content signatures before touching pixels, so
-    /// tiles unwritten since the last observation are skipped outright
-    /// and provably-solid tiles are compared against their constant
-    /// colour with **zero framebuffer reads** (the snapshot refresh is a
-    /// `fill`, not a gather). Only tiles with unknown content descend to
-    /// the pixel storage. Both pruning mechanisms compose:
-    /// the walk covers the intersection of the damage region with the
-    /// dirty tiles.
+    /// The production meter step: [`reference_capture`][oracle]'s
+    /// verdict, gated by the buffer's per-tile content signatures before
+    /// it touches pixels. Tiles unwritten since the last observation are
+    /// skipped outright and provably-solid tiles are compared against
+    /// their constant colour with **zero framebuffer reads** (the
+    /// snapshot refresh is a `fill`, not a gather). Only tiles with
+    /// unknown content descend to the pixel storage. Both pruning
+    /// mechanisms compose: the walk covers the intersection of the
+    /// damage region with the dirty tiles.
     ///
     /// Signatures gate *descent only*, never equality: `differs`,
     /// `points_compared` (including the early-exit point), and the
     /// refreshed snapshot bytes are bit-identical to
-    /// [`compare_and_capture_damaged`][ccd] on the same inputs. A stale
-    /// or overly pessimistic signature can only cost an extra descent.
+    /// [`reference_capture`][oracle] on the same inputs. A stale or
+    /// overly pessimistic signature can only cost an extra descent.
     /// Internally the per-rect walk is segment-major (each tile-row
     /// group classifies its tile columns once), so the row-major
     /// early-exit point is recovered as the lexicographically smallest
@@ -584,14 +365,14 @@ impl GridSampler {
     /// invisible.
     ///
     /// **Soundness contract:** in addition to the damage contract of
-    /// [`compare_and_capture_damaged`][ccd], `snapshot` must be current
-    /// as of `last_content_generation` — every grid point equal to the
+    /// [`reference_capture`][oracle], `snapshot` must be current as of
+    /// `last_content_generation` — every grid point equal to the
     /// buffer's pixel as it stood at that content generation. The meter
     /// maintains exactly this by capturing on every observation; tiles
     /// stamped at or before that generation are then both unchanged and
     /// already correctly snapshotted.
     ///
-    /// [ccd]: Self::compare_and_capture_damaged
+    /// [oracle]: Self::reference_capture
     ///
     /// # Panics
     ///
@@ -786,17 +567,6 @@ impl GridSampler {
         }
     }
 
-    /// Number of grid points whose pixel differs from the captured sample.
-    pub fn changed_points(&self, buffer: &FrameBuffer, previous: &[Pixel]) -> usize {
-        self.check_snapshot(buffer, previous);
-        let mut n = 0;
-        let _ = self.walk(buffer, self.resolution.bounds(), |start, xs, src| {
-            n += count_diffs(src, xs, previous.get(start..start + xs.len()).unwrap_or_default());
-            ControlFlow::Continue(())
-        });
-        n
-    }
-
     /// The `(x, y)` screen position of each sample point, in grid order,
     /// without allocating.
     pub fn positions(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
@@ -836,6 +606,11 @@ impl GridSampler {
 mod tests {
     use super::*;
     use crate::geometry::Rect;
+
+    /// The oracle with the whole screen as damage: the naive meter step.
+    fn whole_screen(g: &GridSampler, fb: &FrameBuffer, snap: &mut [Pixel]) -> GridCompare {
+        g.reference_capture(fb, &DamageRegion::of(g.resolution().bounds()), snap)
+    }
 
     #[test]
     fn paper_grid_dimensions() {
@@ -880,13 +655,19 @@ mod tests {
             fb.set_pixel(66, 33, Pixel::WHITE); // materializes tile (1, 0)
             let expected: Vec<Pixel> = g.positions().map(|(x, y)| fb.pixel(x, y)).collect();
             assert_eq!(g.sample(&fb), expected);
-            assert!(!g.differs(&fb, &expected));
-            assert_eq!(g.changed_points(&fb, &expected), 0);
-            let mut fused = vec![Pixel::TRANSPARENT; g.sample_count()];
-            let r = g.compare_and_capture(&fb, &mut fused);
-            assert!(r.differs);
-            assert_eq!(r.points_compared, 1);
-            assert_eq!(fused, expected);
+            let mut same = expected.clone();
+            let r = whole_screen(&g, &fb, &mut same);
+            assert!(!r.differs);
+            assert_eq!(r.points_read, g.sample_count());
+            // From a blank buffer's snapshot every tile has been written
+            // since, so the tiled gather refreshes every slot.
+            let blank = FrameBuffer::new(res);
+            let mut tiled = g.sample(&blank);
+            let all = DamageRegion::of(res.bounds());
+            let r = g.compare_and_capture_tiled(&fb, &all, blank.content_generation(), &mut tiled);
+            assert!(r.grid.differs);
+            assert_eq!(r.grid.points_compared, 1);
+            assert_eq!(tiled, expected);
         }
     }
 
@@ -894,23 +675,26 @@ mod tests {
     fn dense_compare_locates_every_first_diff_exactly() {
         // Odd width: every full-sampler row window has an odd tail after
         // the two-pixel words, and diffs land on both word halves.
+        // The one set_pixel leaves the single tile of unknown content, so
+        // the tiled gather descends into one dense window per row.
         let res = Resolution::new(7, 3);
         let g = GridSampler::full(res);
+        let all = DamageRegion::of(res.bounds());
         let fb = FrameBuffer::new(res);
         let snap = g.sample(&fb);
         for p in 0..g.sample_count() {
             let (x, y) = ((p % 7) as u32, (p / 7) as u32);
             let mut fb2 = fb.clone();
             fb2.set_pixel(x, y, Pixel::WHITE);
-            let r = g.compare(&fb2, &snap);
-            assert!(r.differs);
-            assert_eq!(r.points_compared, p + 1, "first diff at point {p}");
-            assert_eq!(g.changed_points(&fb2, &snap), 1);
-            let mut captured = snap.clone();
-            let rc = g.compare_and_capture(&fb2, &mut captured);
-            assert_eq!(rc.points_compared, p + 1, "fused diff at point {p}");
-            assert_eq!(rc.points_read, g.sample_count());
-            assert_eq!(captured, g.sample(&fb2), "snapshot current after {p}");
+            let mut tiled = snap.clone();
+            let r = g.compare_and_capture_tiled(&fb2, &all, fb.content_generation(), &mut tiled);
+            assert!(r.grid.differs);
+            assert_eq!(r.grid.points_compared, p + 1, "first diff at point {p}");
+            assert_eq!(r.grid.points_read, g.sample_count());
+            let mut oracle = snap.clone();
+            assert_eq!(whole_screen(&g, &fb2, &mut oracle), r.grid, "oracle at point {p}");
+            assert_eq!(tiled, oracle, "snapshot bytes after {p}");
+            assert_eq!(tiled, g.sample(&fb2), "snapshot current after {p}");
         }
     }
 
@@ -991,9 +775,10 @@ mod tests {
         let res = Resolution::QUARTER;
         let g = GridSampler::for_pixel_budget(res, 1000);
         let fb = FrameBuffer::new(res);
-        let snap = g.sample(&fb);
-        assert!(!g.differs(&fb, &snap));
-        assert_eq!(g.changed_points(&fb, &snap), 0);
+        let mut snap = g.sample(&fb);
+        let r = whole_screen(&g, &fb, &mut snap);
+        assert!(!r.differs);
+        assert_eq!(r.points_compared, g.sample_count(), "a redundant frame compares all");
     }
 
     #[test]
@@ -1001,10 +786,13 @@ mod tests {
         let res = Resolution::QUARTER;
         let g = GridSampler::for_pixel_budget(res, 1000);
         let mut fb = FrameBuffer::new(res);
-        let snap = g.sample(&fb);
+        let mut snap = g.sample(&fb);
         fb.fill(Pixel::WHITE);
-        assert!(g.differs(&fb, &snap));
-        assert_eq!(g.changed_points(&fb, &snap), g.sample_count());
+        let r = whole_screen(&g, &fb, &mut snap);
+        assert!(r.differs);
+        assert_eq!(r.points_compared, 1, "the first point already differs");
+        assert_eq!(r.points_read, g.sample_count(), "…but every point is refreshed");
+        assert_eq!(snap, g.sample(&fb));
     }
 
     #[test]
@@ -1014,15 +802,16 @@ mod tests {
         let res = Resolution::new(100, 100);
         let g = GridSampler::new(res, 2, 2); // samples at (25,25),(75,25),...
         let mut fb = FrameBuffer::new(res);
-        let snap = g.sample(&fb);
+        let mut snap = g.sample(&fb);
         fb.fill_rect(Rect::new(0, 0, 3, 3), Pixel::WHITE);
-        assert!(!g.differs(&fb, &snap), "coarse grid should miss a 3x3 change");
+        let coarse = whole_screen(&g, &fb, &mut snap);
+        assert!(!coarse.differs, "coarse grid should miss a 3x3 change");
         // The full sampler never misses.
         let full = GridSampler::full(res);
         let mut fb2 = FrameBuffer::new(res);
-        let snap2 = full.sample(&fb2);
+        let mut snap2 = full.sample(&fb2);
         fb2.fill_rect(Rect::new(0, 0, 3, 3), Pixel::WHITE);
-        assert!(full.differs(&fb2, &snap2));
+        assert!(whole_screen(&full, &fb2, &mut snap2).differs);
     }
 
     #[test]
@@ -1039,45 +828,27 @@ mod tests {
     }
 
     #[test]
-    fn fused_capture_matches_compare_then_sample() {
-        let res = Resolution::new(100, 100);
-        let g = GridSampler::new(res, 10, 10);
-        let mut fb = FrameBuffer::new(res);
-        let mut fused = g.sample(&fb);
-        let mut naive = fused.clone();
-
-        for step in 0..4 {
-            match step {
-                0 => fb.fill_rect(Rect::new(20, 20, 30, 30), Pixel::WHITE),
-                1 => fb.touch(),
-                2 => fb.fill(Pixel::grey(40)),
-                _ => fb.set_pixel(25, 25, Pixel::WHITE),
-            }
-            let expected = g.compare(&fb, &naive);
-            g.sample_into(&fb, &mut naive);
-            let got = g.compare_and_capture(&fb, &mut fused);
-            assert_eq!(got.differs, expected.differs, "step {step}");
-            assert_eq!(got.points_compared, expected.points_compared, "step {step}");
-            assert_eq!(got.points_read, g.sample_count());
-            assert_eq!(fused, naive, "snapshots diverged at step {step}");
-        }
-    }
-
-    #[test]
     fn damaged_capture_reads_only_damaged_points() {
         let res = Resolution::new(100, 100);
         let g = GridSampler::new(res, 10, 10); // samples at 5, 15, …, 95
         let mut fb = FrameBuffer::new(res);
         let mut snap = g.sample(&fb);
 
+        let mut tiled = snap.clone();
+        let lcg = fb.content_generation();
+
         // A 20×20 write covers exactly a 2×2 block of sample points.
         fb.fill_rect(Rect::new(10, 10, 20, 20), Pixel::WHITE);
         let damage = fb.take_damage();
-        let r = g.compare_and_capture_damaged(&fb, &damage, &mut snap);
+        let r = g.reference_capture(&fb, &damage, &mut snap);
         assert!(r.differs);
         assert_eq!(r.points_read, 4);
-        assert!(r.points_compared <= 4);
+        assert_eq!(r.points_compared, 1);
         assert_eq!(snap, g.sample(&fb), "snapshot must stay current");
+        // The write leaves its tile unknown: the tiled gather reads the
+        // same four points.
+        assert_eq!(g.compare_and_capture_tiled(&fb, &damage, lcg, &mut tiled).grid, r);
+        assert_eq!(tiled, snap);
     }
 
     #[test]
@@ -1090,11 +861,11 @@ mod tests {
         // Damage that dodges every sample point: x in [6, 14), y in [6, 14).
         fb.fill_rect(Rect::new(6, 6, 8, 8), Pixel::WHITE);
         let damage = fb.take_damage();
-        let r = g.compare_and_capture_damaged(&fb, &damage, &mut snap);
+        let r = g.reference_capture(&fb, &damage, &mut snap);
         assert!(!r.differs, "sub-cell change is invisible to the grid");
         assert_eq!(r.points_read, 0);
         // The full comparison agrees: no sampled point changed.
-        assert!(!g.differs(&fb, &snap));
+        assert!(!whole_screen(&g, &fb, &mut snap).differs);
     }
 
     #[test]
@@ -1104,7 +875,7 @@ mod tests {
         let mut fb = FrameBuffer::new(res);
         let mut snap = g.sample(&fb);
         fb.touch();
-        let r = g.compare_and_capture_damaged(&fb, &DamageRegion::new(), &mut snap);
+        let r = g.reference_capture(&fb, &DamageRegion::new(), &mut snap);
         assert_eq!(
             r,
             GridCompare {
@@ -1117,7 +888,6 @@ mod tests {
 
     #[test]
     fn damaged_capture_matches_full_capture_on_multiple_rects() {
-        use crate::damage::DamageRegion;
         let res = Resolution::new(64, 64);
         let g = GridSampler::new(res, 8, 8);
         let mut fb_a = FrameBuffer::new(res);
@@ -1136,8 +906,8 @@ mod tests {
             fb_b.fill_rect(r, Pixel::WHITE);
             damage.add(r);
         }
-        let full = g.compare_and_capture(&fb_a, &mut snap_full);
-        let restricted = g.compare_and_capture_damaged(&fb_b, &damage, &mut snap_damaged);
+        let full = whole_screen(&g, &fb_a, &mut snap_full);
+        let restricted = g.reference_capture(&fb_b, &damage, &mut snap_damaged);
         assert_eq!(full.differs, restricted.differs);
         assert!(restricted.points_read < g.sample_count());
         assert_eq!(snap_full, snap_damaged);
@@ -1145,19 +915,23 @@ mod tests {
 
     #[test]
     fn damaged_capture_dense_rows_match_strided_reference() {
-        // A full sampler sees every damaged column as one dense row
-        // window; a 47-column sampler over the same screen sees strided,
-        // split runs. Both must agree with the from-scratch sample.
+        // A full sampler sees every damaged column of the tiled gather's
+        // unknown tiles as one dense row window; a 47-column sampler over
+        // the same screen sees strided, split runs. Both must agree with
+        // the oracle and the from-scratch sample.
         let res = Resolution::new(100, 40);
         for g in [GridSampler::full(res), GridSampler::new(res, 47, 13)] {
             let mut fb = FrameBuffer::new(res);
             let mut snap = g.sample(&fb);
+            let mut oracle = snap.clone();
+            let lcg = fb.content_generation();
             fb.fill_rect(Rect::new(13, 7, 61, 19), Pixel::grey(99));
             let damage = fb.take_damage();
-            let r = g.compare_and_capture_damaged(&fb, &damage, &mut snap);
+            let r = g.compare_and_capture_tiled(&fb, &damage, lcg, &mut snap).grid;
             assert!(r.differs);
+            assert_eq!(r, g.reference_capture(&fb, &damage, &mut oracle));
+            assert_eq!(snap, oracle);
             assert_eq!(snap, g.sample(&fb), "snapshot current ({}x{})", g.cols(), g.rows());
-            assert!(r.points_compared <= r.points_read);
         }
     }
 
@@ -1188,7 +962,7 @@ mod tests {
     }
 
     #[test]
-    fn tiled_capture_matches_damaged_reference() {
+    fn tiled_capture_matches_reference_capture() {
         let res = Resolution::new(200, 150); // 4×3 tiles with uneven edges
         for g in [GridSampler::full(res), GridSampler::new(res, 37, 29)] {
             let mut fb = FrameBuffer::new(res);
@@ -1204,7 +978,7 @@ mod tests {
             fb.fill_rect(Rect::new(130, 10, 17, 9), Pixel::WHITE);
             let damage = fb.take_damage();
 
-            let reference = g.compare_and_capture_damaged(&fb, &damage, &mut snap_ref);
+            let reference = g.reference_capture(&fb, &damage, &mut snap_ref);
             let tiled =
                 g.compare_and_capture_tiled(&fb, &damage, lcg, &mut snap_tiled);
             assert_eq!(tiled.grid.differs, reference.differs);
@@ -1304,11 +1078,11 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "wrong length")]
-    fn differs_rejects_bad_snapshot() {
+    fn reference_capture_rejects_bad_snapshot() {
         let res = Resolution::QUARTER;
         let g = GridSampler::for_pixel_budget(res, 500);
         let fb = FrameBuffer::new(res);
-        let _ = g.differs(&fb, &[]);
+        let _ = whole_screen(&g, &fb, &mut []);
     }
 
     #[test]

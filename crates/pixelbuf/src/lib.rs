@@ -9,11 +9,10 @@
 //!   content-generation counters.
 //! * [`damage`] — damage regions: which pixels the draw ops may have
 //!   changed, consumed by the meter's damage-restricted fast path.
-//! * [`double_buffer`] — the snapshot pair used by content-rate metering
-//!   (paper §3.1, "double buffering").
 //! * [`grid`] — grid-based sparse comparison (paper §3.1, "grid-based
 //!   comparison"), including the exact Galaxy S3 grid configurations of
-//!   Fig. 6.
+//!   Fig. 6: the tile-gated production gather and the scalar oracle it
+//!   is tested against.
 //! * [`tile`] — per-tile content signatures maintained by the draw ops,
 //!   letting the meter skip or constant-compare whole tiles without
 //!   reading framebuffer pixels.
@@ -30,26 +29,29 @@
 //!
 //! ```
 //! use ccdem_pixelbuf::buffer::FrameBuffer;
+//! use ccdem_pixelbuf::damage::DamageRegion;
 //! use ccdem_pixelbuf::geometry::Resolution;
 //! use ccdem_pixelbuf::grid::GridSampler;
 //! use ccdem_pixelbuf::pixel::Pixel;
 //!
 //! let res = Resolution::GALAXY_S3;
 //! let sampler = GridSampler::for_pixel_budget(res, 9216);
+//! let everything = DamageRegion::of(res.bounds());
 //! let mut fb = FrameBuffer::new(res);
+//! let mut snapshot = sampler.sample(&fb);
 //!
-//! let snapshot = sampler.sample(&fb);
 //! fb.touch(); // app re-submitted identical content
-//! assert!(!sampler.differs(&fb, &snapshot)); // redundant frame
+//! let step = sampler.reference_capture(&fb, &everything, &mut snapshot);
+//! assert!(!step.differs); // redundant frame
 //!
 //! fb.fill(Pixel::WHITE); // real content change
-//! assert!(sampler.differs(&fb, &snapshot)); // meaningful frame
+//! let step = sampler.reference_capture(&fb, &everything, &mut snapshot);
+//! assert!(step.differs); // meaningful frame
 //! ```
 
 pub mod buffer;
 pub mod damage;
 pub mod diff;
-pub mod double_buffer;
 pub mod draw;
 pub mod geometry;
 pub mod grid;
@@ -60,7 +62,6 @@ pub mod tile;
 
 pub use buffer::FrameBuffer;
 pub use damage::DamageRegion;
-pub use double_buffer::DoubleBuffer;
 pub use geometry::{Rect, Resolution};
 pub use grid::GridSampler;
 pub use pixel::{Pixel, PixelFormat};

@@ -1,70 +1,16 @@
 //! The runtime twin of `ccdem-lint`'s `alloc-hot-path` family: a
-//! std-only counting global allocator proves that the steady-state draw
-//! ops, blits and the tile-gated meter gather never touch the heap —
-//! including the paths that materialize a solid tile before a partial
-//! write.
-//!
-//! The counter is per thread, so allocations by the test harness on its
-//! own threads cannot leak into the measurement.
+//! std-only counting global allocator (`counting_alloc`) proves that the
+//! steady-state draw ops, blits and the tile-gated meter gather never
+//! touch the heap — including the paths that materialize a solid tile
+//! before a partial write.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting_alloc;
 
 use ccdem_pixelbuf::buffer::FrameBuffer;
 use ccdem_pixelbuf::geometry::{Rect, Resolution};
 use ccdem_pixelbuf::grid::GridSampler;
 use ccdem_pixelbuf::pixel::{Pixel, PixelFormat};
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // `try_with` never panics, even while the thread is being torn down.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-/// Counts every allocation and reallocation of the calling thread, then
-/// defers to [`System`].
-struct CountingAlloc;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter publishes no memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's guarantees for `alloc` pass through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: `ptr` and `layout` come from this allocator, which is
-        // `System` underneath; the caller guarantees the rest.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was allocated by `System` with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocations the calling thread made while running `f`.
-fn allocations_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
+use counting_alloc::allocations_in;
 
 /// One steady-state frame: every tile goes solid, then partial writes
 /// materialize tiles one by one, a scroll materializes the rest, and the
@@ -123,12 +69,4 @@ fn steady_state_draws_blits_and_gathers_do_not_allocate() {
             assert_eq!(n, 0, "{format:?} at budget {budget}: {n} heap allocations");
         }
     }
-}
-
-#[test]
-fn the_counter_sees_allocations() {
-    let n = allocations_in(|| {
-        std::hint::black_box(vec![Pixel::BLACK; 16]);
-    });
-    assert!(n >= 1, "counting allocator is not installed");
 }

@@ -2,27 +2,12 @@
 
 use ccdem_pixelbuf::buffer::FrameBuffer;
 use ccdem_pixelbuf::damage::{DamageRegion, MAX_DAMAGE_RECTS};
-use ccdem_pixelbuf::diff::{buffers_equal, changed_pixel_count};
-use ccdem_pixelbuf::double_buffer::DoubleBuffer;
+use ccdem_pixelbuf::diff::buffers_equal;
 use ccdem_pixelbuf::geometry::{Rect, Resolution};
-use ccdem_pixelbuf::grid::GridSampler;
+use ccdem_pixelbuf::grid::{GridCompare, GridSampler};
 use ccdem_pixelbuf::pixel::{Pixel, PixelFormat};
 use ccdem_pixelbuf::pool::PixelPool;
 use proptest::prelude::*;
-
-/// Scalar per-point reference for the grid compare: walk every sampled
-/// position in row-major order against the snapshot, exactly like the
-/// pre-row-run loop, returning `(differs, points_compared)`.
-fn scalar_compare(g: &GridSampler, fb: &FrameBuffer, snap: &[Pixel]) -> (bool, usize) {
-    let mut compared = 0;
-    for ((x, y), &s) in g.positions().zip(snap.iter()) {
-        compared += 1;
-        if fb.pixel(x, y) != s {
-            return (true, compared);
-        }
-    }
-    (false, compared)
-}
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
     (0u32..150, 0u32..150, 0u32..150, 0u32..150).prop_map(|(x, y, w, h)| Rect::new(x, y, w, h))
@@ -245,6 +230,28 @@ fn assert_disjoint(region: &DamageRegion) {
     }
 }
 
+/// One meter step through both gathers from equal snapshots: the tiled
+/// gather must return the oracle's verdict, early-exit point and
+/// snapshot bytes while reading no more pixels. Returns the oracle's
+/// result.
+fn gather_both(
+    g: &GridSampler,
+    fb: &FrameBuffer,
+    damage: &DamageRegion,
+    last_content_generation: u64,
+    tiled_snap: &mut [Pixel],
+    oracle_snap: &mut [Pixel],
+) -> GridCompare {
+    let oracle = g.reference_capture(fb, damage, oracle_snap);
+    let tiled = g.compare_and_capture_tiled(fb, damage, last_content_generation, tiled_snap);
+    assert_eq!(tiled.grid.differs, oracle.differs);
+    assert_eq!(tiled.grid.points_compared, oracle.points_compared);
+    assert_eq!(tiled_snap, oracle_snap, "snapshot bytes diverged");
+    assert!(tiled.grid.points_read <= oracle.points_read);
+    assert!(tiled.tiles_descended <= tiled.tiles_checked);
+    oracle
+}
+
 proptest! {
     /// Rect intersection is commutative and contained in both operands.
     #[test]
@@ -303,53 +310,21 @@ proptest! {
     ) {
         let res = Resolution::new(w, h);
         let g = GridSampler::for_pixel_budget(res, budget);
+        let everything = DamageRegion::of(res.bounds());
         let before = FrameBuffer::new(res);
-        let snapshot = g.sample(&before);
+        let mut snapshot = g.sample(&before);
         let mut after = before.clone();
         after.fill_rect(rect, Pixel::grey(grey));
-        if g.differs(&after, &snapshot) {
+        if g.reference_capture(&after, &everything, &mut snapshot).differs {
             prop_assert!(!buffers_equal(&before, &after));
         }
         // And the full sampler is exact in both directions.
         let full = GridSampler::full(res);
-        let full_snapshot = full.sample(&before);
+        let mut full_snapshot = full.sample(&before);
         prop_assert_eq!(
-            full.differs(&after, &full_snapshot),
+            full.reference_capture(&after, &everything, &mut full_snapshot).differs,
             !buffers_equal(&before, &after)
         );
-    }
-
-    /// changed_points never exceeds the true changed-pixel count.
-    #[test]
-    fn sampled_changes_bounded_by_true_changes(
-        w in 8u32..64,
-        h in 8u32..64,
-        rect in arb_rect(),
-    ) {
-        let res = Resolution::new(w, h);
-        let g = GridSampler::for_pixel_budget(res, 500);
-        let before = FrameBuffer::new(res);
-        let snap = g.sample(&before);
-        let mut after = before.clone();
-        after.fill_rect(rect, Pixel::WHITE);
-        prop_assert!(g.changed_points(&after, &snap) <= changed_pixel_count(&before, &after));
-    }
-
-    /// Double-buffer protocol: after n captures, front is the latest
-    /// frame and back the one before it.
-    #[test]
-    fn double_buffer_holds_last_two(greys in proptest::collection::vec(1u8..=255, 2..20)) {
-        let res = Resolution::new(4, 4);
-        let mut db = DoubleBuffer::new(res);
-        let mut fb = FrameBuffer::new(res);
-        for &g in &greys {
-            fb.fill(Pixel::grey(g));
-            db.capture(&fb);
-        }
-        let n = greys.len();
-        prop_assert_eq!(db.front().pixel(0, 0), Pixel::grey(greys[n - 1]));
-        prop_assert_eq!(db.back().pixel(0, 0), Pixel::grey(greys[n - 2]));
-        prop_assert_eq!(db.captures(), n as u64);
     }
 
     /// Scrolling by the full height (or more) is equivalent to a fill.
@@ -366,45 +341,6 @@ proptest! {
         } else if dy > 0 {
             // The bottom band is the fill colour.
             prop_assert_eq!(scrolled.pixel(0, h - 1), Pixel::grey(grey));
-        }
-    }
-
-    /// The fused gather is indistinguishable from the legacy
-    /// compare-then-capture pair over arbitrary draw sequences, and the
-    /// damage-restricted gather — fed exactly the framebuffer's own
-    /// accumulated damage — agrees while never reading more points.
-    #[test]
-    fn fused_and_damaged_gathers_match_two_pass(
-        w in 8u32..64,
-        h in 8u32..64,
-        budget in 16usize..1_200,
-        ops in proptest::collection::vec(arb_draw_op(), 1..40),
-    ) {
-        let res = Resolution::new(w, h);
-        let g = GridSampler::for_pixel_budget(res, budget);
-        let mut fb = FrameBuffer::new(res);
-        let mut fused_snap = g.sample(&fb);
-        let mut damaged_snap = fused_snap.clone();
-        fb.take_damage();
-        for op in ops {
-            apply(op, &mut fb);
-            let damage = fb.take_damage();
-
-            // Legacy reference: compare against the old snapshot, then
-            // capture a fresh one (two full passes).
-            let expected_differs = g.differs(&fb, &fused_snap);
-            let mut reference = fused_snap.clone();
-            g.sample_into(&fb, &mut reference);
-
-            let fused = g.compare_and_capture(&fb, &mut fused_snap);
-            prop_assert_eq!(fused.differs, expected_differs);
-            prop_assert_eq!(&fused_snap, &reference);
-            prop_assert_eq!(fused.points_read, g.sample_count());
-
-            let restricted = g.compare_and_capture_damaged(&fb, &damage, &mut damaged_snap);
-            prop_assert_eq!(restricted.differs, expected_differs);
-            prop_assert_eq!(&damaged_snap, &reference);
-            prop_assert!(restricted.points_read <= fused.points_read);
         }
     }
 
@@ -457,49 +393,65 @@ proptest! {
         prop_assert_eq!(merged.area(), region.area());
     }
 
-    /// Tentpole equivalence: over arbitrary op sequences — including
-    /// blits from a second buffer, which exercise signature inheritance
-    /// and quantisation — the tile-gated gather returns the same
-    /// verdict, the same `points_compared`, and byte-identical snapshot
-    /// contents as the PR 5 damage-restricted gather, while never
-    /// reading more framebuffer pixels.
+    /// The production gather against the oracle. Over arbitrary frames
+    /// of draw and blit ops (blits from a second buffer exercise
+    /// signature inheritance and quantisation) in both formats, with a
+    /// budget and the full sampler, and widths down to 3 px (odd widths
+    /// leave a tail after the two-pixel words), the tiled gather returns
+    /// the oracle's verdict, `points_compared` and snapshot bytes, and
+    /// never reads more pixels. Each frame is gathered under the
+    /// buffer's own damage or under whole-screen damage, which is what
+    /// `ContentRateMeter::observe` passes. Last, one sampled point is
+    /// flipped, and both must stop at exactly its grid index, whether
+    /// it lands mid-word or in a word's tail.
     #[test]
-    fn tiled_gather_matches_damaged_reference(
-        w in 8u32..150,
-        h in 8u32..150,
-        budget in 16usize..2_000,
+    fn tiled_gather_matches_reference_capture(
+        w in 3u32..150,
+        h in 3u32..150,
+        budget in 1usize..2_000,
         dst_565 in any::<bool>(),
         src_ops in proptest::collection::vec(arb_draw_op(), 1..5),
-        ops in proptest::collection::vec(arb_tile_op(), 1..30),
+        frames in proptest::collection::vec(
+            (proptest::collection::vec(arb_tile_op(), 1..4), any::<bool>()),
+            1..12,
+        ),
+        slot in 0usize..1_000_000,
     ) {
         let res = Resolution::new(w, h);
         let format = if dst_565 { PixelFormat::Rgb565 } else { PixelFormat::Rgba8888 };
-        let g = GridSampler::for_pixel_budget(res, budget);
+        let everything = DamageRegion::of(res.bounds());
 
         let mut src = FrameBuffer::new(res);
         for &op in &src_ops {
             apply(op, &mut src);
         }
 
-        let mut fb = FrameBuffer::with_format(res, format);
-        let mut tiled_snap = g.sample(&fb);
-        let mut ref_snap = tiled_snap.clone();
-        fb.take_damage();
-        let mut lcg = fb.content_generation();
+        for g in [GridSampler::for_pixel_budget(res, budget), GridSampler::full(res)] {
+            let mut fb = FrameBuffer::with_format(res, format);
+            let mut tiled_snap = g.sample(&fb);
+            let mut oracle_snap = tiled_snap.clone();
+            fb.take_damage();
+            let mut lcg = fb.content_generation();
 
-        for op in ops {
-            apply_tile_op(op, &mut fb, &src);
-            let damage = fb.take_damage();
+            for (ops, whole_screen) in &frames {
+                for &op in ops {
+                    apply_tile_op(op, &mut fb, &src);
+                }
+                let own = fb.take_damage();
+                let damage = if *whole_screen { &everything } else { &own };
+                gather_both(&g, &fb, damage, lcg, &mut tiled_snap, &mut oracle_snap);
+                lcg = fb.content_generation();
+            }
+            prop_assert_eq!(&oracle_snap, &g.sample(&fb));
 
-            let reference = g.compare_and_capture_damaged(&fb, &damage, &mut ref_snap);
-            let tiled = g.compare_and_capture_tiled(&fb, &damage, lcg, &mut tiled_snap);
-
-            prop_assert_eq!(tiled.grid.differs, reference.differs);
-            prop_assert_eq!(tiled.grid.points_compared, reference.points_compared);
-            prop_assert_eq!(&tiled_snap, &ref_snap);
-            prop_assert!(tiled.grid.points_read <= reference.points_read);
-            prop_assert!(tiled.tiles_descended <= tiled.tiles_checked);
-            lcg = fb.content_generation();
+            let idx = slot % g.sample_count();
+            let (px, py) = g.positions().nth(idx).expect("index in range");
+            let old = fb.pixel(px, py);
+            fb.set_pixel(px, py, Pixel::rgba(old.red() ^ 0x80, old.green(), old.blue(), old.alpha()));
+            fb.take_damage();
+            let flip = gather_both(&g, &fb, &everything, lcg, &mut tiled_snap, &mut oracle_snap);
+            prop_assert!(flip.differs);
+            prop_assert_eq!(flip.points_compared, idx + 1);
         }
     }
 
@@ -531,80 +483,6 @@ proptest! {
                     );
                 }
             }
-        }
-    }
-
-    /// The row-run compare (dense two-pixels-per-word path plus strided
-    /// runs) agrees with the scalar per-point reference on arbitrary
-    /// buffers: same verdict, same `points_compared`, and the fused
-    /// variant leaves the snapshot exactly as a fresh sample would. Odd
-    /// widths exercise the `chunks_exact` tails.
-    #[test]
-    fn row_run_compare_matches_scalar_reference(
-        w in 3u32..37,
-        h in 3u32..19,
-        budget in 1usize..600,
-        before in proptest::collection::vec(arb_draw_op(), 1..8),
-        after in proptest::collection::vec(arb_draw_op(), 0..8),
-    ) {
-        let res = Resolution::new(w, h);
-        for g in [GridSampler::for_pixel_budget(res, budget), GridSampler::full(res)] {
-            let mut fb = FrameBuffer::new(res);
-            for &op in &before {
-                apply(op, &mut fb);
-            }
-            let snap = g.sample(&fb);
-            for &op in &after {
-                apply(op, &mut fb);
-            }
-
-            let (expect_differs, expect_compared) = scalar_compare(&g, &fb, &snap);
-            let got = g.compare(&fb, &snap);
-            prop_assert_eq!(got.differs, expect_differs);
-            prop_assert_eq!(got.points_compared, expect_compared);
-
-            let mut fused = snap.clone();
-            let r = g.compare_and_capture(&fb, &mut fused);
-            prop_assert_eq!(r.differs, expect_differs);
-            prop_assert_eq!(r.points_compared, expect_compared);
-            prop_assert_eq!(r.points_read, g.sample_count());
-            let fresh: Vec<Pixel> = g.positions().map(|(x, y)| fb.pixel(x, y)).collect();
-            prop_assert_eq!(fused, fresh);
-        }
-    }
-
-    /// Flipping exactly one sampled point makes every compare variant
-    /// locate it exactly: `points_compared == index + 1` for any index,
-    /// including ones landing mid-word or in a `chunks_exact` remainder.
-    #[test]
-    fn row_run_compare_locates_single_flips_exactly(
-        w in 3u32..37,
-        h in 3u32..19,
-        budget in 1usize..600,
-        base in proptest::collection::vec(arb_draw_op(), 0..6),
-        slot in 0usize..1_000_000,
-    ) {
-        let res = Resolution::new(w, h);
-        for g in [GridSampler::for_pixel_budget(res, budget), GridSampler::full(res)] {
-            let mut fb = FrameBuffer::new(res);
-            for &op in &base {
-                apply(op, &mut fb);
-            }
-            let snap = g.sample(&fb);
-            let idx = slot % g.sample_count();
-            let (px, py) = g.positions().nth(idx).expect("index in range");
-            let old = fb.pixel(px, py);
-            fb.set_pixel(px, py, Pixel::rgba(old.red() ^ 0x80, old.green(), old.blue(), old.alpha()));
-
-            let got = g.compare(&fb, &snap);
-            prop_assert!(got.differs);
-            prop_assert_eq!(got.points_compared, idx + 1);
-
-            let mut fused = snap.clone();
-            let r = g.compare_and_capture(&fb, &mut fused);
-            prop_assert!(r.differs);
-            prop_assert_eq!(r.points_compared, idx + 1);
-            prop_assert_eq!(fused.get(idx).copied(), Some(fb.pixel(px, py)));
         }
     }
 

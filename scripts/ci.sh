@@ -39,6 +39,12 @@ cargo run --release -q --bin ccdem -- fleet --devices 96 --duration 1 --seed 17 
 cargo run --release -q --bin ccdem -- fleet --resume target/fleet_ckpt.json \
     --jobs 3 --out target/fleet_resumed.json -q
 cmp target/fleet_full.json target/fleet_resumed.json
+# Report determinism: the paper's figures, Table 1 and the telemetry
+# tables on stdout carry no host timing, so they must be byte-identical
+# across worker counts (timing goes to stderr).
+cargo run --release -q --bin ccdem -- report --duration 3 --jobs 1 > target/report_j1.txt
+cargo run --release -q --bin ccdem -- report --duration 3 --jobs 4 > target/report_j4.txt
+cmp target/report_j1.txt target/report_j4.txt
 # Regression gates on the *committed* reports (deterministic: no fresh
 # measurement involved): each report must validate on its own (the
 # PR 7+ reports' decision-tick p99 must fit its budget) and must not

@@ -369,7 +369,6 @@ fn cmd_sweep(args: &[String], full_report: bool) -> ExitCode {
         seed,
         quarter_resolution: true,
         jobs,
-        naive_metering: false,
         profile: false,
     };
     progress!(

@@ -260,6 +260,15 @@ fn hostile_resume_files_exit_1_with_a_message() {
         assert_ne!(spliced, saved, "checkpoint has no metrics object");
         spliced
     };
+    // Each hostile run count replaces the real one. JSON numbers are
+    // f64s: 1e30 saturated to u64::MAX (and a resume wrapped it), and
+    // 2^53 is the first count an f64 may have rounded.
+    let with_runs = |runs: &str| {
+        let key = "\"stats\":{\"runs\":";
+        let at = saved.find(key).expect("checkpoint has a run count") + key.len();
+        let end = at + saved[at..].find(',').expect("run count is followed by metrics");
+        format!("{}{runs}{}", &saved[..at], &saved[end..])
+    };
     let hostile = [
         (
             "min_above_max",
@@ -279,6 +288,8 @@ fn hostile_resume_files_exit_1_with_a_message() {
             "fractional_index",
             with_sketch(r#"{"precision":5,"count":1,"sum":0,"min":0,"max":0,"buckets":[[0.5,1]]}"#),
         ),
+        ("runs_1e30", with_runs("1e30")),
+        ("runs_2_pow_53", with_runs("9007199254740992")),
         ("deep_nesting", "[".repeat(200_000)),
         ("truncated", saved[..saved.len() / 2].to_string()),
     ];
