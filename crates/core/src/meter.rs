@@ -408,8 +408,10 @@ impl ContentRateMeter {
     ///
     /// The grid samples are already in hand after every
     /// [`observe`](Self::observe), so this estimate costs one pass over
-    /// a few thousand pixels — it is how the OLED power extension tracks
-    /// displayed brightness without scanning the full framebuffer.
+    /// the snapshot (a few thousand pixels) instead of a scan of the full
+    /// framebuffer. It is how the OLED power extension tracks displayed
+    /// brightness; the scenario engine calls it only for a power model
+    /// that reads luminance (`PowerCoefficients::reads_luminance`).
     pub fn mean_sampled_luminance(&self) -> Option<f64> {
         if !self.primed || self.snapshot.is_empty() {
             return None;

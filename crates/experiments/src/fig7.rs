@@ -69,11 +69,7 @@ impl ControlTrace {
             policy: r.policy,
             content_rate: r.measured_content_per_second.clone(),
             refresh_rate: r.refresh_trace.per_second(r.duration),
-            peak_refresh: r
-                .refresh_trace
-                .values()
-                .into_iter()
-                .fold(0.0, f64::max),
+            peak_refresh: r.refresh_trace.iter().map(|(_, hz)| hz).fold(0.0, f64::max),
             total_dropped: dropped.iter().sum(),
             dropped,
         }

@@ -572,19 +572,23 @@ impl<'a> Engine<'a> {
             SimTime::ZERO
         };
         let composed_fps = self.flinger.stats().composed().rate_in(window_start, now);
+        // The optional inputs are computed only for a model that reads
+        // them; left `None`, they cannot change the power of one that does
+        // not.
+        let model = &self.scenario.power;
         let activity = DisplayActivity {
             refresh_hz: self.controller.current().hz_f64(),
             composed_fps,
             touch_active: self.input.touched_within(now, TOUCH_ACTIVE_WINDOW),
-            // Free by-product of the grid meter; only consulted when the
-            // power model has OLED content scaling enabled.
-            mean_luminance: self.governor.meter().mean_sampled_luminance(),
-            // Only consulted when a PSR discount is configured.
-            content_scanout_fps: Some(
-                self.panel.content_scanouts().rate_in(window_start, now),
-            ),
+            mean_luminance: model
+                .reads_luminance()
+                .then(|| self.governor.meter().mean_sampled_luminance())
+                .flatten(),
+            content_scanout_fps: model
+                .reads_content_scanouts()
+                .then(|| self.panel.content_scanouts().rate_in(window_start, now)),
         };
-        let power = self.scenario.power.power(&activity);
+        let power = model.power(&activity);
         self.power_meter.sample(now, power, &mut self.meter_rng);
         self.queue
             .schedule(now + POWER_SAMPLE_INTERVAL, Event::PowerSample);

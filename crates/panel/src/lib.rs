@@ -9,8 +9,6 @@
 //!   (the paper's kernel modification).
 //! * [`panel`] — scanout bookkeeping: every refresh costs energy, whether
 //!   or not the framebuffer changed.
-//! * [`timing`] — pixel-clock/porch timing and the vertical-porch-stretch
-//!   computation real kernels use to retarget the refresh rate.
 //!
 //! # Examples
 //!
@@ -43,12 +41,10 @@ pub mod controller;
 pub mod device;
 pub mod panel;
 pub mod refresh;
-pub mod timing;
 pub mod vsync;
 
 pub use controller::{RefreshController, SetRateError};
 pub use device::{DeviceProfile, PanelKind};
 pub use panel::Panel;
 pub use refresh::{BuildRateSetError, RefreshRate, RefreshRateSet};
-pub use timing::{DisplayTiming, RetimeError};
 pub use vsync::VsyncScheduler;

@@ -151,7 +151,7 @@ mod tests {
         for i in 0..1_000u64 {
             m.sample(SimTime::from_millis(i * 10), Milliwatts::new(10.0), &mut rng);
         }
-        assert!(m.trace().values().iter().all(|&v| v >= 0.0));
+        assert!(m.trace().iter().all(|(_, v)| v >= 0.0));
     }
 
     #[test]

@@ -76,12 +76,14 @@ pub struct DisplayActivity {
     pub composed_fps: f64,
     /// Whether the user is currently interacting.
     pub touch_active: bool,
-    /// Mean displayed luminance in `[0, 1]`, if tracked. Only used when
-    /// OLED content scaling is enabled; `None` assumes mid-grey content.
+    /// Mean displayed luminance in `[0, 1]`, if tracked. Only read when
+    /// [`PowerCoefficients::reads_luminance`]; `None` assumes mid-grey
+    /// content.
     pub mean_luminance: Option<f64>,
     /// Refreshes per second that scanned out *new* content, if tracked.
-    /// Only used when a PSR discount is configured; `None` assumes every
-    /// refresh carried new content (no self-refresh savings).
+    /// Only read when [`PowerCoefficients::reads_content_scanouts`];
+    /// `None` assumes every refresh carried new content (no self-refresh
+    /// savings).
     pub content_scanout_fps: Option<f64>,
 }
 
@@ -159,16 +161,32 @@ impl PowerCoefficients {
         self
     }
 
+    /// Whether [`power`](Self::power) reads
+    /// [`DisplayActivity::mean_luminance`]: only with OLED content
+    /// scaling on. While this is `false` the input can be left `None`
+    /// (and need not be computed) without changing any result.
+    pub fn reads_luminance(&self) -> bool {
+        self.oled_content_scaling
+    }
+
+    /// Whether [`power`](Self::power) reads
+    /// [`DisplayActivity::content_scanout_fps`]: only with a PSR discount
+    /// above 0. While this is `false` the input can be left `None` (and
+    /// need not be computed) without changing any result.
+    pub fn reads_content_scanouts(&self) -> bool {
+        self.psr_discount > 0.0
+    }
+
     /// Instantaneous device power for the given activity.
     pub fn power(&self, activity: &DisplayActivity) -> Milliwatts {
-        let panel_static = if self.oled_content_scaling {
+        let panel_static = if self.reads_luminance() {
             let lum = activity.mean_luminance.unwrap_or(0.5).clamp(0.0, 1.0);
             self.panel_static_mw * (0.25 + 1.5 * lum)
         } else {
             self.panel_static_mw
         };
         let refresh = activity.refresh_hz.max(0.0);
-        let scanout_hz = if self.psr_discount > 0.0 {
+        let scanout_hz = if self.reads_content_scanouts() {
             let content = activity
                 .content_scanout_fps
                 .unwrap_or(refresh)
@@ -187,12 +205,6 @@ impl PowerCoefficients {
             mw += self.touch_mw;
         }
         Milliwatts::new(mw)
-    }
-
-    /// The component of power that depends on the refresh rate alone —
-    /// what a pure self-refresh panel pays per second at `refresh_hz`.
-    pub fn scanout_power(&self, refresh_hz: f64) -> Milliwatts {
-        Milliwatts::new(self.per_hz_mw * refresh_hz.max(0.0))
     }
 }
 
@@ -334,6 +346,5 @@ mod tests {
         let m = PowerCoefficients::galaxy_s3();
         let p = m.power(&activity(-5.0, -10.0));
         assert_eq!(p.value(), m.base_mw + m.panel_static_mw);
-        assert_eq!(m.scanout_power(-1.0), Milliwatts::ZERO);
     }
 }

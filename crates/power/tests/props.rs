@@ -69,6 +69,52 @@ proptest! {
         prop_assert!(p_psr >= floor - Milliwatts::new(1e-6));
     }
 
+    /// An input the model does not read cannot change its power: while
+    /// `reads_luminance()` / `reads_content_scanouts()` is false, power has
+    /// the same bits whether that input is `None` or any value. An input
+    /// the model does read can move power.
+    #[test]
+    fn unread_inputs_never_change_power(
+        a in arb_activity(),
+        lum in 0.0f64..=1.0,
+        scan in 0.0f64..240.0,
+        discount in 0.05f64..=1.0,
+    ) {
+        let plain = PowerCoefficients::galaxy_s3();
+        for (model, oled, psr) in [
+            (plain, false, false),
+            (plain.with_oled_content_scaling(), true, false),
+            (plain.with_psr_discount(discount), false, true),
+            (plain.with_oled_content_scaling().with_psr_discount(discount), true, true),
+        ] {
+            prop_assert_eq!((model.reads_luminance(), model.reads_content_scanouts()), (oled, psr));
+            let power = |activity: DisplayActivity| model.power(&activity).value().to_bits();
+            if oled {
+                prop_assert!(
+                    power(DisplayActivity { mean_luminance: Some(0.0), ..a })
+                        != power(DisplayActivity { mean_luminance: Some(1.0), ..a }),
+                    "luminance is read but cannot move power: {:?}", model
+                );
+            } else {
+                for l in [None, Some(lum)] {
+                    prop_assert_eq!(power(DisplayActivity { mean_luminance: l, ..a }), power(a));
+                }
+            }
+            if psr {
+                let at_60 = DisplayActivity { refresh_hz: 60.0, ..a };
+                prop_assert!(
+                    power(DisplayActivity { content_scanout_fps: Some(0.0), ..at_60 })
+                        != power(DisplayActivity { content_scanout_fps: Some(60.0), ..at_60 }),
+                    "content scanouts are read but cannot move power: {:?}", model
+                );
+            } else {
+                for c in [None, Some(scan)] {
+                    prop_assert_eq!(power(DisplayActivity { content_scanout_fps: c, ..a }), power(a));
+                }
+            }
+        }
+    }
+
     /// The noiseless meter's energy integral equals the analytic
     /// sample-and-hold integral of its inputs.
     #[test]

@@ -67,24 +67,23 @@ impl Trace {
     }
 
     /// The sample-and-hold value at `time`: the most recent sample at or
-    /// before `time`, or `None` if `time` precedes the first sample.
+    /// before `time` (the last pushed, among samples at one time), or
+    /// `None` if `time` precedes the first sample.
     pub fn value_at(&self, time: SimTime) -> Option<f64> {
-        match self
-            .samples
-            .binary_search_by(|&(t, _)| t.cmp(&time))
-        {
-            Ok(i) => self.samples.get(i).map(|&(_, v)| v),
-            Err(0) => None,
-            Err(i) => self.samples.get(i - 1).map(|&(_, v)| v),
-        }
+        self.held_before(self.first_after(time))
     }
 
-    /// Mean of all sample values (unweighted), or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().map(|&(_, v)| v).sum::<f64>() / self.samples.len() as f64
+    /// Index of the first sample strictly after `time`.
+    fn first_after(&self, time: SimTime) -> usize {
+        self.samples.partition_point(|&(t, _)| t <= time)
+    }
+
+    /// The value of sample `next - 1`, the one held when sample `next`
+    /// arrives.
+    fn held_before(&self, next: usize) -> Option<f64> {
+        next.checked_sub(1)
+            .and_then(|i| self.samples.get(i))
+            .map(|&(_, v)| v)
     }
 
     /// Time-weighted mean over `[start, end)` treating the trace as
@@ -93,46 +92,64 @@ impl Trace {
         if end <= start || self.samples.is_empty() {
             return 0.0;
         }
-        let span = (end - start).as_secs_f64();
-        let mut acc = 0.0;
-        let mut cursor = start;
-        let mut current = self.value_at(start);
-        for &(t, v) in &self.samples {
-            if t <= start {
-                continue;
-            }
-            if t >= end {
-                break;
-            }
-            if let Some(cur) = current {
-                acc += cur * (t - cursor).as_secs_f64();
-            }
-            cursor = t;
-            current = Some(v);
-        }
-        if let Some(cur) = current {
-            acc += cur * (end - cursor).as_secs_f64();
-        }
-        acc / span
+        self.hold_mean(self.first_after(start), start, end).0
     }
 
     /// Per-second sample-and-hold averages over `[0, duration)`, one value
     /// per whole second; seconds before the first sample report 0.
+    ///
+    /// Second `s` equals `time_weighted_mean(s, s + 1)` bit for bit, but
+    /// the whole series takes one forward pass over the samples.
     pub fn per_second(&self, duration: SimDuration) -> Vec<f64> {
         let secs = duration.as_micros() / 1_000_000;
+        let mut next = 0;
         (0..secs)
             .map(|s| {
-                self.time_weighted_mean(SimTime::from_secs(s), SimTime::from_secs(s + 1))
+                let (mean, stop) =
+                    self.hold_mean(next, SimTime::from_secs(s), SimTime::from_secs(s + 1));
+                next = stop;
+                mean
             })
             .collect()
     }
 
-    /// All sample values, discarding timestamps.
-    pub fn values(&self) -> Vec<f64> {
-        // ccdem-lint: allow(alloc-hot-path) — report-path helper, never
-        // called per frame; the call graph only reaches it through the
-        // name collision with `BTreeMap::values` (over-approximation).
-        self.samples.iter().map(|&(_, v)| v).collect()
+    /// [`hold`](Self::hold)'s stretches averaged over `[start, end)`,
+    /// with the index `hold` returns.
+    fn hold_mean(&self, next: usize, start: SimTime, end: SimTime) -> (f64, usize) {
+        let mut acc = 0.0;
+        let stop = self.hold(next, start, end, |value, seconds| acc += value * seconds);
+        (acc / (end - start).as_secs_f64(), stop)
+    }
+
+    /// Walks `[start, end)` as sample-and-hold, calling `f(value, seconds)`
+    /// for each held stretch in time order; time before the first sample
+    /// holds nothing. The walk begins at sample index `next`, which must
+    /// not be past the first sample after `start`, and returns the index
+    /// of the first sample at or after `end`.
+    fn hold(
+        &self,
+        mut next: usize,
+        start: SimTime,
+        end: SimTime,
+        mut f: impl FnMut(f64, f64),
+    ) -> usize {
+        while self.samples.get(next).is_some_and(|&(t, _)| t <= start) {
+            next += 1;
+        }
+        let mut cursor = start;
+        let mut current = self.held_before(next);
+        while let Some(&(t, v)) = self.samples.get(next).filter(|&&(t, _)| t < end) {
+            if let Some(cur) = current {
+                f(cur, (t - cursor).as_secs_f64());
+            }
+            cursor = t;
+            current = Some(v);
+            next += 1;
+        }
+        if let Some(cur) = current {
+            f(cur, (end - cursor).as_secs_f64());
+        }
+        next
     }
 
     /// Time-weighted residency per distinct value over `[start, end)`,
@@ -159,7 +176,7 @@ impl Trace {
             return Vec::new();
         }
         let mut acc: Vec<(f64, f64)> = Vec::new();
-        let mut add = |value: f64, seconds: f64| {
+        self.hold(self.first_after(start), start, end, |value, seconds| {
             if seconds <= 0.0 {
                 return;
             }
@@ -167,25 +184,7 @@ impl Trace {
                 Some((_, s)) => *s += seconds,
                 None => acc.push((value, seconds)),
             }
-        };
-        let mut cursor = start;
-        let mut current = self.value_at(start);
-        for &(t, v) in &self.samples {
-            if t <= start {
-                continue;
-            }
-            if t >= end {
-                break;
-            }
-            if let Some(cur) = current {
-                add(cur, (t - cursor).as_secs_f64());
-            }
-            cursor = t;
-            current = Some(v);
-        }
-        if let Some(cur) = current {
-            add(cur, (end - cursor).as_secs_f64());
-        }
+        });
         acc.sort_by(|a, b| a.0.total_cmp(&b.0));
         acc
     }
@@ -319,11 +318,6 @@ impl EventCounter {
         self.retention = horizon;
     }
 
-    /// The configured retention horizon, if any.
-    pub fn retention(&self) -> Option<SimDuration> {
-        self.retention
-    }
-
     /// Records one occurrence at `time`.
     ///
     /// # Panics
@@ -363,7 +357,8 @@ impl EventCounter {
     pub fn count_in(&self, start: SimTime, end: SimTime) -> usize {
         let lo = self.times.partition_point(|&t| t < start);
         let hi = self.times.partition_point(|&t| t < end);
-        hi - lo
+        // An inverted span (`end < start`) is empty.
+        hi.saturating_sub(lo)
     }
 
     /// Mean events per second within `[start, end)`, or 0 for an empty span.
@@ -374,11 +369,21 @@ impl EventCounter {
         self.count_in(start, end) as f64 / (end - start).as_secs_f64()
     }
 
-    /// Events per second for each whole second of `[0, duration)`.
+    /// Events per second for each whole second of `[0, duration)`:
+    /// second `s` is `count_in(s, s + 1)`, binned in one walk over the
+    /// retained timestamps.
     pub fn per_second(&self, duration: SimDuration) -> Vec<f64> {
         let secs = duration.as_micros() / 1_000_000;
-        (0..secs)
-            .map(|s| self.count_in(SimTime::from_secs(s), SimTime::from_secs(s + 1)) as f64)
+        let mut times = self.times.iter().peekable();
+        (1..=secs)
+            .map(|s| {
+                let end = SimTime::from_secs(s);
+                let mut n = 0usize;
+                while times.next_if(|&&t| t < end).is_some() {
+                    n += 1;
+                }
+                n as f64
+            })
             .collect()
     }
 
@@ -482,6 +487,18 @@ mod tests {
     }
 
     #[test]
+    fn inverted_span_counts_nothing() {
+        let mut c = EventCounter::new();
+        for ms in [100, 500, 900] {
+            c.record(SimTime::from_millis(ms));
+        }
+        // The events at 500 and 900 ms lie in [end, start).
+        let (start, end) = (SimTime::from_secs(1), SimTime::from_millis(400));
+        assert_eq!(c.count_in(start, end), 0);
+        assert_eq!(c.rate_in(start, end), 0.0);
+    }
+
+    #[test]
     fn counter_empty_span_rate_zero() {
         let c = EventCounter::new();
         assert_eq!(c.rate_in(SimTime::from_secs(1), SimTime::from_secs(1)), 0.0);
@@ -523,7 +540,6 @@ mod tests {
         }
         assert_eq!(c.count(), 100);
         assert_eq!(c.retained_len(), 100);
-        assert_eq!(c.retention(), None);
     }
 
     #[test]

@@ -7,6 +7,114 @@ use ccdem_simkit::time::{SimDuration, SimTime};
 use ccdem_simkit::trace::{EventCounter, Trace};
 use proptest::prelude::*;
 
+/// Up to 16 `(µs, value)` samples in time order over `[0, 6 s)`, on a
+/// quarter-second grid with jitter half the time: samples at 0, exactly
+/// on a second boundary and at equal times are all common. About one
+/// value in eleven is ±∞, so a zero-length hold (∞ · 0 = NaN) shows.
+fn arb_samples() -> impl Strategy<Value = Vec<(SimTime, f64)>> {
+    proptest::collection::vec(
+        (0u64..24, any::<bool>(), 0u64..250_000, -1.1e3f64..1.1e3),
+        0..16,
+    )
+    .prop_map(|points| {
+        let mut samples: Vec<(SimTime, f64)> = points
+            .into_iter()
+            .map(|(quarter, exact, jitter, v)| {
+                let t = quarter * 250_000 + if exact { 0 } else { jitter };
+                let v = if v.abs() > 1e3 { v * f64::INFINITY } else { v };
+                (SimTime::from_micros(t), v)
+            })
+            .collect();
+        samples.sort_by_key(|&(t, _)| t);
+        samples
+    })
+}
+
+/// The sample-and-hold mean over `[start, end)` by definition: a walk
+/// over every sample from the first, with the last sample at or before
+/// `start` held at `start`.
+fn reference_mean(samples: &[(SimTime, f64)], start: SimTime, end: SimTime) -> f64 {
+    if end <= start || samples.is_empty() {
+        return 0.0;
+    }
+    let mut current = samples
+        .iter()
+        .rev()
+        .find(|&&(t, _)| t <= start)
+        .map(|&(_, v)| v);
+    let mut cursor = start;
+    let mut acc = 0.0;
+    for &(t, v) in samples {
+        if t <= start {
+            continue;
+        }
+        if t >= end {
+            break;
+        }
+        if let Some(cur) = current {
+            acc += cur * (t - cursor).as_secs_f64();
+        }
+        cursor = t;
+        current = Some(v);
+    }
+    if let Some(cur) = current {
+        acc += cur * (end - cursor).as_secs_f64();
+    }
+    acc / (end - start).as_secs_f64()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one-pass `per_second` of a trace and of a counter give, bit for
+    /// bit, second `s` as `time_weighted_mean(s, s + 1)` and as
+    /// `count_in(s, s + 1)`, the counter with and without a retention
+    /// horizon; `time_weighted_mean` (binary-searched start) matches the
+    /// full-scan definition on any window. Every prefix of the drawn
+    /// samples is checked, so empty and one-sample traces are always
+    /// covered; durations run from under a second to short of the last
+    /// sample or past it.
+    #[test]
+    fn per_second_matches_per_window_definitions(
+        samples in arb_samples(),
+        duration_us in 0u64..5_000_000,
+        window in (0u64..6_500_000, 0u64..6_500_000),
+        horizon_us in 1u64..3_000_000,
+    ) {
+        let duration = SimDuration::from_micros(duration_us);
+        let secs = duration_us / 1_000_000;
+        let (a, b) = (SimTime::from_micros(window.0), SimTime::from_micros(window.1));
+        for n in 0..=samples.len() {
+            let prefix = &samples[..n];
+            let trace: Trace = prefix.iter().copied().collect();
+            let per_sec = trace.per_second(duration);
+            prop_assert_eq!(per_sec.len() as u64, secs);
+            for (s, &mean) in (0u64..).zip(&per_sec) {
+                let (start, end) = (SimTime::from_secs(s), SimTime::from_secs(s + 1));
+                let windowed = trace.time_weighted_mean(start, end);
+                prop_assert_eq!(mean.to_bits(), windowed.to_bits(), "second {} of {:?}", s, prefix);
+                let reference = reference_mean(prefix, start, end);
+                prop_assert_eq!(windowed.to_bits(), reference.to_bits(), "second {} of {:?}", s, prefix);
+            }
+            for (start, end) in [(a, b), (b, a)] {
+                let reference = reference_mean(prefix, start, end);
+                prop_assert_eq!(trace.time_weighted_mean(start, end).to_bits(), reference.to_bits());
+            }
+            for horizon in [None, Some(SimDuration::from_micros(horizon_us))] {
+                let mut c = EventCounter::new();
+                c.set_retention(horizon);
+                prefix.iter().for_each(|&(t, _)| c.record(t));
+                let per_sec = c.per_second(duration);
+                prop_assert_eq!(per_sec.len() as u64, secs);
+                for (s, &count) in (0u64..).zip(&per_sec) {
+                    let windowed = c.count_in(SimTime::from_secs(s), SimTime::from_secs(s + 1));
+                    prop_assert_eq!(count.to_bits(), (windowed as f64).to_bits(), "second {}", s);
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     /// Popping the queue always yields events in non-decreasing time
     /// order, regardless of insertion order.

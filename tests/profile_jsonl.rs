@@ -1,10 +1,12 @@
-//! End-to-end test of the `ccdem profile` CLI verb.
+//! End-to-end tests of the `ccdem profile` CLI verb.
 //!
 //! Runs the real binary with `--out`, then parses the emitted JSON Lines
 //! file with the crate's own parser: every line must be a valid object
 //! with the standard envelope, the span stream must carry self-time
 //! accounting for every decision-path phase, and stdout must render
 //! exactly one self-time table plus the decision-tick percentile line.
+//! A second run of ten simulated minutes holds the decision tick's p99
+//! to its 200 µs budget on the build under test.
 
 use std::process::Command;
 
@@ -92,4 +94,34 @@ fn profile_verb_emits_valid_spans_and_one_self_time_table() {
     assert_eq!(tick_spans, 11, "one decision-tick span per control window");
 
     let _ = std::fs::remove_file(&out);
+}
+
+/// The decision-tick budget, checked on the current build: a 10-minute
+/// run makes ~1200 control ticks, enough that p99 is not the maximum.
+#[test]
+fn ten_minute_profile_keeps_decision_tick_p99_within_budget() {
+    const TICK_BUDGET_US: f64 = 200.0;
+    let output = Command::new(env!("CARGO_BIN_EXE_ccdem"))
+        .args(["profile", "--duration", "600", "--seed", "7", "-q"])
+        .output()
+        .expect("run ccdem profile");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "ccdem profile failed: {stderr}");
+    // "decision tick: 1199 ticks, p50 0.7 µs, p90 0.9 µs, p99 1.6 µs, max 8.7 µs"
+    let line = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("decision tick: "))
+        .unwrap_or_else(|| panic!("no tick summary line:\n{stdout}"));
+    let field = |prefix: &str, suffix: &str| -> f64 {
+        line.split(", ")
+            .find_map(|f| f.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok())
+            .unwrap_or_else(|| panic!("no {prefix:?}..{suffix:?} field in {line:?}"))
+    };
+    let (ticks, p99) = (field("", " ticks"), field("p99 ", " µs"));
+    assert!(ticks >= 1000.0, "only {ticks} ticks in a 600 s run: {line}");
+    assert!(
+        p99 <= TICK_BUDGET_US,
+        "p99 {p99} µs over the {TICK_BUDGET_US} µs budget: {line}"
+    );
 }
