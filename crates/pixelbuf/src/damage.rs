@@ -123,9 +123,7 @@ impl DamageRegion {
         // pixel writes land here almost every time once a surrounding
         // rect (or the collapsed bounding box) exists.
         for r in self.rects() {
-            if r.contains(rect.x, rect.y)
-                && r.contains(rect.right() - 1, rect.bottom() - 1)
-            {
+            if r.contains(rect.x, rect.y) && r.contains(rect.right() - 1, rect.bottom() - 1) {
                 return;
             }
         }

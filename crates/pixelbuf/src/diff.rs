@@ -48,10 +48,7 @@ pub fn changed_pixel_count(a: &FrameBuffer, b: &FrameBuffer) -> usize {
         b.resolution(),
         "changed_pixel_count requires matching resolutions"
     );
-    a.pixels()
-        .zip(b.pixels())
-        .filter(|(x, y)| x != y)
-        .count()
+    a.pixels().zip(b.pixels()).filter(|(x, y)| x != y).count()
 }
 
 /// Fraction of the screen that differs, in `[0, 1]`.

@@ -157,7 +157,11 @@ mod tests {
         let mut fb = FrameBuffer::new(Resolution::new(4, 4));
         let g0 = fb.generation();
         draw_text_rows(&mut fb, Rect::new(0, 0, 4, 4), 0, 0);
-        draw_noise(&mut fb, Rect::new(100, 100, 2, 2), &mut SimRng::seed_from_u64(0));
+        draw_noise(
+            &mut fb,
+            Rect::new(100, 100, 2, 2),
+            &mut SimRng::seed_from_u64(0),
+        );
         assert!(fb.generation() > g0);
     }
 }

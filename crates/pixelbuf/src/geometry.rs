@@ -33,7 +33,10 @@ impl Resolution {
     ///
     /// Panics if either dimension is zero.
     pub const fn new(width: u32, height: u32) -> Resolution {
-        assert!(width > 0 && height > 0, "resolution dimensions must be non-zero");
+        assert!(
+            width > 0 && height > 0,
+            "resolution dimensions must be non-zero"
+        );
         Resolution { width, height }
     }
 

@@ -173,10 +173,7 @@ mod tests {
     #[test]
     fn channel_round_trip() {
         let p = Pixel::rgba(1, 2, 3, 4);
-        assert_eq!(
-            (p.red(), p.green(), p.blue(), p.alpha()),
-            (1, 2, 3, 4)
-        );
+        assert_eq!((p.red(), p.green(), p.blue(), p.alpha()), (1, 2, 3, 4));
         assert_eq!(Pixel::from_bits(p.to_bits()), p);
     }
 

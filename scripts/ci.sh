@@ -83,4 +83,6 @@ if [ -n "$lint_budget" ] && [ "$lint_budget" -gt "$head_budget" ] \
     exit 1
 fi
 cargo clippy --workspace --all-targets -- -D warnings
+# Formatting gate, per crate as each one is brought to rustfmt's output.
+cargo fmt --check -p ccdem-pixelbuf
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
