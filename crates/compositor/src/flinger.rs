@@ -581,11 +581,12 @@ mod tests {
     #[test]
     fn compose_propagates_tile_signatures() {
         use ccdem_pixelbuf::geometry::Rect;
+        use ccdem_pixelbuf::TILE_SIZE as T;
         // The compositor's blits maintain the framebuffer's per-tile
         // content signatures for free: opaque copies inherit the source
         // surface's provable solidity, translucent blends degrade the
         // blended tiles to unknown.
-        let res = Resolution::new(128, 128); // 2×2 tiles
+        let res = Resolution::new(2 * T, 2 * T); // 2×2 tiles
         let mut sf = SurfaceFlinger::new(res);
         let base = sf.create_surface("base");
         sf.surface_mut(base).unwrap().buffer_mut().fill(Pixel::grey(30));
@@ -607,7 +608,7 @@ mod tests {
         let overlay = sf.create_surface("overlay");
         {
             let s = sf.surface_mut(overlay).unwrap();
-            s.set_bounds(Rect::new(0, 0, 64, 64));
+            s.set_bounds(Rect::new(0, 0, T, T));
             s.set_opaque(false);
             s.set_z_order(1);
             s.buffer_mut().fill(Pixel::rgba(255, 255, 255, 128));
@@ -626,7 +627,7 @@ mod tests {
         sf.surface_mut(base)
             .unwrap()
             .buffer_mut()
-            .fill_rect(Rect::new(64, 64, 64, 64), Pixel::grey(55));
+            .fill_rect(Rect::new(T, T, T, T), Pixel::grey(55));
         sf.submit(base, SimTime::from_millis(33), true).unwrap();
         sf.compose(SimTime::from_millis(33));
         let tiles = sf.framebuffer().tiles();

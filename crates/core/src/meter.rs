@@ -510,6 +510,7 @@ pub fn measure_metering_cost(
 mod tests {
     use super::*;
     use ccdem_pixelbuf::geometry::{Rect, Resolution};
+    use ccdem_pixelbuf::{TileMap, TILE_SIZE as T};
 
     fn meter_and_fb() -> (ContentRateMeter, FrameBuffer) {
         let res = Resolution::new(72, 128);
@@ -623,10 +624,11 @@ mod tests {
     fn points_read_accounting_covers_every_fast_path() {
         // Deterministic replacement for the old wall-clock scaling test:
         // assert on pixels actually read, which is what the wall clock
-        // was a noisy proxy for.
-        let res = Resolution::new(100, 100);
-        let grid = 100u64; // 10×10 sampler below
-        let mut m = ContentRateMeter::new(GridSampler::new(res, 10, 10));
+        // was a noisy proxy for. A 2×2 tile screen under an 8×8 sampler:
+        // cells are T/4 wide, centred at T/8, 3T/8, ….
+        let res = Resolution::new(2 * T, 2 * T);
+        let grid = 64u64;
+        let mut m = ContentRateMeter::new(GridSampler::new(res, 8, 8));
         let mut fb = FrameBuffer::new(res);
 
         // Priming capture: one full gather, no comparisons.
@@ -640,10 +642,11 @@ mod tests {
         assert_eq!(m.fast_path_frames(), 1);
         assert_eq!(m.points_skipped(), grid);
 
-        // Small damage: reads exactly the damaged subset. The 20×20 rect
-        // at (10,10) covers the 2×2 block of sample points {15, 25}²,
-        // all inside one partially-written (unknown-content) tile.
-        fb.fill_rect(Rect::new(10, 10, 20, 20), Pixel::WHITE);
+        // Small damage: reads exactly the damaged subset. The T/2 square
+        // at (T/4, T/4) covers the 2×2 block of sample points
+        // {3T/8, 5T/8}², all inside one partially-written
+        // (unknown-content) tile.
+        fb.fill_rect(Rect::new(T / 4, T / 4, T / 2, T / 2), Pixel::WHITE);
         let damage = fb.take_damage();
         assert_eq!(
             m.observe_damaged(&fb, &damage, SimTime::from_millis(33)),
@@ -662,12 +665,12 @@ mod tests {
             FrameClass::Meaningful
         );
         assert_eq!(m.points_read(), grid + 4, "solid tiles read nothing");
-        // 100×100 is a 2×2 tile grid; the 10 sampled rows span both tile
-        // rows, and each tile-row group checks (and descends) 2 tiles.
+        // The 8 sampled rows span both tile rows, and each tile-row
+        // group checks (and descends) 2 tiles.
         assert_eq!((m.tiles_checked(), m.tiles_descended()), (1 + 4, 1 + 4));
 
         // The naive mode reads every point once per frame.
-        let mut naive = ContentRateMeter::new(GridSampler::new(res, 10, 10));
+        let mut naive = ContentRateMeter::new(GridSampler::new(res, 8, 8));
         naive.set_naive(true);
         naive.observe(&fb, SimTime::ZERO);
         assert_eq!(naive.points_read(), grid); // priming: capture only
@@ -678,6 +681,72 @@ mod tests {
             grid + grid,
             "a naive redundant frame is one oracle pass over the whole screen"
         );
+    }
+
+    #[test]
+    fn bench_cases_read_exact_points_at_every_paper_budget() {
+        // The `ccdem bench` frame shapes on the S3 screen at Fig. 6's five
+        // pixel budgets (`fig6::PAPER_BUDGETS`, defined in a crate above
+        // this one), pinned as exact grid points read per frame.
+        let budgets = [2_304, 4_080, 9_216, 36_864, 921_600];
+        let res = Resolution::GALAXY_S3;
+        // The status-bar-sized patch the `small_damage` case redraws.
+        let patch = Rect::new(res.width / 2, res.height / 2, res.width / 8, res.height / 32);
+        let tiles = TileMap::new(res);
+        for budget in budgets {
+            let sampler = GridSampler::for_pixel_budget(res, budget);
+            let grid = sampler.sample_count() as u64;
+            // Each redraw leaves a tile the patch covers fully solid, so
+            // its points are compared read-free; a tile it covers only
+            // partly is of unknown content, so its points are read.
+            let in_patch: Vec<(u32, u32)> = sampler
+                .positions()
+                .filter(|&(x, y)| patch.contains(x, y))
+                .collect();
+            let partial = in_patch
+                .iter()
+                .filter(|&&(x, y)| {
+                    let tile = tiles.tile_rect(x / T, y / T);
+                    patch.intersection(tile) != Some(tile)
+                })
+                .count() as u64;
+            assert!(partial > 0, "budget {budget}: no point in a partly covered tile");
+            assert!(partial < in_patch.len() as u64, "budget {budget}: no covered tile");
+            let cases = [
+                ("redundant", false, 0),
+                ("small_damage", false, partial),
+                ("full_change", false, 0),
+                ("naive_redundant", true, grid),
+            ];
+            for (case, naive, per_frame) in cases {
+                let mut fb = FrameBuffer::new(res);
+                let mut m = ContentRateMeter::new(sampler.clone());
+                m.set_naive(naive);
+                fb.fill(Pixel::grey(10));
+                fb.take_damage();
+                m.observe(&fb, SimTime::ZERO);
+                for i in 0..3u8 {
+                    match case {
+                        "small_damage" => fb.fill_rect(patch, Pixel::grey(i)),
+                        "full_change" => fb.fill(Pixel::grey(i)),
+                        _ => fb.touch(),
+                    }
+                    let damage = fb.take_damage();
+                    let now = SimTime::from_micros(u64::from(i + 1) * 16_667);
+                    let before = m.points_read();
+                    if naive {
+                        m.observe(&fb, now);
+                    } else {
+                        m.observe_damaged(&fb, &damage, now);
+                    }
+                    assert_eq!(
+                        m.points_read() - before,
+                        per_frame,
+                        "{case} at budget {budget}, frame {i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
