@@ -436,7 +436,10 @@ mod tests {
         let mut sf = SurfaceFlinger::new(Resolution::new(2, 2));
         let base = sf.create_surface("base");
         let overlay = sf.create_surface("overlay");
-        sf.surface_mut(base).unwrap().buffer_mut().fill(Pixel::BLACK);
+        sf.surface_mut(base)
+            .unwrap()
+            .buffer_mut()
+            .fill(Pixel::BLACK);
         {
             let s = sf.surface_mut(overlay).unwrap();
             s.set_z_order(1);
@@ -455,7 +458,10 @@ mod tests {
         let mut sf = SurfaceFlinger::new(Resolution::new(8, 8));
         let app = sf.create_surface("app");
         let bar = sf.create_surface("status bar");
-        sf.surface_mut(app).unwrap().buffer_mut().fill(Pixel::grey(50));
+        sf.surface_mut(app)
+            .unwrap()
+            .buffer_mut()
+            .fill(Pixel::grey(50));
         {
             let s = sf.surface_mut(bar).unwrap();
             s.set_z_order(1);
@@ -474,7 +480,10 @@ mod tests {
         use ccdem_pixelbuf::geometry::Rect;
         let (mut sf, id) = flinger();
         // Prime: first compose is always a full recompose.
-        sf.surface_mut(id).unwrap().buffer_mut().fill(Pixel::grey(10));
+        sf.surface_mut(id)
+            .unwrap()
+            .buffer_mut()
+            .fill(Pixel::grey(10));
         sf.submit(id, SimTime::from_millis(1), true).unwrap();
         match sf.compose(SimTime::from_millis(16)) {
             ComposeOutcome::Composed { damage, .. } => {
@@ -509,7 +518,10 @@ mod tests {
         for sf in [&mut fast, &mut naive] {
             let app = sf.create_surface("app");
             let bar = sf.create_surface("bar");
-            sf.surface_mut(app).unwrap().buffer_mut().fill(Pixel::grey(30));
+            sf.surface_mut(app)
+                .unwrap()
+                .buffer_mut()
+                .fill(Pixel::grey(30));
             let s = sf.surface_mut(bar).unwrap();
             s.set_z_order(1);
             s.set_bounds(Rect::new(0, 0, 16, 2));
@@ -526,8 +538,12 @@ mod tests {
         for (n, (surface, rect, colour)) in steps.iter().enumerate() {
             for sf in [&mut fast, &mut naive] {
                 let id = SurfaceId::new(*surface);
-                sf.surface_mut(id).unwrap().buffer_mut().fill_rect(*rect, *colour);
-                sf.submit(id, SimTime::from_millis(n as u64 * 16), true).unwrap();
+                sf.surface_mut(id)
+                    .unwrap()
+                    .buffer_mut()
+                    .fill_rect(*rect, *colour);
+                sf.submit(id, SimTime::from_millis(n as u64 * 16), true)
+                    .unwrap();
                 sf.compose(SimTime::from_millis(n as u64 * 16 + 8));
             }
             assert!(
@@ -544,7 +560,10 @@ mod tests {
         let mut sf = SurfaceFlinger::new(res);
         let app = sf.create_surface("app");
         let pip = sf.create_surface("pip");
-        sf.surface_mut(app).unwrap().buffer_mut().fill(Pixel::grey(20));
+        sf.surface_mut(app)
+            .unwrap()
+            .buffer_mut()
+            .fill(Pixel::grey(20));
         {
             let s = sf.surface_mut(pip).unwrap();
             s.set_z_order(1);
@@ -589,7 +608,10 @@ mod tests {
         let res = Resolution::new(2 * T, 2 * T); // 2×2 tiles
         let mut sf = SurfaceFlinger::new(res);
         let base = sf.create_surface("base");
-        sf.surface_mut(base).unwrap().buffer_mut().fill(Pixel::grey(30));
+        sf.surface_mut(base)
+            .unwrap()
+            .buffer_mut()
+            .fill(Pixel::grey(30));
         sf.submit(base, SimTime::ZERO, true).unwrap();
         sf.compose(SimTime::ZERO);
         let tiles = sf.framebuffer().tiles();

@@ -85,4 +85,5 @@ fi
 cargo clippy --workspace --all-targets -- -D warnings
 # Formatting gate, per crate as each one is brought to rustfmt's output.
 cargo fmt --check -p ccdem-pixelbuf
+cargo fmt --check -p ccdem-compositor
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
