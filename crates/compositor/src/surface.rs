@@ -61,9 +61,9 @@ impl Surface {
     }
 
     /// [`new`](Self::new) with a caller-provided buffer — typically one
-    /// rebuilt from recycled storage ([`FrameBuffer::recycled`]), which is
-    /// indistinguishable from a fresh buffer. The surface covers the
-    /// buffer's full resolution.
+    /// recycled through a [`PixelPool`](ccdem_pixelbuf::pool::PixelPool),
+    /// which is indistinguishable from a fresh buffer. The surface covers
+    /// the buffer's full resolution.
     pub fn with_buffer(id: SurfaceId, label: impl Into<String>, buffer: FrameBuffer) -> Surface {
         Surface {
             id,

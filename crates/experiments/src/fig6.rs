@@ -18,6 +18,7 @@ use std::time::Duration;
 use ccdem_core::meter::{measure_metering_cost, ContentRateMeter};
 use ccdem_metrics::table::TextTable;
 use ccdem_pixelbuf::buffer::FrameBuffer;
+use ccdem_pixelbuf::damage::DamageRegion;
 use ccdem_pixelbuf::geometry::Resolution;
 use ccdem_pixelbuf::grid::GridSampler;
 use ccdem_simkit::rng::SimRng;
@@ -63,6 +64,10 @@ pub struct BudgetPoint {
     pub error_pct: f64,
     /// Mean wall-clock duration of one comparison step.
     pub duration: Duration,
+    /// Framebuffer pixels the timed step reads: the oracle reads every
+    /// grid point once, so this is the exact, host-independent measure
+    /// of what `duration` times.
+    pub points_read: usize,
 }
 
 /// The Fig. 6 data set.
@@ -111,12 +116,18 @@ fn run_budget(config: &Fig6Config, resolution: Resolution, budget: usize) -> Bud
     // --- Cost: wall-clock time of one compare+capture step, through
     // the scalar oracle over the whole screen.
     let duration = measure_metering_cost(&sampler, &fb, config.timing_iterations);
+    let mut snapshot = sampler.sample(&fb);
+    let everything = DamageRegion::of(resolution.bounds());
+    let points_read = sampler
+        .reference_capture(&fb, &everything, &mut snapshot)
+        .points_read;
 
     BudgetPoint {
         pixels,
         grid,
         error_pct,
         duration,
+        points_read,
     }
 }
 
@@ -182,6 +193,14 @@ mod tests {
     #[test]
     fn cost_grows_with_budget() {
         let fig = quick();
+        // Exact: the timed oracle step reads each grid's points once,
+        // so the full scan reads 921 600 pixels against the 9K grid's
+        // 9 216.
+        for p in &fig.points {
+            assert_eq!(p.points_read, p.pixels, "{}x{} grid", p.grid.0, p.grid.1);
+        }
+        assert_eq!((fig.points[2].points_read, fig.points[4].points_read), (9_216, 921_600));
+        // Host timing of the same steps.
         let t9k = fig.points[2].duration;
         let t_full = fig.points[4].duration;
         assert!(

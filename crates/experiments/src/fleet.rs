@@ -317,6 +317,10 @@ impl FleetCheckpoint {
         if checkpoint.next_index > checkpoint.devices {
             return Err("checkpoint cursor is beyond the campaign".into());
         }
+        if checkpoint.duration_us == 0 {
+            // A zero-length run has no rates to report.
+            return Err("checkpoint \"duration_us\" must be positive".into());
+        }
         Ok(checkpoint)
     }
 
@@ -774,6 +778,24 @@ mod tests {
             FleetCheckpoint::parse(&torn).unwrap_err().contains("beyond"),
             "cursor past the campaign accepted"
         );
+    }
+
+    #[test]
+    fn checkpoint_rejects_a_zero_duration() {
+        let checkpoint = FleetCheckpoint {
+            campaign_seed: 42,
+            devices: 100,
+            batch: 10,
+            duration_us: 1_000_000,
+            next_index: 50,
+            stats: CampaignStats::new(),
+        };
+        let mut document = String::new();
+        json::write_json(&mut document, &checkpoint.to_json());
+        let zero = document.replace("\"duration_us\":\"1000000\"", "\"duration_us\":\"0\"");
+        assert_ne!(zero, document);
+        let err = FleetCheckpoint::parse(&zero).expect_err("a zero-length campaign");
+        assert!(err.contains("duration_us") && err.contains("positive"), "{err}");
     }
 
     #[test]

@@ -244,9 +244,9 @@ impl Scenario {
     /// pool at engine start and returned to it at engine end, so a loop
     /// of runs over one scratch reaches a steady state with near-zero
     /// per-run allocation. Recycled buffers are reset before first use
-    /// ([`FrameBuffer::recycled`](ccdem_pixelbuf::buffer::FrameBuffer::recycled)),
-    /// so the result is byte-identical to [`run`](Self::run) — the
-    /// `scratch_determinism` integration test pins this.
+    /// ([`PixelPool::take_framebuffer`]), so the result is
+    /// byte-identical to [`run`](Self::run) — the `scratch_determinism`
+    /// integration test pins this.
     pub fn run_with_scratch(&self, scratch: &mut RunScratch) -> RunResult {
         Engine::new(self, scratch).run(scratch)
     }

@@ -13,18 +13,12 @@
 //!   blends, scrolls, per-pixel stores).
 //!
 //! The signature is also the **storage**: a framebuffer keeps a solid
-//! tile as its one colour and leaves the tile's pixel slots stale, so
-//! full-cover fills and copies of solid tiles cost O(tiles), not
-//! O(pixels). Pixel storage is authoritative only in tiles with
-//! `solid: None`, and every reader resolves solid tiles through the
-//! signature (see [`FrameBuffer`](crate::buffer::FrameBuffer)).
-//!
-//! The map holds 920 tiles for the Galaxy S3 framebuffer and 60 at
-//! quarter resolution. Walks over it cost runs, not tiles: a rect's
-//! touched and fully covered tile ranges are computed once per axis,
-//! each tile row is walked as one slice, and side-by-side tiles that a
-//! write treats alike are handed to the framebuffer as one run, so a
-//! full-width run is one contiguous fill or copy.
+//! tile as its one colour and an unknown one as a block of pixels that
+//! copies share (see [`FrameBuffer`](crate::buffer::FrameBuffer)), so
+//! full-cover fills and copies cost O(tiles), not O(pixels). Writes and
+//! gathers walk a rect's tiles one by one, with the touched and fully
+//! covered tile range of each axis computed once. The map holds 920 tiles
+//! for the Galaxy S3 framebuffer and 60 at quarter resolution.
 //!
 //! The content-rate meter uses the stamps to skip tiles untouched since
 //! its last observation and the solid colours to compare and refresh its
@@ -86,20 +80,29 @@ impl TileMap {
     /// A map for `resolution` with every tile stamped 0 and provably
     /// solid black — exactly the content of a fresh framebuffer.
     pub fn new(resolution: Resolution) -> TileMap {
-        let cols = resolution.width.div_ceil(TILE_SIZE);
-        let rows = resolution.height.div_ceil(TILE_SIZE);
-        TileMap {
+        let mut map = TileMap {
             resolution,
-            cols,
-            rows,
-            tiles: vec![
-                Tile {
-                    stamp: 0,
-                    solid: Some(Pixel::BLACK),
-                };
-                (cols as usize) * (rows as usize)
-            ],
-        }
+            cols: 0,
+            rows: 0,
+            tiles: Vec::new(),
+        };
+        map.reset(resolution);
+        map
+    }
+
+    /// Makes this the map [`new`](Self::new)`(resolution)` would build,
+    /// reusing the allocation.
+    pub(crate) fn reset(&mut self, resolution: Resolution) {
+        let fresh = Tile {
+            stamp: 0,
+            solid: Some(Pixel::BLACK),
+        };
+        self.resolution = resolution;
+        self.cols = resolution.width.div_ceil(TILE_SIZE);
+        self.rows = resolution.height.div_ceil(TILE_SIZE);
+        self.tiles.clear();
+        self.tiles
+            .resize(self.cols as usize * self.rows as usize, fresh);
     }
 
     /// Tile columns.
@@ -126,70 +129,30 @@ impl TileMap {
         self.tiles[(ty * self.cols + tx) as usize]
     }
 
-    /// The solid colour of the tile holding pixel `(x, y)`, `None` when
-    /// its content is unknown (or the pixel is off-screen).
-    pub(crate) fn solid_at(&self, x: u32, y: u32) -> Option<Pixel> {
-        if !self.resolution.contains(x, y) {
-            return None;
-        }
-        let i = (y / TILE_SIZE) as usize * self.cols as usize + (x / TILE_SIZE) as usize;
-        self.tiles.get(i).and_then(|t| t.solid)
+    /// The signature of the tile at index `i` (row-major tile order).
+    pub(crate) fn get(&self, i: usize) -> Option<Tile> {
+        self.tiles.get(i).copied()
     }
 
-    /// Visits the tiles `rect` (clipped) touches as runs: within each
-    /// tile row, side-by-side tiles with equal `key(tile, covered)` form
-    /// one run, and `f(run, key)` gets the run's pixel rectangle (whole
-    /// tiles, edge tiles clipped to the resolution) and its key.
-    /// `covered` says whether `rect` covers the tile fully. A run spans
-    /// several tile rows only where each of them is that one run, so a
-    /// rect whose tiles all share a key is a single run.
-    pub(crate) fn for_each_run<K: Copy + PartialEq>(
-        &self,
-        rect: Rect,
-        key: impl Fn(Tile, bool) -> K,
-        mut f: impl FnMut(Rect, K),
-    ) {
+    /// The index of the tile holding the on-screen pixel `(x, y)`.
+    pub(crate) fn index(&self, x: u32, y: u32) -> usize {
+        (y / TILE_SIZE) as usize * self.cols as usize + (x / TILE_SIZE) as usize
+    }
+
+    /// Visits the tiles `rect` (clipped) touches, row by row, as `f(index,
+    /// signature, whether rect covers it, its clipped pixel rect)`.
+    pub(crate) fn for_each_tile(&self, rect: Rect, mut f: impl FnMut(usize, Tile, bool, Rect)) {
         let Some((xs, ys)) = self.spans(rect) else {
             return;
         };
-        // The last run emitted, held back while the next one may stack
-        // exactly below it.
-        let mut held: Option<(Rect, K)> = None;
-        let mut emit = |run: Rect, k: K| {
-            if let Some((open, open_k)) = &mut held {
-                if *open_k == k && (open.x, open.width, open.bottom()) == (run.x, run.width, run.y)
-                {
-                    open.height += run.height;
-                    return;
-                }
-            }
-            if let Some((open, open_k)) = held.replace((run, k)) {
-                f(open, open_k);
-            }
-        };
         for ty in ys.tiles() {
-            let y = ty * TILE_SIZE;
-            let height = TILE_SIZE.min(self.resolution.height - y);
-            let row_covered = ys.covers(ty);
-            let Some(row) = self.tiles.get(self.row(ty, xs)) else {
+            let range = self.row(ty, xs);
+            let Some(row) = self.tiles.get(range.clone()) else {
                 continue;
             };
-            let mut tiles = xs.tiles().zip(row);
-            let Some((mut start, &first)) = tiles.next() else {
-                continue;
-            };
-            let mut open = key(first, row_covered && xs.covers(start));
-            for (tx, &tile) in tiles {
-                let k = key(tile, row_covered && xs.covers(tx));
-                if k != open {
-                    emit(self.band(start..tx, y, height), open);
-                    (start, open) = (tx, k);
-                }
+            for ((i, tx), &tile) in range.zip(xs.tiles()).zip(row) {
+                f(i, tile, ys.covers(ty) && xs.covers(tx), self.area(tx, ty));
             }
-            emit(self.band(start..xs.end, y, height), open);
-        }
-        if let Some((run, k)) = held {
-            f(run, k);
         }
     }
 
@@ -204,8 +167,7 @@ impl TileMap {
             tx < self.cols && ty < self.rows,
             "tile ({tx},{ty}) out of range"
         );
-        let y = ty * TILE_SIZE;
-        self.band(tx..tx + 1, y, TILE_SIZE.min(self.resolution.height - y))
+        self.area(tx, ty)
     }
 
     /// Stamps every tile intersecting `written` with `stamp` and updates
@@ -294,13 +256,12 @@ impl TileMap {
         start + xs.first as usize..start + xs.end as usize
     }
 
-    /// The pixel rectangle of the tile columns `txs` in the tile row
-    /// starting at pixel row `y`, `height` rows tall (the right edge is
-    /// clipped to the resolution).
-    fn band(&self, txs: Range<u32>, y: u32, height: u32) -> Rect {
-        let x = txs.start * TILE_SIZE;
-        let right = (txs.end * TILE_SIZE).min(self.resolution.width);
-        Rect::new(x, y, right - x, height)
+    /// The pixel rectangle of tile `(tx, ty)`, clipped to the
+    /// resolution.
+    fn area(&self, tx: u32, ty: u32) -> Rect {
+        let (x, y) = (tx * TILE_SIZE, ty * TILE_SIZE);
+        let Resolution { width, height } = self.resolution;
+        Rect::new(x, y, TILE_SIZE.min(width - x), TILE_SIZE.min(height - y))
     }
 }
 
@@ -518,42 +479,26 @@ mod tests {
     }
 
     #[test]
-    fn runs_merge_equal_neighbours_and_stack_whole_rows() {
-        // 3×3 tiles, the last column a clipped edge tile.
-        let res = Resolution::new(2 * T + 5, 3 * T);
-        let mut m = TileMap::new(res);
-        let runs_of = |m: &TileMap, rect: Rect| {
-            let mut runs = Vec::new();
-            m.for_each_run(
-                rect,
-                |tile, covered| (tile.solid, covered),
-                |run, key| runs.push((run, key)),
-            );
-            runs
+    fn walk_visits_touched_tiles_and_flags_covered_ones() {
+        // 3×2 tiles, the last column a clipped edge tile.
+        let mut m = TileMap::new(Resolution::new(2 * T + 5, 2 * T));
+        m.stamp_rect(Rect::new(T, 0, T + 5, T), 1, Some(Pixel::WHITE));
+        let mut seen = Vec::new();
+        m.for_each_tile(
+            Rect::new(1, 0, 2 * T + 4, T + 1),
+            |i, tile, covered, area| {
+                seen.push((i, tile.solid == Some(Pixel::WHITE), covered, area));
+            },
+        );
+        let row = |y: u32, white: bool| {
+            [
+                (0, false, false, 0, T),
+                (1, white, white, T, T),
+                (2, white, white, 2 * T, 5),
+            ]
+            .map(|(tx, w, c, x, width)| (tx + 3 * y as usize, w, c, Rect::new(x, y * T, width, T)))
         };
-        let black = Some(Pixel::BLACK);
-        // Tiles that all share a key are one run.
-        assert_eq!(runs_of(&m, res.bounds()), [(res.bounds(), (black, true))]);
-
-        let white = Some(Pixel::WHITE);
-        m.stamp_rect(Rect::new(T, 0, T + 5, T), 1, white);
-        assert_eq!(
-            runs_of(&m, res.bounds()),
-            [
-                (Rect::new(0, 0, T, T), (black, true)),
-                (Rect::new(T, 0, T + 5, T), (white, true)),
-                // Whole rows of one run stack; a split row does not.
-                (Rect::new(0, T, 2 * T + 5, 2 * T), (black, true)),
-            ]
-        );
-        // A partial rect hands over whole tiles and says which it covers.
-        assert_eq!(
-            runs_of(&m, Rect::new(1, T, 2 * T + 3, T)),
-            [
-                (Rect::new(0, T, T, T), (black, false)),
-                (Rect::new(T, T, T, T), (black, true)),
-                (Rect::new(2 * T, T, 5, T), (black, false)),
-            ]
-        );
+        assert_eq!(seen, [row(0, true), row(1, false)].concat());
+        assert_eq!(m.index(2 * T + 4, T + 1), 5);
     }
 }

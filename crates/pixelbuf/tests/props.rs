@@ -572,55 +572,57 @@ proptest! {
 
     /// The storage oracle: over arbitrary sequences of every write entry
     /// point — solid-tile fills, partial writes that materialize a
-    /// tile, scrolls, copies and blends from a mixed source of either
-    /// format, touches and recycling — every pixel of the framebuffer
-    /// equals a plain `Vec<Pixel>` model after every op, through
-    /// `pixels`, `pixel` and a full-resolution grid gather alike.
-    /// Tile-aligned fills, copies and blends build side-by-side runs of
-    /// one colour, of different colours and of unknown tiles, which the
-    /// framebuffer stores and copies one span per pixel row, and the
-    /// arbitrary rects write across them.
+    /// tile, scrolls, copies and blends, touches and recycling — applied
+    /// to either of two buffers with the other as the blit source, every
+    /// pixel of both equals a plain `Vec<Pixel>` model after every op,
+    /// through `pixels`, `pixel` and a full-resolution grid gather alike.
+    /// Copies in both directions make the buffers share blocks, and the
+    /// writes that follow on either side must never reach the other:
+    /// a write into a block without a private copy first, or a block put
+    /// back on the free list while the other buffer still holds it, makes
+    /// a model diverge. Tile-aligned fills, stripes, copies and blends
+    /// build side-by-side solid, striped and unknown tiles, and the
+    /// arbitrary rects write across them. Buffers in RGBA8888 come from
+    /// one pool, so they also share its free list.
     #[test]
     fn framebuffer_matches_plain_vector_model(
         w in 1u32..150,
         h in 1u32..150,
-        dst_565 in any::<bool>(),
-        src_565 in any::<bool>(),
-        // At least half the source ops stripe, so partial copies often
-        // cross side-by-side solid source tiles of different colours.
-        src_ops in proptest::collection::vec(prop_oneof![arb_store_op(), arb_stripes()], 0..6),
-        ops in proptest::collection::vec(arb_store_op(), 1..30),
+        rgb565 in (any::<bool>(), any::<bool>()),
+        // Both buffers start striped, so partial copies often cross
+        // side-by-side solid tiles of different colours.
+        stripes in proptest::collection::vec((any::<bool>(), arb_stripes()), 0..6),
+        ops in proptest::collection::vec((any::<bool>(), arb_store_op()), 1..40),
     ) {
         let res = Resolution::new(w, h);
-        let format =
-            |rgb565: bool| if rgb565 { PixelFormat::Rgb565 } else { PixelFormat::Rgba8888 };
         let mut pool = PixelPool::new();
-
-        // The blit source is itself built through the same ops (blits
-        // from a blank buffer), so it mixes solid and unknown tiles.
-        let blank = FrameBuffer::new(res);
-        let blank_model = Model::new(res, PixelFormat::Rgba8888);
-        let mut src = FrameBuffer::with_format(res, format(src_565));
-        let mut src_model = Model::new(res, format(src_565));
-        for &op in &src_ops {
-            let op = if matches!(op, StoreOp::Recycle) { StoreOp::Touch } else { op };
-            apply_store_op(op, &mut src, &mut src_model, (&blank, &blank_model), &mut pool);
-        }
-        prop_assert!(src.pixels().eq(src_model.px.iter().copied()));
-
+        let mut buffer = |rgb565: bool| {
+            let format = if rgb565 { PixelFormat::Rgb565 } else { PixelFormat::Rgba8888 };
+            let fb = if rgb565 { FrameBuffer::with_format(res, format) } else { pool.take_framebuffer(res) };
+            (fb, Model::new(res, format))
+        };
+        let ((a, a_model), (b, b_model)) = (buffer(rgb565.0), buffer(rgb565.1));
+        let (mut bufs, mut models) = ([a, b], [a_model, b_model]);
         let full = GridSampler::full(res);
-        let mut fb = FrameBuffer::with_format(res, format(dst_565));
-        let mut model = Model::new(res, format(dst_565));
-        for (n, &op) in ops.iter().enumerate() {
-            apply_store_op(op, &mut fb, &mut model, (&src, &src_model), &mut pool);
-            prop_assert!(
-                fb.pixels().eq(model.px.iter().copied()),
-                "pixels diverged from the model after op {} ({:?})", n, op
-            );
-            let x = (n as u32 * 37) % w;
-            let y = (n as u32 * 53) % h;
-            prop_assert_eq!(fb.pixel(x, y), model.px[(y * w + x) as usize]);
-            prop_assert_eq!(&full.sample(&fb), &model.px);
+        for (n, &(side, op)) in stripes.iter().chain(&ops).enumerate() {
+            let [a, b] = &mut bufs;
+            let [a_model, b_model] = &mut models;
+            let (dst, dst_model, src, src_model) = if side {
+                (b, b_model, &*a, &*a_model)
+            } else {
+                (a, a_model, &*b, &*b_model)
+            };
+            apply_store_op(op, dst, dst_model, (src, src_model), &mut pool);
+            for (fb, model) in bufs.iter().zip(&models) {
+                prop_assert!(
+                    fb.pixels().eq(model.px.iter().copied()),
+                    "pixels diverged from the model after op {} ({:?} on side {})", n, op, side
+                );
+                let x = (n as u32 * 37) % w;
+                let y = (n as u32 * 53) % h;
+                prop_assert_eq!(fb.pixel(x, y), model.px[(y * w + x) as usize]);
+                prop_assert_eq!(&full.sample(fb), &model.px);
+            }
         }
     }
 

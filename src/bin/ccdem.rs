@@ -196,9 +196,11 @@ macro_rules! parse_or_fail {
 }
 
 fn parse_duration(flags: &Flags, default_secs: &str) -> Result<SimDuration, String> {
-    match flags.value("--duration").unwrap_or(default_secs).parse::<u64>() {
-        Ok(secs) if secs > 0 => Ok(SimDuration::from_secs(secs)),
-        _ => Err("--duration must be a positive number of seconds".into()),
+    // Seconds whose microseconds overflow `u64` are refused like 0.
+    let secs = flags.value("--duration").unwrap_or(default_secs).parse::<u64>();
+    match secs.ok().filter(|&s| s > 0).and_then(|s| s.checked_mul(1_000_000)) {
+        Some(micros) => Ok(SimDuration::from_micros(micros)),
+        None => Err("--duration must be a positive number of seconds".into()),
     }
 }
 

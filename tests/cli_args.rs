@@ -1,0 +1,26 @@
+//! Run-length flags through the real binary: a duration the simulator
+//! cannot represent is refused with the usage error, not run truncated.
+
+use std::process::Command;
+
+fn simulate(duration: &str) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_ccdem"))
+        .args(["simulate", "--app", "Facebook", "--duration", duration])
+        .output()
+        .expect("run ccdem simulate")
+}
+
+#[test]
+fn durations_that_are_zero_or_overflow_microseconds_exit_1() {
+    // 18 446 744 073 710 s is the first whole second past u64::MAX µs.
+    for duration in ["0", "18446744073710", "18446744073709551615"] {
+        let out = simulate(duration);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--duration {duration}: {stderr}");
+        assert!(
+            stderr.contains("--duration must be a positive number of seconds"),
+            "--duration {duration}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "--duration {duration} printed a result");
+    }
+}

@@ -288,12 +288,17 @@ fn hostile_resume_files_exit_1_with_a_message() {
             "fractional_index",
             with_sketch(r#"{"precision":5,"count":1,"sum":0,"min":0,"max":0,"buckets":[[0.5,1]]}"#),
         ),
+        (
+            "zero_duration",
+            saved.replacen("\"duration_us\":\"1000000\"", "\"duration_us\":\"0\"", 1),
+        ),
         ("runs_1e30", with_runs("1e30")),
         ("runs_2_pow_53", with_runs("9007199254740992")),
         ("deep_nesting", "[".repeat(200_000)),
         ("truncated", saved[..saved.len() / 2].to_string()),
     ];
     for (name, document) in hostile {
+        assert_ne!(document, saved, "{name}: the hostile edit changed nothing");
         let path = temp(&format!("hostile_{name}.json"));
         std::fs::write(&path, document).expect("write hostile checkpoint");
         let resumed = fleet(&["--resume", path.to_str().unwrap()]);
