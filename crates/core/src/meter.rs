@@ -685,9 +685,10 @@ mod tests {
 
     #[test]
     fn bench_cases_read_exact_points_at_every_paper_budget() {
-        // The `ccdem bench` frame shapes on the S3 screen at Fig. 6's five
-        // pixel budgets (`fig6::PAPER_BUDGETS`, defined in a crate above
-        // this one), pinned as exact grid points read per frame.
+        // Four frame shapes on the S3 screen at Fig. 6's five pixel
+        // budgets (`fig6::PAPER_BUDGETS`, defined in a crate above this
+        // one), pinned as each frame's class and its exact grid points
+        // read.
         let budgets = [2_304, 4_080, 9_216, 36_864, 921_600];
         let res = Resolution::GALAXY_S3;
         // The status-bar-sized patch the `small_damage` case redraws.
@@ -713,12 +714,12 @@ mod tests {
             assert!(partial > 0, "budget {budget}: no point in a partly covered tile");
             assert!(partial < in_patch.len() as u64, "budget {budget}: no covered tile");
             let cases = [
-                ("redundant", false, 0),
-                ("small_damage", false, partial),
-                ("full_change", false, 0),
-                ("naive_redundant", true, grid),
+                ("redundant", false, 0, FrameClass::Redundant),
+                ("small_damage", false, partial, FrameClass::Meaningful),
+                ("full_change", false, 0, FrameClass::Meaningful),
+                ("naive_redundant", true, grid, FrameClass::Redundant),
             ];
-            for (case, naive, per_frame) in cases {
+            for (case, naive, per_frame, expected) in cases {
                 let mut fb = FrameBuffer::new(res);
                 let mut m = ContentRateMeter::new(sampler.clone());
                 m.set_naive(naive);
@@ -734,11 +735,12 @@ mod tests {
                     let damage = fb.take_damage();
                     let now = SimTime::from_micros(u64::from(i + 1) * 16_667);
                     let before = m.points_read();
-                    if naive {
-                        m.observe(&fb, now);
+                    let class = if naive {
+                        m.observe(&fb, now)
                     } else {
-                        m.observe_damaged(&fb, &damage, now);
-                    }
+                        m.observe_damaged(&fb, &damage, now)
+                    };
+                    assert_eq!(class, expected, "{case} at budget {budget}, frame {i}");
                     assert_eq!(
                         m.points_read() - before,
                         per_frame,
