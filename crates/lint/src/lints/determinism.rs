@@ -37,15 +37,11 @@ pub const RESULT_AFFECTING_CRATES: [&str; 9] = [
 
 /// Whitelisted files: host timing is these modules' documented purpose,
 /// and their outputs are kept strictly outside `RunResult`.
-pub const WHITELIST_FILES: [&str; 4] = [
+pub const WHITELIST_FILES: [&str; 2] = [
     // The parallel runner: scoped threads, input-order collection.
     "crates/simkit/src/parallel.rs",
     // Host wall-clock reporting, outside RunResult by design.
     "crates/metrics/src/timing.rs",
-    // The perf harness measures host time; that is its output.
-    "crates/experiments/src/perf.rs",
-    // The scratch-reuse harness times fresh vs reused batches.
-    "crates/experiments/src/perf_sweep.rs",
 ];
 
 /// The forbidden type names.

@@ -97,9 +97,8 @@ fn determinism_skips_whitelisted_files() {
 
 #[test]
 fn determinism_whitelist_covers_every_timing_harness() {
-    // Each whitelist entry must silence the lint for exactly that path —
-    // including the PR 5 scratch-reuse harness — while the same tokens
-    // in any sibling file still flag.
+    // Each whitelist entry must silence the lint for exactly that path,
+    // while the same tokens in any sibling file still flag.
     for path in determinism::WHITELIST_FILES {
         let lexed = lex(&fixture("determinism_violations.rs")).expect("fixture lexes");
         let file = SourceFile::new(path.to_string(), "experiments".to_string(), lexed);
@@ -107,10 +106,6 @@ fn determinism_whitelist_covers_every_timing_harness() {
         determinism::check(&file, &mut out);
         assert!(out.is_empty(), "{path} is whitelisted: {out:?}");
     }
-    assert!(
-        determinism::WHITELIST_FILES.contains(&"crates/experiments/src/perf_sweep.rs"),
-        "the scratch-reuse harness must stay whitelisted"
-    );
     let lexed = lex(&fixture("determinism_violations.rs")).expect("fixture lexes");
     let sibling = SourceFile::new(
         "crates/experiments/src/sweep.rs".to_string(),
