@@ -12,7 +12,7 @@
 //! Phase sketches record **self time** (the phase's cost minus nested
 //! phases), while `profile.decision_tick` records the **total** latency
 //! of one control tick — the number the paper's feasibility argument
-//! rests on, and the one `ccdem bench` budgets.
+//! rests on, and the one the `profile_jsonl` test holds to 200 µs at p99.
 //!
 //! Profiling is opt-in per scenario
 //! ([`Scenario::with_profiling`](crate::scenario::Scenario::with_profiling))

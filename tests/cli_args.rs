@@ -1,5 +1,6 @@
-//! Run-length flags through the real binary: a duration the simulator
-//! cannot represent is refused with the usage error, not run truncated.
+//! Command-line input through the real binary: a duration the simulator
+//! cannot represent is refused with the usage error, not run truncated,
+//! and an unknown command or flag exits 1 before any work.
 
 use std::process::Command;
 
@@ -22,5 +23,25 @@ fn durations_that_are_zero_or_overflow_microseconds_exit_1() {
             "--duration {duration}: {stderr}"
         );
         assert!(out.stdout.is_empty(), "--duration {duration} printed a result");
+    }
+}
+
+#[test]
+fn unknown_commands_and_flags_exit_1_with_empty_stdout() {
+    let mut cases = vec![(vec!["bench"], "unknown command \"bench\"")];
+    for command in [
+        "catalog", "table", "simulate", "trace", "profile", "sweep", "report", "fleet", "lint",
+    ] {
+        cases.push((vec![command, "--bogus"], "unknown flag \"--bogus\""));
+    }
+    for (args, message) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_ccdem"))
+            .args(&args)
+            .output()
+            .expect("run ccdem");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
     }
 }
