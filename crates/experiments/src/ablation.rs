@@ -15,9 +15,9 @@
 use std::fmt;
 
 use ccdem_core::governor::{GovernorConfig, Policy};
+use ccdem_metrics::table::TextTable;
 use ccdem_obs::Obs;
 use ccdem_power::model::PowerCoefficients;
-use ccdem_metrics::table::TextTable;
 use ccdem_simkit::parallel::ParallelRunner;
 use ccdem_simkit::time::{SimDuration, SimTime};
 use ccdem_workloads::catalog;
@@ -118,13 +118,10 @@ fn measure(
     governor: GovernorConfig,
     scratch: &mut RunScratch,
 ) -> AblationPoint {
-    let mut scenario = Scenario::new(
-        Workload::App(catalog::jelly_splash()),
-        governor.policy(),
-    )
-    .at_quarter_resolution()
-    .with_duration(config.duration)
-    .with_seed(config.seed);
+    let mut scenario = Scenario::new(Workload::App(catalog::jelly_splash()), governor.policy())
+        .at_quarter_resolution()
+        .with_duration(config.duration)
+        .with_seed(config.seed);
     // Preserve the grid budget the caller chose (at_quarter_resolution
     // rescales the default; apply the explicit one scaled the same way).
     scenario.governor = GovernorConfig::new(governor.policy())
@@ -314,10 +311,7 @@ pub fn run_all(config: &AblationConfig, obs: &Obs) -> Vec<Ablation> {
 /// count is not known up front, so progress lines omit the `total`
 /// field. Folding is order-independent, hence the returned statistics
 /// are identical for any worker count.
-pub fn run_all_with_campaign(
-    config: &AblationConfig,
-    obs: &Obs,
-) -> (Vec<Ablation>, CampaignStats) {
+pub fn run_all_with_campaign(config: &AblationConfig, obs: &Obs) -> (Vec<Ablation>, CampaignStats) {
     let sweeps: [fn(&AblationConfig) -> Ablation; 7] = [
         control_window_sweep,
         grid_budget_sweep,
@@ -386,7 +380,11 @@ mod tests {
     fn budget_sweep_keeps_quality_high_at_9k() {
         let a = grid_budget_sweep(&cfg());
         let p9k = &a.points[2];
-        assert!(p9k.quality_pct > 90.0, "9K grid quality {:.1}%", p9k.quality_pct);
+        assert!(
+            p9k.quality_pct > 90.0,
+            "9K grid quality {:.1}%",
+            p9k.quality_pct
+        );
     }
 
     #[test]

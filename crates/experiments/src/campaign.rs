@@ -530,7 +530,10 @@ mod tests {
             assert_eq!(CampaignStats::from_json(&doc), None, "runs {huge}");
         }
         let below = parse(r#"{"runs": 9007199254740991, "metrics": {}}"#).unwrap();
-        assert_eq!(CampaignStats::from_json(&below).map(|s| s.runs), Some((1 << 53) - 1));
+        assert_eq!(
+            CampaignStats::from_json(&below).map(|s| s.runs),
+            Some((1 << 53) - 1)
+        );
         // Missing members.
         let empty = parse("{}").unwrap();
         assert_eq!(CampaignStats::from_json(&empty), None);

@@ -101,19 +101,17 @@ impl fmt::Display for Fig2 {
         for trace in [&self.facebook, &self.jelly_splash] {
             writeln!(f, "\n{} — frame rate / content rate per second:", trace.app)?;
             let touch_secs = trace.touch_seconds();
-            for (sec, (fr, cr)) in trace
-                .frame_rate
-                .iter()
-                .zip(&trace.content_rate)
-                .enumerate()
-            {
+            for (sec, (fr, cr)) in trace.frame_rate.iter().zip(&trace.content_rate).enumerate() {
                 let mark = if touch_secs.contains(&(sec as u64)) {
                     "*"
                 } else {
                     " "
                 };
                 let bar = "#".repeat((fr / 2.0).round() as usize);
-                writeln!(f, "  t={sec:>3}s {mark} {fr:>5.1} fps (content {cr:>5.1})  {bar}")?;
+                writeln!(
+                    f,
+                    "  t={sec:>3}s {mark} {fr:>5.1} fps (content {cr:>5.1})  {bar}"
+                )?;
             }
         }
         Ok(())

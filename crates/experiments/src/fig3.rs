@@ -163,7 +163,12 @@ mod tests {
         // Fig. 3(b): every game updates the display at ≥30 fps.
         let fig = quick();
         for g in fig.class(AppClass::Game) {
-            assert!(g.total_fps() > 28.0, "{} at {:.1} fps", g.app, g.total_fps());
+            assert!(
+                g.total_fps() > 28.0,
+                "{} at {:.1} fps",
+                g.app,
+                g.total_fps()
+            );
         }
     }
 
@@ -172,7 +177,11 @@ mod tests {
         // Fig. 3(d): ~80% of games above 20 redundant fps.
         let fig = quick();
         let frac = fig.fraction_redundant_above(AppClass::Game, 20.0);
-        assert!(frac >= 0.7, "only {:.0}% of games above 20 redundant fps", frac * 100.0);
+        assert!(
+            frac >= 0.7,
+            "only {:.0}% of games above 20 redundant fps",
+            frac * 100.0
+        );
     }
 
     #[test]

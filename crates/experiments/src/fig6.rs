@@ -187,7 +187,10 @@ mod tests {
     fn coarse_grid_has_visible_error() {
         let fig = quick();
         let e2k = fig.at_budget(2_304).unwrap().error_pct;
-        assert!(e2k > 5.0, "2K grid error {e2k}% too small for the stress case");
+        assert!(
+            e2k > 5.0,
+            "2K grid error {e2k}% too small for the stress case"
+        );
     }
 
     #[test]
@@ -199,7 +202,10 @@ mod tests {
         for p in &fig.points {
             assert_eq!(p.points_read, p.pixels, "{}x{} grid", p.grid.0, p.grid.1);
         }
-        assert_eq!((fig.points[2].points_read, fig.points[4].points_read), (9_216, 921_600));
+        assert_eq!(
+            (fig.points[2].points_read, fig.points[4].points_read),
+            (9_216, 921_600)
+        );
         // Host timing of the same steps.
         let t9k = fig.points[2].duration;
         let t_full = fig.points[4].duration;

@@ -145,7 +145,10 @@ impl fmt::Display for Fig7 {
                 } else {
                     String::new()
                 };
-                writeln!(f, "  t={sec:>3}s  CR {cr:>5.1} fps  RR {rr:>5.1} Hz{drop_mark}")?;
+                writeln!(
+                    f,
+                    "  t={sec:>3}s  CR {cr:>5.1} fps  RR {rr:>5.1} Hz{drop_mark}"
+                )?;
             }
         }
         Ok(())
@@ -185,8 +188,7 @@ mod tests {
     fn boost_reduces_dropped_frames() {
         let fig = quick();
         // Fig. 7's headline: touch boosting cuts frame drops sharply.
-        let section_drops =
-            fig.facebook_section.total_dropped + fig.jelly_section.total_dropped;
+        let section_drops = fig.facebook_section.total_dropped + fig.jelly_section.total_dropped;
         let boost_drops = fig.facebook_boost.total_dropped + fig.jelly_boost.total_dropped;
         assert!(
             boost_drops < section_drops,

@@ -144,7 +144,10 @@ mod tests {
         let fig = quick();
         let js = fig.jelly_splash[0].saved.mean;
         let fb = fig.facebook[0].saved.mean;
-        assert!(js > fb * 1.5, "Jelly Splash {js:.0} mW vs Facebook {fb:.0} mW");
+        assert!(
+            js > fb * 1.5,
+            "Jelly Splash {js:.0} mW vs Facebook {fb:.0} mW"
+        );
     }
 
     #[test]

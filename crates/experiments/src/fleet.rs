@@ -138,7 +138,10 @@ impl DeviceSpec {
     ///
     /// Panics if `catalog` is empty.
     pub fn sample_from(catalog: &[AppSpec], campaign_seed: u64, index: u64) -> DeviceSpec {
-        assert!(!catalog.is_empty(), "device sampling needs a non-empty catalog");
+        assert!(
+            !catalog.is_empty(),
+            "device sampling needs a non-empty catalog"
+        );
         let device_seed = derive_seed(campaign_seed, index);
         let app_index = (derive_seed(device_seed, STREAM_APP) % catalog.len() as u64) as usize;
         // ccdem-lint: allow(panic) — app_index is `% catalog.len()`,
@@ -288,7 +291,11 @@ impl FleetCheckpoint {
                     "checkpoint format {other:?} is not this version's {CHECKPOINT_MARKER:?}"
                 ))
             }
-            None => return Err(format!("missing \"checkpoint\" marker (want {CHECKPOINT_MARKER:?})")),
+            None => {
+                return Err(format!(
+                    "missing \"checkpoint\" marker (want {CHECKPOINT_MARKER:?})"
+                ))
+            }
         }
         // Only the exact decimal spelling `to_json` writes is accepted,
         // so every member round-trips bit for bit.
@@ -391,7 +398,8 @@ pub fn write_checkpoint(path: &Path, checkpoint: &FleetCheckpoint) -> Result<(),
         move |e| format!("{what} {at}: {e}")
     }
     let mut file = std::fs::File::create(&tmp).map_err(io("create", &tmp))?;
-    file.write_all(document.as_bytes()).map_err(io("write", &tmp))?;
+    file.write_all(document.as_bytes())
+        .map_err(io("write", &tmp))?;
     file.sync_all().map_err(io("sync", &tmp))?;
     drop(file);
     std::fs::rename(&tmp, path)
@@ -519,7 +527,13 @@ pub fn resume(
             .field("next_index", checkpoint.next_index)
             .field("runs", checkpoint.stats.runs());
     });
-    run_from(config, checkpoint.next_index, checkpoint.stats, obs, &|_, _| {})
+    run_from(
+        config,
+        checkpoint.next_index,
+        checkpoint.stats,
+        obs,
+        &|_, _| {},
+    )
 }
 
 /// The scheduler core: waves of `checkpoint_every` batches, each wave a
@@ -554,19 +568,15 @@ fn run_from(
     };
     while next < config.devices {
         let wave_end = config.devices.min(next.saturating_add(wave_devices));
-        let partials = runner.run_batches(
-            next..wave_end,
-            batch,
-            FleetWorker::new,
-            |worker, index| {
+        let partials =
+            runner.run_batches(next..wave_end, batch, FleetWorker::new, |worker, index| {
                 let spec = DeviceSpec::sample_from(&worker.catalog, config.seed, index);
                 let result = spec
                     .scenario(config.duration)
                     .run_with_scratch(&mut worker.scratch);
                 worker.stats.observe_run(&result);
                 observe(index, &result);
-            },
-        );
+            });
         for worker in &partials {
             stats.merge(&worker.stats);
             outcome.partials_merged += 1;
@@ -590,11 +600,10 @@ fn run_from(
                 write_checkpoint(path, &checkpoint)?;
                 outcome.checkpoints_written += 1;
                 obs.emit("fleet.checkpoint", SimTime::ZERO, |event| {
-                    event
-                        .field("next_index", next)
-                        .field("runs", stats.runs());
+                    event.field("next_index", next).field("runs", stats.runs());
                 });
-                if config.stop_after_checkpoints
+                if config
+                    .stop_after_checkpoints
                     .is_some_and(|n| outcome.checkpoints_written >= n)
                 {
                     break;
@@ -654,21 +663,37 @@ mod tests {
         // Across a few hundred devices, every usage pattern, panel and
         // policy shows up.
         let specs: Vec<DeviceSpec> = (0..300).map(|i| DeviceSpec::sample(5, i)).collect();
-        for usage in [UsagePattern::Standard, UsagePattern::Sparse, UsagePattern::Idle] {
-            assert!(specs.iter().any(|s| s.usage == usage), "{usage} never drawn");
+        for usage in [
+            UsagePattern::Standard,
+            UsagePattern::Sparse,
+            UsagePattern::Idle,
+        ] {
+            assert!(
+                specs.iter().any(|s| s.usage == usage),
+                "{usage} never drawn"
+            );
         }
         for panel in ["galaxy s3", "ltpo", "tablet"] {
             assert!(
-                specs.iter().any(|s| s.device.name().to_lowercase().contains(panel)),
+                specs
+                    .iter()
+                    .any(|s| s.device.name().to_lowercase().contains(panel)),
                 "panel {panel} never drawn"
             );
         }
         for policy in [Policy::SectionOnly, Policy::SectionWithBoost] {
-            assert!(specs.iter().any(|s| s.policy == policy), "{policy} never drawn");
+            assert!(
+                specs.iter().any(|s| s.policy == policy),
+                "{policy} never drawn"
+            );
         }
         let apps: std::collections::BTreeSet<&str> =
             specs.iter().map(|s| s.app.name.as_str()).collect();
-        assert!(apps.len() > 20, "only {} distinct apps in 300 draws", apps.len());
+        assert!(
+            apps.len() > 20,
+            "only {} distinct apps in 300 draws",
+            apps.len()
+        );
     }
 
     #[test]
@@ -723,19 +748,24 @@ mod tests {
         let mut document = String::new();
         json::write_json(&mut document, &checkpoint.to_json());
         for bad in [
-            "9007199254740993",             // an f64 number: may be rounded
-            "\"+42\"",                      // not the canonical spelling
+            "9007199254740993", // an f64 number: may be rounded
+            "\"+42\"",          // not the canonical spelling
             "\"042\"",
             "\"4.2e1\"",
             "\"-42\"",
-            "\"18446744073709551616\"",     // u64::MAX + 1
+            "\"18446744073709551616\"", // u64::MAX + 1
             "\"\"",
         ] {
-            let tampered = document
-                .replace("\"campaign_seed\":\"42\"", &format!("\"campaign_seed\":{bad}"));
+            let tampered = document.replace(
+                "\"campaign_seed\":\"42\"",
+                &format!("\"campaign_seed\":{bad}"),
+            );
             assert_ne!(tampered, document);
             let err = FleetCheckpoint::parse(&tampered).expect_err(bad);
-            assert!(err.contains("campaign_seed"), "wrong member named for {bad}: {err}");
+            assert!(
+                err.contains("campaign_seed"),
+                "wrong member named for {bad}: {err}"
+            );
         }
     }
 
@@ -750,7 +780,10 @@ mod tests {
              \"stats\":{stats}}}"
         );
         let err = FleetCheckpoint::parse(&v1).expect_err("a v1 checkpoint");
-        assert!(err.contains("ccdem-fleet-checkpoint-v1") && err.contains(CHECKPOINT_MARKER), "{err}");
+        assert!(
+            err.contains("ccdem-fleet-checkpoint-v1") && err.contains(CHECKPOINT_MARKER),
+            "{err}"
+        );
     }
 
     #[test]
@@ -775,7 +808,9 @@ mod tests {
         json::write_json(&mut document, &checkpoint.to_json());
         let torn = document.replace("\"next_index\":\"50\"", "\"next_index\":\"101\"");
         assert!(
-            FleetCheckpoint::parse(&torn).unwrap_err().contains("beyond"),
+            FleetCheckpoint::parse(&torn)
+                .unwrap_err()
+                .contains("beyond"),
             "cursor past the campaign accepted"
         );
     }
@@ -795,7 +830,10 @@ mod tests {
         let zero = document.replace("\"duration_us\":\"1000000\"", "\"duration_us\":\"0\"");
         assert_ne!(zero, document);
         let err = FleetCheckpoint::parse(&zero).expect_err("a zero-length campaign");
-        assert!(err.contains("duration_us") && err.contains("positive"), "{err}");
+        assert!(
+            err.contains("duration_us") && err.contains("positive"),
+            "{err}"
+        );
     }
 
     #[test]

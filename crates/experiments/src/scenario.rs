@@ -348,8 +348,12 @@ impl<'a> Engine<'a> {
         // first (by reference), then the compositor owns the pool for the
         // run so surface creation recycles too. `finish` refills it.
         let mut pool = std::mem::take(&mut scratch.pool);
-        let mut governor =
-            Governor::with_scratch(device.rates().clone(), resolution, scenario.governor, &mut pool);
+        let mut governor = Governor::with_scratch(
+            device.rates().clone(),
+            resolution,
+            scenario.governor,
+            &mut pool,
+        );
         let mut flinger = SurfaceFlinger::with_pool(resolution, pool);
         flinger.set_naive_compose(scenario.governor.naive_metering());
         let app = scenario.workload.instantiate(resolution, &mut app_rng);
@@ -486,11 +490,8 @@ impl<'a> Engine<'a> {
                     .span("profile.meter_gather", edge)
                     .record_self_into(p.meter_gather.clone())
             });
-            self.governor.on_framebuffer_update_damaged(
-                self.flinger.framebuffer(),
-                &damage,
-                edge,
-            );
+            self.governor
+                .on_framebuffer_update_damaged(self.flinger.framebuffer(), &damage, edge);
         }
         self.panel
             .refresh(edge, self.flinger.framebuffer().generation());
@@ -544,7 +545,10 @@ impl<'a> Engine<'a> {
         let Some(id) = self.status_bar else { return };
         self.status_ticks += 1;
         let tick = self.status_ticks;
-        let bar = self.flinger.surface_mut(id).expect("engine-created surface");
+        let bar = self
+            .flinger
+            .surface_mut(id)
+            .expect("engine-created surface");
         let bounds = bar.bounds();
         // The "clock digits": a small block whose shade advances each
         // second, inside the bar region of the surface buffer.
@@ -614,8 +618,7 @@ impl<'a> Engine<'a> {
             .history()
             .time_weighted_mean(SimTime::ZERO, end);
         let refresh_switches = self.controller.switches();
-        let quality_pct =
-            ccdem_metrics::quality::display_quality_pct(displayed_fps, actual_fps);
+        let quality_pct = ccdem_metrics::quality::display_quality_pct(displayed_fps, actual_fps);
         self.obs.emit("run.end", end, |event| {
             event
                 .field("avg_power_mw", avg_power_mw)
@@ -734,8 +737,7 @@ impl RunResult {
         if self.frame_rate_per_second.is_empty() {
             0.0
         } else {
-            self.frame_rate_per_second.iter().sum::<f64>()
-                / self.frame_rate_per_second.len() as f64
+            self.frame_rate_per_second.iter().sum::<f64>() / self.frame_rate_per_second.len() as f64
         }
     }
 
@@ -830,12 +832,9 @@ mod tests {
 
     #[test]
     fn run_with_baseline_pairs_results() {
-        let scenario = Scenario::new(
-            Workload::App(catalog::jelly_splash()),
-            Policy::SectionOnly,
-        )
-        .at_quarter_resolution()
-        .with_duration(SimDuration::from_secs(8));
+        let scenario = Scenario::new(Workload::App(catalog::jelly_splash()), Policy::SectionOnly)
+            .at_quarter_resolution()
+            .with_duration(SimDuration::from_secs(8));
         let (governed, baseline) = scenario.run_with_baseline();
         assert_eq!(governed.policy, Policy::SectionOnly);
         assert_eq!(baseline.policy, Policy::FixedMax);

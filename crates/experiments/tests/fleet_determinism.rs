@@ -61,8 +61,7 @@ fn interrupted_and_resumed_campaign_is_byte_identical_to_uninterrupted() {
     let path = dir.join("resume.ckpt.json");
     let _ = std::fs::remove_file(&path);
 
-    let uninterrupted =
-        fleet::run(&config(20, 2, 2), &Obs::disabled()).expect("no checkpoint I/O");
+    let uninterrupted = fleet::run(&config(20, 2, 2), &Obs::disabled()).expect("no checkpoint I/O");
 
     // Checkpoint every 2 batches (4 devices), die after the second
     // checkpoint — 8 of 20 devices done.
@@ -85,10 +84,12 @@ fn interrupted_and_resumed_campaign_is_byte_identical_to_uninterrupted() {
     let mut resume_config = config(20, 3, 2);
     resume_config.checkpoint_path = Some(path.clone());
     resume_config.checkpoint_every = 2;
-    let resumed =
-        fleet::resume(&resume_config, checkpoint, &Obs::disabled()).expect("resume runs");
+    let resumed = fleet::resume(&resume_config, checkpoint, &Obs::disabled()).expect("resume runs");
     assert!(resumed.completed());
-    assert_eq!(resumed.devices_run, 12, "resume must only run the remainder");
+    assert_eq!(
+        resumed.devices_run, 12,
+        "resume must only run the remainder"
+    );
     assert_eq!(
         final_document(&resumed.stats),
         final_document(&uninterrupted.stats)

@@ -60,7 +60,11 @@ fn wallpaper_stress_equivalent() {
 #[test]
 fn video_player_equivalent() {
     assert_equivalent(
-        base(Workload::Video(VideoConfig::default()), Policy::SectionOnly, 13),
+        base(
+            Workload::Video(VideoConfig::default()),
+            Policy::SectionOnly,
+            13,
+        ),
         "video / section",
     );
 }
@@ -101,7 +105,10 @@ fn baseline_twin_equivalent() {
         Policy::SectionOnly,
         16,
     );
-    let (fast_gov, fast_base) = scenario.clone().with_naive_metering(false).run_with_baseline();
+    let (fast_gov, fast_base) = scenario
+        .clone()
+        .with_naive_metering(false)
+        .run_with_baseline();
     let (naive_gov, naive_base) = scenario.with_naive_metering(true).run_with_baseline();
     assert_eq!(fast_gov, naive_gov);
     assert_eq!(fast_base, naive_base);

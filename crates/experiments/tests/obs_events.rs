@@ -37,8 +37,7 @@ fn trace_contains_one_decision_event_per_control_window() {
     let ticks = events
         .iter()
         .filter(|e| {
-            e.name == "governor.decision"
-                && e.get("trigger") == Some(&Value::Str("tick".into()))
+            e.name == "governor.decision" && e.get("trigger") == Some(&Value::Str("tick".into()))
         })
         .count();
     // Control ticks fire at k * window for k >= 1 while k * window is
@@ -90,15 +89,13 @@ fn trace_streams_framebuffer_meter_and_panel_events() {
     let meaningful = events
         .iter()
         .filter(|e| {
-            e.name == "meter.frame"
-                && e.get("class") == Some(&Value::Str("meaningful".into()))
+            e.name == "meter.frame" && e.get("class") == Some(&Value::Str("meaningful".into()))
         })
         .count();
     let redundant = events
         .iter()
         .filter(|e| {
-            e.name == "meter.frame"
-                && e.get("class") == Some(&Value::Str("redundant".into()))
+            e.name == "meter.frame" && e.get("class") == Some(&Value::Str("redundant".into()))
         })
         .count();
     assert_eq!(meaningful + redundant, frames, "unclassified meter frames");

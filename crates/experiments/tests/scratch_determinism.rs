@@ -85,13 +85,10 @@ fn per_worker_scratch_sweep_matches_fresh_serial_sweep() {
 
 #[test]
 fn baseline_twin_shares_the_scratch_without_cross_talk() {
-    let scenario = Scenario::new(
-        Workload::App(catalog::facebook()),
-        Policy::SectionWithBoost,
-    )
-    .at_quarter_resolution()
-    .with_duration(SimDuration::from_secs(6))
-    .with_seed(7);
+    let scenario = Scenario::new(Workload::App(catalog::facebook()), Policy::SectionWithBoost)
+        .at_quarter_resolution()
+        .with_duration(SimDuration::from_secs(6))
+        .with_seed(7);
 
     let (governed_fresh, baseline_fresh) = scenario.run_with_baseline();
     let mut scratch = RunScratch::new();
