@@ -5,5 +5,4 @@ pub mod arith_cast;
 pub mod atomics_ordering;
 pub mod determinism;
 pub mod panic;
-pub mod section_table;
 pub mod taxonomy;
