@@ -65,15 +65,6 @@ impl FrameStats {
     pub fn content_composed(&self) -> &EventCounter {
         &self.content_composed
     }
-
-    /// Frames the application *intended* but that never reached the glass:
-    /// content submissions minus content-carrying compositions, within
-    /// `[start, end)`, clamped at zero.
-    pub fn dropped_content_frames_in(&self, start: SimTime, end: SimTime) -> usize {
-        let intended = self.content_submissions.count_in(start, end);
-        let displayed = self.content_composed.count_in(start, end);
-        intended.saturating_sub(displayed)
-    }
 }
 
 #[cfg(test)]
@@ -91,31 +82,5 @@ mod tests {
         assert_eq!(s.content_submissions().count(), 2);
         assert_eq!(s.composed().count(), 1);
         assert_eq!(s.content_composed().count(), 1);
-    }
-
-    #[test]
-    fn dropped_frames_clamped_at_zero() {
-        let mut s = FrameStats::new();
-        // Displayed more content frames than submissions in this window
-        // can't happen in practice, but the metric must not underflow.
-        s.record_compose(SimTime::from_millis(1), true);
-        assert_eq!(
-            s.dropped_content_frames_in(SimTime::ZERO, SimTime::from_secs(1)),
-            0
-        );
-    }
-
-    #[test]
-    fn dropped_frames_counts_coalesced_content() {
-        let mut s = FrameStats::new();
-        // Three content submissions, only one composed frame carried them.
-        for ms in [1, 2, 3] {
-            s.record_submission(SimTime::from_millis(ms), true);
-        }
-        s.record_compose(SimTime::from_millis(16), true);
-        assert_eq!(
-            s.dropped_content_frames_in(SimTime::ZERO, SimTime::from_secs(1)),
-            2
-        );
     }
 }

@@ -5,7 +5,8 @@
 //! it also means a single noisy window (a burst of coalesced frames, a
 //! one-off animation) can flip the refresh rate. An exponentially
 //! weighted moving average (EWMA) trades a little reaction latency for
-//! stability; the `ablations` bench quantifies the trade.
+//! stability; the smoothing ablation (`paper_report ablations`)
+//! quantifies the trade.
 
 use crate::content_rate::ContentRate;
 

@@ -187,11 +187,6 @@ impl CampaignStats {
         self.runs == 0 && self.metrics.values().all(QuantileSketch::is_empty)
     }
 
-    /// The metric names recorded so far, sorted.
-    pub fn metric_names(&self) -> Vec<&'static str> {
-        self.metrics.keys().copied().collect()
-    }
-
     /// The underlying sketch for `metric`, if any sample was recorded.
     pub fn sketch(&self, metric: &str) -> Option<&QuantileSketch> {
         self.metrics.get(metric)

@@ -67,53 +67,6 @@ pub fn write_timeseries_csv<W: Write>(run: &RunResult, mut out: W) -> io::Result
     Ok(())
 }
 
-/// Writes one summary row per run as CSV to `out`.
-///
-/// Columns: `app, class, policy, avg_power_mw, avg_refresh_hz,
-/// actual_content_fps, displayed_content_fps, dropped_fps, quality_pct,
-/// refresh_switches`.
-///
-/// # Errors
-///
-/// Propagates any I/O error from `out`.
-pub fn write_summary_csv<'a, W, I>(runs: I, mut out: W) -> io::Result<()>
-where
-    W: Write,
-    I: IntoIterator<Item = &'a RunResult>,
-{
-    writeln!(
-        out,
-        "app,class,policy,avg_power_mw,avg_refresh_hz,actual_content_fps,\
-         displayed_content_fps,dropped_fps,quality_pct,refresh_switches"
-    )?;
-    for run in runs {
-        writeln!(
-            out,
-            "{},{},{:?},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{}",
-            csv_escape(&run.app_name),
-            run.app_class,
-            run.policy,
-            run.avg_power_mw,
-            run.avg_refresh_hz,
-            run.actual_content_fps,
-            run.displayed_content_fps,
-            run.dropped_fps(),
-            run.quality_pct(),
-            run.refresh_switches,
-        )?;
-    }
-    Ok(())
-}
-
-/// Quotes a field if it contains CSV metacharacters.
-fn csv_escape(field: &str) -> String {
-    if field.contains([',', '"', '\n']) {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,24 +94,6 @@ mod tests {
         for line in text.lines().skip(1) {
             assert_eq!(line.split(',').count(), 8, "bad row: {line}");
         }
-    }
-
-    #[test]
-    fn summary_contains_each_run() {
-        let a = run();
-        let mut buf = Vec::new();
-        write_summary_csv([&a, &a], &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text.lines().count(), 3);
-        assert!(text.contains("Facebook"));
-        assert!(text.contains("SectionOnly"));
-    }
-
-    #[test]
-    fn fields_with_commas_are_quoted() {
-        assert_eq!(csv_escape("plain"), "plain");
-        assert_eq!(csv_escape("a,b"), "\"a,b\"");
-        assert_eq!(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
     }
 
     #[test]

@@ -9,7 +9,6 @@ use std::fmt;
 
 use ccdem_core::governor::Policy;
 use ccdem_metrics::table::TextTable;
-use ccdem_simkit::stats::quantile;
 use ccdem_simkit::time::SimDuration;
 use ccdem_workloads::app::AppClass;
 use ccdem_workloads::catalog;
@@ -77,12 +76,6 @@ impl Fig3 {
             return 0.0;
         }
         members.iter().filter(|a| a.redundant_fps > fps).count() as f64 / members.len() as f64
-    }
-
-    /// The `q`-quantile of a class's redundant rates.
-    pub fn redundant_quantile(&self, class: AppClass, q: f64) -> Option<f64> {
-        let v: Vec<f64> = self.class(class).iter().map(|a| a.redundant_fps).collect();
-        quantile(&v, q)
     }
 }
 

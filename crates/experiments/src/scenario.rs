@@ -740,12 +740,6 @@ impl RunResult {
             self.frame_rate_per_second.iter().sum::<f64>() / self.frame_rate_per_second.len() as f64
         }
     }
-
-    /// Mean redundant frame rate over the run (frame rate minus actual
-    /// content rate, clamped at zero). (fps)
-    pub fn mean_redundant_rate(&self) -> f64 {
-        (self.mean_frame_rate() - self.displayed_content_fps).max(0.0)
-    }
 }
 
 #[cfg(test)]

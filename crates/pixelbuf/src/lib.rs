@@ -20,7 +20,6 @@
 //!   of repeated scenario runs.
 //! * [`diff`] — exhaustive ground-truth comparison.
 //! * [`draw`] — drawing primitives for the synthetic workloads.
-//! * [`ppm`] — one-call PPM dumps of framebuffers for debugging.
 //!
 //! # Examples
 //!
@@ -57,7 +56,6 @@ pub mod geometry;
 pub mod grid;
 pub mod pixel;
 pub mod pool;
-pub mod ppm;
 pub mod tile;
 
 pub use buffer::FrameBuffer;

@@ -112,16 +112,6 @@ impl Millijoules {
     pub fn value(self) -> f64 {
         self.0
     }
-
-    /// The average power if this energy was spent over `duration`.
-    /// Returns zero power for a zero duration.
-    pub fn average_over(self, duration: SimDuration) -> Milliwatts {
-        if duration.is_zero() {
-            Milliwatts::ZERO
-        } else {
-            Milliwatts(self.0 / duration.as_secs_f64())
-        }
-    }
 }
 
 impl Add for Millijoules {
@@ -164,15 +154,6 @@ mod tests {
     fn power_times_time_is_energy() {
         let e = Milliwatts::new(100.0).for_duration(SimDuration::from_secs(2));
         assert_eq!(e, Millijoules::new(200.0));
-        assert_eq!(e.average_over(SimDuration::from_secs(2)), Milliwatts::new(100.0));
-    }
-
-    #[test]
-    fn zero_duration_average_is_zero() {
-        assert_eq!(
-            Millijoules::new(50.0).average_over(SimDuration::ZERO),
-            Milliwatts::ZERO
-        );
     }
 
     #[test]
