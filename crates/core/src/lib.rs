@@ -67,7 +67,7 @@ pub mod smoothing;
 pub use boost::TouchBooster;
 pub use content_rate::ContentRate;
 pub use governor::{Governor, GovernorConfig, Policy};
-pub use meter::{measure_metering_cost, ContentRateMeter, FrameClass};
 pub use hysteresis::SwitchDamper;
+pub use meter::{measure_metering_cost, ContentRateMeter, FrameClass};
 pub use section::{NaiveRateMapper, RateMapper, SectionTable};
 pub use smoothing::EwmaFilter;

@@ -301,11 +301,18 @@ impl ContentRateMeter {
         } else if self.naive {
             // One oracle pass over the whole screen.
             let everything = DamageRegion::of(self.sampler.resolution().bounds());
-            let result = self
-                .sampler
-                .reference_capture(framebuffer, &everything, &mut self.snapshot);
+            let result =
+                self.sampler
+                    .reference_capture(framebuffer, &everything, &mut self.snapshot);
             let class = FrameClass::of(result.differs);
-            (class, result.points_compared, result.points_read, false, 0, 0)
+            (
+                class,
+                result.points_compared,
+                result.points_read,
+                false,
+                0,
+                0,
+            )
         } else if framebuffer.content_generation() == self.last_content_generation {
             // O(1): no draw op ran since the last capture, so no pixel —
             // sampled or not — can have changed.
@@ -637,7 +644,10 @@ mod tests {
 
         // Redundant resubmission: O(1), zero reads, all points skipped.
         fb.touch();
-        assert_eq!(m.observe(&fb, SimTime::from_millis(16)), FrameClass::Redundant);
+        assert_eq!(
+            m.observe(&fb, SimTime::from_millis(16)),
+            FrameClass::Redundant
+        );
         assert_eq!(m.points_read(), grid);
         assert_eq!(m.fast_path_frames(), 1);
         assert_eq!(m.points_skipped(), grid);
@@ -692,7 +702,12 @@ mod tests {
         let budgets = [2_304, 4_080, 9_216, 36_864, 921_600];
         let res = Resolution::GALAXY_S3;
         // The status-bar-sized patch the `small_damage` case redraws.
-        let patch = Rect::new(res.width / 2, res.height / 2, res.width / 8, res.height / 32);
+        let patch = Rect::new(
+            res.width / 2,
+            res.height / 2,
+            res.width / 8,
+            res.height / 32,
+        );
         let tiles = TileMap::new(res);
         for budget in budgets {
             let sampler = GridSampler::for_pixel_budget(res, budget);
@@ -711,8 +726,14 @@ mod tests {
                     patch.intersection(tile) != Some(tile)
                 })
                 .count() as u64;
-            assert!(partial > 0, "budget {budget}: no point in a partly covered tile");
-            assert!(partial < in_patch.len() as u64, "budget {budget}: no covered tile");
+            assert!(
+                partial > 0,
+                "budget {budget}: no point in a partly covered tile"
+            );
+            assert!(
+                partial < in_patch.len() as u64,
+                "budget {budget}: no covered tile"
+            );
             let cases = [
                 ("redundant", false, 0, FrameClass::Redundant),
                 ("small_damage", false, partial, FrameClass::Meaningful),

@@ -67,7 +67,10 @@ fn run(
 fn steady_state_meter_frames_do_not_allocate() {
     let res = Resolution::GALAXY_S3;
     let warm_up = 2 * HORIZON.as_micros() / FRAME_US;
-    for sampler in [GridSampler::for_pixel_budget(res, 9_216), GridSampler::full(res)] {
+    for sampler in [
+        GridSampler::for_pixel_budget(res, 9_216),
+        GridSampler::full(res),
+    ] {
         for damaged in [true, false] {
             let mut meter = ContentRateMeter::new(sampler.clone());
             meter.set_retention(Some(HORIZON));
@@ -79,7 +82,10 @@ fn steady_state_meter_frames_do_not_allocate() {
 
             let n = run(&mut meter, &mut fb, warm_up..warm_up + 40, damaged);
             let grid = sampler.sample_count();
-            assert_eq!(n, 0, "{grid}-point grid, damaged {damaged}: {n} heap allocations");
+            assert_eq!(
+                n, 0,
+                "{grid}-point grid, damaged {damaged}: {n} heap allocations"
+            );
             // Not vacuous: pixels were read, and the horizon pruned.
             assert!(meter.points_read() > read_before);
             assert!(meter.frames().retained_len() < meter.frames().count());

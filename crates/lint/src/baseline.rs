@@ -132,10 +132,7 @@ impl Baseline {
         }
         // One note per over-budget group with a non-zero budget, so the
         // failure explains itself.
-        let over: Vec<(LintId, String)> = reported
-            .iter()
-            .map(|d| (d.id, d.file.clone()))
-            .collect();
+        let over: Vec<(LintId, String)> = reported.iter().map(|d| (d.id, d.file.clone())).collect();
         let mut noted: Vec<(LintId, String)> = Vec::new();
         for key in over {
             let budget = self.entries.get(&key).copied().unwrap_or(0);

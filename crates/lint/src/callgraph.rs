@@ -237,12 +237,7 @@ mod tests {
     fn deps(pairs: &[(&str, &[&str])]) -> BTreeMap<String, BTreeSet<String>> {
         pairs
             .iter()
-            .map(|(k, vs)| {
-                (
-                    k.to_string(),
-                    vs.iter().map(|v| v.to_string()).collect(),
-                )
-            })
+            .map(|(k, vs)| (k.to_string(), vs.iter().map(|v| v.to_string()).collect()))
             .collect()
     }
 
@@ -259,24 +254,27 @@ mod tests {
             "b",
             "pub fn leaf() { cycle_back(); }\npub fn cycle_back() { leaf(); }\npub fn cold() {}\n",
         );
-        let graph = CallGraph::build(
-            [&a, &b],
-            &deps(&[("a", &["b"])]),
-            &[("Root", "go")],
-        );
+        let graph = CallGraph::build([&a, &b], &deps(&[("a", &["b"])]), &[("Root", "go")]);
         assert_eq!(
             graph.reachable_names(),
             vec!["Root::go", "cycle_back", "helper", "leaf"]
         );
         assert!(graph.hot("crates/b/src/lib.rs", 1).is_some());
-        assert!(graph.hot("crates/b/src/lib.rs", 3).is_none(), "cold() stays cold");
+        assert!(
+            graph.hot("crates/b/src/lib.rs", 3).is_none(),
+            "cold() stays cold"
+        );
     }
 
     #[test]
     fn dependency_direction_gates_resolution() {
         // `b` calls a function whose name also exists in `a`, but `b`
         // does not depend on `a`, so the edge must not resolve.
-        let a = source("crates/a/src/lib.rs", "a", "pub fn shared() { secret(); }\nfn secret() {}\n");
+        let a = source(
+            "crates/a/src/lib.rs",
+            "a",
+            "pub fn shared() { secret(); }\nfn secret() {}\n",
+        );
         let b = source(
             "crates/b/src/lib.rs",
             "b",
@@ -344,7 +342,11 @@ mod tests {
              pub fn forbidden() {}\n",
         );
         let graph = CallGraph::build([&src], &deps(&[]), &[("Root", "go")]);
-        assert_eq!(graph.reachable_names(), vec!["Root::go"], "test helpers resolve nowhere");
+        assert_eq!(
+            graph.reachable_names(),
+            vec!["Root::go"],
+            "test helpers resolve nowhere"
+        );
     }
 
     #[test]

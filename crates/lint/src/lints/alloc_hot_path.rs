@@ -65,9 +65,9 @@ pub fn check(file: &SourceFile, graph: &CallGraph, out: &mut Vec<Diagnostic>) {
         // `format` `!` (the lexer splits `!=`), and that is not a call.
         if let Some(mac) = token.tok.ident().filter(|m| ALLOC_MACROS.contains(m)) {
             let bang = toks.get(k + 1).is_some_and(|t| t.tok.is_punct('!'));
-            let delim = toks.get(k + 2).is_some_and(|t| {
-                t.tok.is_punct('(') || t.tok.is_punct('[') || t.tok.is_punct('{')
-            });
+            let delim = toks
+                .get(k + 2)
+                .is_some_and(|t| t.tok.is_punct('(') || t.tok.is_punct('[') || t.tok.is_punct('{'));
             if bang && delim {
                 out.push(diag(file, line, &format!("{mac}!"), root));
                 continue;
@@ -80,9 +80,9 @@ pub fn check(file: &SourceFile, graph: &CallGraph, out: &mut Vec<Diagnostic>) {
                 .and_then(|t| t.tok.ident())
                 .filter(|m| ALLOC_METHODS.contains(m))
             {
-                let called = toks.get(k + 2).is_some_and(|t| {
-                    t.tok.is_punct('(') || t.tok.is_punct(':')
-                });
+                let called = toks
+                    .get(k + 2)
+                    .is_some_and(|t| t.tok.is_punct('(') || t.tok.is_punct(':'));
                 if called {
                     out.push(diag(file, line, &format!(".{m}()"), root));
                 }

@@ -21,7 +21,14 @@ use crate::source::SourceFile;
 
 /// Words a justification comment must touch to count.
 const VOCAB: &[&str] = &[
-    "ordering", "relaxed", "acquire", "release", "acqrel", "seqcst", "atomic", "happens-before",
+    "ordering",
+    "relaxed",
+    "acquire",
+    "release",
+    "acqrel",
+    "seqcst",
+    "atomic",
+    "happens-before",
 ];
 
 /// Flags unjustified `Ordering::*` arguments in `crates/obs`.

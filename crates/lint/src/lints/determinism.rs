@@ -47,7 +47,10 @@ pub const WHITELIST_FILES: [&str; 2] = [
 /// The forbidden type names.
 const FORBIDDEN_IDENTS: [(&str, &str); 4] = [
     ("Instant", "host wall-clock is nondeterministic across runs"),
-    ("SystemTime", "host wall-clock is nondeterministic across runs"),
+    (
+        "SystemTime",
+        "host wall-clock is nondeterministic across runs",
+    ),
     (
         "HashMap",
         "iteration order is randomized per process; use BTreeMap or sorted iteration",
@@ -76,7 +79,10 @@ pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                     LintId::Determinism,
                     file.path.clone(),
                     token.line,
-                    format!("`{name}` in result-affecting crate `{}`: {why}", file.crate_name),
+                    format!(
+                        "`{name}` in result-affecting crate `{}`: {why}",
+                        file.crate_name
+                    ),
                 ));
                 continue;
             }
@@ -84,7 +90,10 @@ pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
             if name == "thread"
                 && file.tokens.get(i + 1).is_some_and(|t| t.tok.is_punct(':'))
                 && file.tokens.get(i + 2).is_some_and(|t| t.tok.is_punct(':'))
-                && file.tokens.get(i + 3).is_some_and(|t| t.tok.is_ident("spawn"))
+                && file
+                    .tokens
+                    .get(i + 3)
+                    .is_some_and(|t| t.tok.is_ident("spawn"))
             {
                 out.push(Diagnostic::new(
                     LintId::Determinism,

@@ -43,7 +43,10 @@ fn main() -> ExitCode {
         }
     };
     let Some(root) = find_workspace_root(&cwd) else {
-        eprintln!("ccdem-lint: no workspace Cargo.toml above {}", cwd.display());
+        eprintln!(
+            "ccdem-lint: no workspace Cargo.toml above {}",
+            cwd.display()
+        );
         return ExitCode::from(2);
     };
     let mut options = LintOptions::new(root);

@@ -68,9 +68,9 @@ pub struct CallSite {
 /// calls worth an edge: control-flow keywords and the std tuple-variant
 /// constructors that appear everywhere.
 const NON_CALL_IDENTS: &[&str] = &[
-    "if", "while", "for", "match", "return", "loop", "else", "unsafe", "let", "in", "move",
-    "ref", "mut", "break", "continue", "where", "impl", "dyn", "as", "fn", "use", "pub",
-    "Some", "None", "Ok", "Err",
+    "if", "while", "for", "match", "return", "loop", "else", "unsafe", "let", "in", "move", "ref",
+    "mut", "break", "continue", "where", "impl", "dyn", "as", "fn", "use", "pub", "Some", "None",
+    "Ok", "Err",
 ];
 
 /// Parses every function item in `file`.
@@ -229,7 +229,10 @@ fn impl_header(toks: &[Token], kw: usize, end: usize, is_trait: bool) -> Option<
         } else if t.tok.is_punct('>') {
             // `->` in an `impl Fn(…) -> R` bound: the `>` belongs to the
             // arrow, not a generic list.
-            if !toks.get(j.wrapping_sub(1)).is_some_and(|p| p.tok.is_punct('-')) {
+            if !toks
+                .get(j.wrapping_sub(1))
+                .is_some_and(|p| p.tok.is_punct('-'))
+            {
                 angle_depth -= 1;
             }
         } else if angle_depth <= 0 {
@@ -346,12 +349,15 @@ mod tests {
         assert_eq!(fns.len(), 2);
         assert_eq!(fns[0].name, "a");
         assert_eq!((fns[0].start_line, fns[0].end_line), (1, 3));
-        assert_eq!(fns[0].calls, vec![CallSite {
-            name: "b".into(),
-            qualifier: None,
-            method: false,
-            line: 2,
-        }]);
+        assert_eq!(
+            fns[0].calls,
+            vec![CallSite {
+                name: "b".into(),
+                qualifier: None,
+                method: false,
+                line: 2,
+            }]
+        );
         assert_eq!(fns[1].name, "b");
         assert!(fns[1].calls.is_empty());
     }
@@ -392,8 +398,12 @@ mod tests {
                    let x: Vec<u32> = v.iter().collect::<Vec<u32>>();\n}\n";
         let fns = items(src);
         let calls = &fns[0].calls;
-        assert!(calls.iter().any(|c| c.name == "new" && c.qualifier.as_deref() == Some("Sampler")));
-        assert!(calls.iter().any(|c| c.name == "go" && c.qualifier.as_deref() == Some("util")));
+        assert!(calls
+            .iter()
+            .any(|c| c.name == "new" && c.qualifier.as_deref() == Some("Sampler")));
+        assert!(calls
+            .iter()
+            .any(|c| c.name == "go" && c.qualifier.as_deref() == Some("util")));
         assert!(calls.iter().any(|c| c.name == "collect" && c.method));
         assert!(calls.iter().any(|c| c.name == "iter" && c.method));
     }
@@ -428,8 +438,10 @@ mod tests {
 
     #[test]
     fn control_flow_and_variants_are_not_calls() {
-        let fns = items("fn f(x: u32) -> Option<u32> {\n    if x > (1) { return Some(x); }\n    \
-                         match x { 0 => None, _ => Ok(x).ok() }\n}\n");
+        let fns = items(
+            "fn f(x: u32) -> Option<u32> {\n    if x > (1) { return Some(x); }\n    \
+                         match x { 0 => None, _ => Ok(x).ok() }\n}\n",
+        );
         let names: Vec<&str> = fns[0].calls.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, vec!["ok"], "{names:?}");
     }

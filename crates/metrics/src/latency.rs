@@ -133,9 +133,7 @@ mod tests {
 
     #[test]
     fn summary_statistics() {
-        let lat: Vec<SimDuration> = [10u64, 20, 30, 40]
-            .map(SimDuration::from_millis)
-            .to_vec();
+        let lat: Vec<SimDuration> = [10u64, 20, 30, 40].map(SimDuration::from_millis).to_vec();
         let s = LatencySummary::of(&lat);
         assert_eq!(s.mean_ms, 25.0);
         assert_eq!(s.p50_ms, 25.0);

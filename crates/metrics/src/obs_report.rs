@@ -125,9 +125,7 @@ pub fn profile_summary(snapshot: &MetricsSnapshot) -> String {
     }
 
     let mut out = String::from("profile self-time by phase (µs):\n");
-    let mut t = TextTable::new([
-        "phase", "samples", "p50", "p90", "p99", "max", "total (ms)",
-    ]);
+    let mut t = TextTable::new(["phase", "samples", "p50", "p90", "p99", "max", "total (ms)"]);
     for (name, sketch) in phases {
         let mut row = sketch_row(name, sketch).to_vec();
         row.push(format!("{:.2}", sketch.sum() as f64 / 1e6));

@@ -120,7 +120,14 @@ impl fmt::Display for ClassAggregate {
 mod tests {
     use super::*;
 
-    fn run(app: &str, class: &str, policy: &str, baseline: f64, power: f64, q: f64) -> AppRunSummary {
+    fn run(
+        app: &str,
+        class: &str,
+        policy: &str,
+        baseline: f64,
+        power: f64,
+        q: f64,
+    ) -> AppRunSummary {
         AppRunSummary {
             app: app.into(),
             class: class.into(),

@@ -249,11 +249,7 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected {:?} at byte {}",
-                char::from(b),
-                self.pos
-            ))
+            Err(format!("expected {:?} at byte {}", char::from(b), self.pos))
         }
     }
 
@@ -429,8 +425,14 @@ mod tests {
         assert_eq!(doc.get("t_us").and_then(Json::as_f64), Some(500_000.0));
         assert_eq!(doc.get("host_us").and_then(Json::as_f64), Some(42.0));
         let fields = doc.get("fields").expect("fields object");
-        assert_eq!(fields.get("class").and_then(Json::as_str), Some("meaningful"));
-        assert_eq!(fields.get("sampled_px").and_then(Json::as_f64), Some(9216.0));
+        assert_eq!(
+            fields.get("class").and_then(Json::as_str),
+            Some("meaningful")
+        );
+        assert_eq!(
+            fields.get("sampled_px").and_then(Json::as_f64),
+            Some(9216.0)
+        );
         assert_eq!(fields.get("diff_us").and_then(Json::as_f64), Some(3.25));
         assert_eq!(fields.get("boost").and_then(Json::as_bool), Some(false));
         assert_eq!(fields.get("delta").and_then(Json::as_f64), Some(-2.0));
@@ -480,9 +482,15 @@ mod tests {
     #[test]
     fn write_json_round_trips_nested_trees() {
         let doc = Json::Obj(vec![
-            ("a".into(), Json::Arr(vec![Json::Num(1.0), Json::Num(-2.5e300)])),
+            (
+                "a".into(),
+                Json::Arr(vec![Json::Num(1.0), Json::Num(-2.5e300)]),
+            ),
             ("esc\n".into(), Json::Str("tab\there \u{1F600}".into())),
-            ("deep".into(), Json::Arr(vec![Json::Obj(vec![("x".into(), Json::Null)])])),
+            (
+                "deep".into(),
+                Json::Arr(vec![Json::Obj(vec![("x".into(), Json::Null)])]),
+            ),
             ("flag".into(), Json::Bool(false)),
         ]);
         let text = doc.to_string();
@@ -492,7 +500,10 @@ mod tests {
     #[test]
     fn write_json_turns_nonfinite_numbers_into_null() {
         let mut out = String::new();
-        write_json(&mut out, &Json::Arr(vec![Json::Num(f64::NAN), Json::Num(f64::INFINITY)]));
+        write_json(
+            &mut out,
+            &Json::Arr(vec![Json::Num(f64::NAN), Json::Num(f64::INFINITY)]),
+        );
         assert_eq!(out, "[null,null]");
     }
 
@@ -509,7 +520,15 @@ mod tests {
 
     #[test]
     fn parser_rejects_malformed_input() {
-        for bad in ["", "{", "{\"a\":}", "[1,]", "truefalse", "{\"a\":1} x", "\"\\u12\""] {
+        for bad in [
+            "",
+            "{",
+            "{\"a\":}",
+            "[1,]",
+            "truefalse",
+            "{\"a\":1} x",
+            "\"\\u12\"",
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
     }

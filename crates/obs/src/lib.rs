@@ -136,7 +136,11 @@ impl std::fmt::Debug for Obs {
         write!(
             f,
             "Obs({})",
-            if self.enabled() { "enabled" } else { "disabled" }
+            if self.enabled() {
+                "enabled"
+            } else {
+                "disabled"
+            }
         )
     }
 }

@@ -214,19 +214,29 @@ impl MetricsRegistry {
     /// The counter named `name`, created on first use.
     pub fn counter(&self, name: &'static str) -> Arc<Counter> {
         let mut map = self.counters.lock().unwrap_or_else(|p| p.into_inner());
-        map.entry(name).or_insert_with(|| Arc::new(Counter::new())).clone()
+        map.entry(name)
+            .or_insert_with(|| Arc::new(Counter::new()))
+            .clone()
     }
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
         let mut map = self.gauges.lock().unwrap_or_else(|p| p.into_inner());
-        map.entry(name).or_insert_with(|| Arc::new(Gauge::new())).clone()
+        map.entry(name)
+            .or_insert_with(|| Arc::new(Gauge::new()))
+            .clone()
     }
 
     /// The histogram named `name`, created with the given shape on first
     /// use. Later calls return the existing histogram regardless of the
     /// shape arguments — the first registration wins.
-    pub fn histogram(&self, name: &'static str, lo: f64, hi: f64, bins: usize) -> Arc<AtomicHistogram> {
+    pub fn histogram(
+        &self,
+        name: &'static str,
+        lo: f64,
+        hi: f64,
+        bins: usize,
+    ) -> Arc<AtomicHistogram> {
         let mut map = self.histograms.lock().unwrap_or_else(|p| p.into_inner());
         map.entry(name)
             .or_insert_with(|| Arc::new(AtomicHistogram::new(lo, hi, bins)))
@@ -239,7 +249,9 @@ impl MetricsRegistry {
     /// deltas always merge exactly.
     pub fn sketch(&self, name: &'static str) -> Arc<AtomicSketch> {
         let mut map = self.sketches.lock().unwrap_or_else(|p| p.into_inner());
-        map.entry(name).or_insert_with(|| Arc::new(AtomicSketch::new())).clone()
+        map.entry(name)
+            .or_insert_with(|| Arc::new(AtomicSketch::new()))
+            .clone()
     }
 
     /// A point-in-time copy of every metric's value.

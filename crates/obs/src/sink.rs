@@ -109,9 +109,10 @@ impl RingSink {
 
     /// How many events are currently buffered.
     pub fn len(&self) -> usize {
-        self.buffer
-            .lock()
-            .map_or_else(|poisoned| poisoned.into_inner().len(), |buffer| buffer.len())
+        self.buffer.lock().map_or_else(
+            |poisoned| poisoned.into_inner().len(),
+            |buffer| buffer.len(),
+        )
     }
 
     /// Whether the buffer is empty.
@@ -213,9 +214,7 @@ impl JsonlSink {
 
     /// The most recent I/O error's text, if any write or flush failed.
     pub fn last_error(&self) -> Option<String> {
-        self.last_error
-            .lock()
-            .map_or(None, |last| last.clone())
+        self.last_error.lock().map_or(None, |last| last.clone())
     }
 
     /// Flushes buffered output, surfacing the I/O result instead of
@@ -277,7 +276,9 @@ impl Drop for JsonlSink {
         let _ = self.try_flush();
         let errors = self.io_errors();
         if errors > 0 {
-            let detail = self.last_error().unwrap_or_else(|| String::from("unknown error"));
+            let detail = self
+                .last_error()
+                .unwrap_or_else(|| String::from("unknown error"));
             eprintln!(
                 "warning: telemetry JSONL sink hit {errors} I/O error(s); \
                  output is incomplete (last: {detail})"

@@ -317,7 +317,10 @@ impl QuantileSketch {
             .map(|(i, &n)| Json::Arr(vec![Json::Num(i as f64), Json::Num(n as f64)]))
             .collect();
         let mut members = vec![
-            ("precision".to_string(), Json::Num(f64::from(self.precision))),
+            (
+                "precision".to_string(),
+                Json::Num(f64::from(self.precision)),
+            ),
             ("count".to_string(), Json::Num(self.count as f64)),
             ("sum".to_string(), Json::Num(self.sum as f64)),
         ];
@@ -437,7 +440,9 @@ impl AtomicSketch {
         );
         AtomicSketch {
             precision,
-            buckets: (0..bucket_count(precision)).map(|_| AtomicU64::new(0)).collect(),
+            buckets: (0..bucket_count(precision))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             sum_carry: AtomicU64::new(0),
@@ -574,13 +579,19 @@ mod tests {
 
     #[test]
     fn merge_equals_recording_everything_into_one() {
-        let values: Vec<u64> = (0..500u64).map(|i| i.wrapping_mul(2654435761) >> 20).collect();
+        let values: Vec<u64> = (0..500u64)
+            .map(|i| i.wrapping_mul(2654435761) >> 20)
+            .collect();
         let mut whole = QuantileSketch::new();
         let mut left = QuantileSketch::new();
         let mut right = QuantileSketch::new();
         for (i, &v) in values.iter().enumerate() {
             whole.record(v);
-            if i % 3 == 0 { left.record(v) } else { right.record(v) }
+            if i % 3 == 0 {
+                left.record(v)
+            } else {
+                right.record(v)
+            }
         }
         let mut merged_lr = left.clone();
         merged_lr.merge(&right);
@@ -786,7 +797,10 @@ mod tests {
             r#"{"precision":5,"count":1,"sum":0,"buckets":[[999999,1]]}"#, // index range
         ] {
             let doc = parse(bad).expect("test inputs are valid JSON");
-            assert!(QuantileSketch::from_json(&doc).is_none(), "{bad} should be rejected");
+            assert!(
+                QuantileSketch::from_json(&doc).is_none(),
+                "{bad} should be rejected"
+            );
         }
     }
 }

@@ -247,7 +247,10 @@ mod tests {
             "outer self {outer_self} != total {outer_total} - inner {inner_total}"
         );
         assert!(outer_self >= 2000.0 * 0.5, "outer slept 2ms of self time");
-        assert!(outer_self < outer_total, "outer must not absorb the inner 4ms");
+        assert!(
+            outer_self < outer_total,
+            "outer must not absorb the inner 4ms"
+        );
     }
 
     #[test]
@@ -270,10 +273,7 @@ mod tests {
         // noisy host.
         assert!(self_sketch.snapshot().max().unwrap() >= 500_000);
         // The outer total covers the inner self time.
-        assert!(
-            total_sketch.snapshot().max().unwrap()
-                >= self_sketch.snapshot().max().unwrap()
-        );
+        assert!(total_sketch.snapshot().max().unwrap() >= self_sketch.snapshot().max().unwrap());
     }
 
     #[test]
@@ -282,10 +282,13 @@ mod tests {
         let tick = Arc::new(AtomicSketch::new());
         let phase = Arc::new(AtomicSketch::new());
         {
-            let _tick = obs.span("tick", SimTime::ZERO).record_total_into(tick.clone());
+            let _tick = obs
+                .span("tick", SimTime::ZERO)
+                .record_total_into(tick.clone());
             for _ in 0..2 {
-                let _phase =
-                    obs.span("phase", SimTime::ZERO).record_self_into(phase.clone());
+                let _phase = obs
+                    .span("phase", SimTime::ZERO)
+                    .record_self_into(phase.clone());
                 std::thread::sleep(std::time::Duration::from_micros(200));
             }
         }
@@ -293,6 +296,9 @@ mod tests {
         assert_eq!(phase.count(), 2);
         let children: u128 = phase.snapshot().sum();
         let parent: u128 = tick.snapshot().sum();
-        assert!(parent >= children, "parent total {parent} < children {children}");
+        assert!(
+            parent >= children,
+            "parent total {parent} < children {children}"
+        );
     }
 }

@@ -33,7 +33,11 @@ impl Strategy for JsonStrategy {
 
 fn arbitrary_json(rng: &mut TestRng, depth: u32) -> Json {
     // Leaves only at the bottom; containers get rarer with depth.
-    let pick = if depth == 0 { rng.below(4) } else { rng.below(6) };
+    let pick = if depth == 0 {
+        rng.below(4)
+    } else {
+        rng.below(6)
+    };
     match pick {
         0 => Json::Null,
         1 => Json::Bool(rng.next_u64() & 1 == 1),

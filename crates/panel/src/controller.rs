@@ -186,7 +186,9 @@ mod tests {
     #[test]
     fn unsupported_rate_rejected() {
         let mut ctl = controller();
-        let err = ctl.request(RefreshRate::new(55), SimTime::ZERO).unwrap_err();
+        let err = ctl
+            .request(RefreshRate::new(55), SimTime::ZERO)
+            .unwrap_err();
         assert!(matches!(err, SetRateError::Unsupported { .. }));
         assert_eq!(ctl.current(), RefreshRate::HZ_60);
     }
@@ -205,7 +207,8 @@ mod tests {
     fn newer_request_supersedes_pending() {
         let mut ctl = controller();
         ctl.request(RefreshRate::HZ_20, SimTime::ZERO).unwrap();
-        ctl.request(RefreshRate::HZ_40, SimTime::from_millis(5)).unwrap();
+        ctl.request(RefreshRate::HZ_40, SimTime::from_millis(5))
+            .unwrap();
         assert_eq!(ctl.poll(SimTime::from_millis(30)), Some(RefreshRate::HZ_40));
         assert_eq!(ctl.switches(), 1);
     }
@@ -222,7 +225,8 @@ mod tests {
     fn request_back_to_current_cancels_pending() {
         let mut ctl = controller();
         ctl.request(RefreshRate::HZ_20, SimTime::ZERO).unwrap();
-        ctl.request(RefreshRate::HZ_60, SimTime::from_millis(1)).unwrap();
+        ctl.request(RefreshRate::HZ_60, SimTime::from_millis(1))
+            .unwrap();
         assert_eq!(ctl.poll(SimTime::from_secs(1)), None);
         assert_eq!(ctl.current(), RefreshRate::HZ_60);
     }
@@ -232,10 +236,7 @@ mod tests {
         let mut ctl = controller();
         ctl.request(RefreshRate::HZ_24, SimTime::ZERO).unwrap();
         ctl.poll(SimTime::from_millis(16));
-        assert_eq!(
-            ctl.history().value_at(SimTime::from_millis(20)),
-            Some(24.0)
-        );
+        assert_eq!(ctl.history().value_at(SimTime::from_millis(20)), Some(24.0));
         assert_eq!(ctl.history().value_at(SimTime::ZERO), Some(60.0));
     }
 

@@ -98,10 +98,8 @@ impl DeviceProfile {
         DeviceProfile::new(
             "LTPO 120 Hz concept",
             Resolution::new(1080, 2400),
-            RefreshRateSet::new(
-                [10u32, 24, 30, 60, 90, 120].map(RefreshRate::new),
-            )
-            .unwrap_or_else(|_| RefreshRateSet::fixed(RefreshRate::HZ_60)),
+            RefreshRateSet::new([10u32, 24, 30, 60, 90, 120].map(RefreshRate::new))
+                .unwrap_or_else(|_| RefreshRateSet::fixed(RefreshRate::HZ_60)),
             PanelKind::Oled,
             SimDuration::from_millis(8),
         )

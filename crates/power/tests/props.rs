@@ -16,15 +16,13 @@ fn arb_activity() -> impl Strategy<Value = DisplayActivity> {
         proptest::option::of(0.0f64..1.0),
         proptest::option::of(0.0f64..240.0),
     )
-        .prop_map(
-            |(refresh, fps, touch, lum, scan)| DisplayActivity {
-                refresh_hz: refresh,
-                composed_fps: fps,
-                touch_active: touch,
-                mean_luminance: lum,
-                content_scanout_fps: scan,
-            },
-        )
+        .prop_map(|(refresh, fps, touch, lum, scan)| DisplayActivity {
+            refresh_hz: refresh,
+            composed_fps: fps,
+            touch_active: touch,
+            mean_luminance: lum,
+            content_scanout_fps: scan,
+        })
 }
 
 proptest! {

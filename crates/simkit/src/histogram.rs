@@ -70,7 +70,13 @@ impl Histogram {
     /// assert_eq!(h.overflow(), 2);
     /// assert_eq!(h.total(), 6);
     /// ```
-    pub fn from_parts(lo: f64, hi: f64, bins: Vec<u64>, underflow: u64, overflow: u64) -> Histogram {
+    pub fn from_parts(
+        lo: f64,
+        hi: f64,
+        bins: Vec<u64>,
+        underflow: u64,
+        overflow: u64,
+    ) -> Histogram {
         assert!(!bins.is_empty(), "histogram needs at least one bin");
         assert!(
             lo.is_finite() && hi.is_finite() && lo < hi,
@@ -286,7 +292,11 @@ mod tests {
         let mut right = Histogram::new(0.0, 50.0, 7);
         for (i, &v) in samples.iter().enumerate() {
             whole.record(v);
-            if i % 2 == 0 { left.record(v) } else { right.record(v) }
+            if i % 2 == 0 {
+                left.record(v)
+            } else {
+                right.record(v)
+            }
         }
         let mut lr = left.clone();
         lr.merge(&right);

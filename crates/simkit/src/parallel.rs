@@ -147,7 +147,13 @@ impl ParallelRunner {
     ///
     /// Propagates the first panic raised by `init` or `fold` (after all
     /// workers stop).
-    pub fn run_batches<A, I, F>(&self, range: Range<u64>, batch_size: u64, init: I, fold: F) -> Vec<A>
+    pub fn run_batches<A, I, F>(
+        &self,
+        range: Range<u64>,
+        batch_size: u64,
+        init: I,
+        fold: F,
+    ) -> Vec<A>
     where
         A: Send,
         I: Fn() -> A + Sync,
@@ -259,12 +265,9 @@ mod tests {
 
     #[test]
     fn run_batches_serial_visits_ascending_on_one_accumulator() {
-        let partials = ParallelRunner::new(1).run_batches(
-            5..12,
-            3,
-            Vec::new,
-            |seen: &mut Vec<u64>, i| seen.push(i),
-        );
+        let partials =
+            ParallelRunner::new(1)
+                .run_batches(5..12, 3, Vec::new, |seen: &mut Vec<u64>, i| seen.push(i));
         assert_eq!(partials, vec![(5..12).collect::<Vec<u64>>()]);
     }
 
@@ -272,12 +275,9 @@ mod tests {
     fn run_batches_visits_batches_ascending_within_each_worker_claim() {
         // Every worker must see each claimed batch's indices in
         // ascending order, with no index outside the range.
-        let partials = ParallelRunner::new(4).run_batches(
-            0..1024,
-            32,
-            Vec::new,
-            |seen: &mut Vec<u64>, i| seen.push(i),
-        );
+        let partials =
+            ParallelRunner::new(4)
+                .run_batches(0..1024, 32, Vec::new, |seen: &mut Vec<u64>, i| seen.push(i));
         let mut all: Vec<u64> = Vec::new();
         for worker in &partials {
             for pair in worker.windows(2) {
@@ -293,8 +293,7 @@ mod tests {
 
     #[test]
     fn run_batches_empty_range_returns_no_accumulators() {
-        let partials =
-            ParallelRunner::new(4).run_batches(7..7, 16, || 0u64, |acc, i| *acc += i);
+        let partials = ParallelRunner::new(4).run_batches(7..7, 16, || 0u64, |acc, i| *acc += i);
         assert!(partials.is_empty());
     }
 
@@ -326,7 +325,10 @@ mod tests {
         let seeds: Vec<u64> = (0..64).map(|i| derive_seed(42, i)).collect();
         let distinct: std::collections::BTreeSet<u64> = seeds.iter().copied().collect();
         assert_eq!(distinct.len(), seeds.len(), "seed collisions");
-        assert_eq!(seeds, (0..64).map(|i| derive_seed(42, i)).collect::<Vec<_>>());
+        assert_eq!(
+            seeds,
+            (0..64).map(|i| derive_seed(42, i)).collect::<Vec<_>>()
+        );
         // Root seeds must matter too.
         assert_ne!(derive_seed(1, 0), derive_seed(2, 0));
     }

@@ -210,7 +210,10 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(5);
         let n = 20_000;
         let mean: f64 = (0..n).map(|_| rng.normal(10.0, 2.0)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.1, "sample mean {mean} too far from 10");
+        assert!(
+            (mean - 10.0).abs() < 0.1,
+            "sample mean {mean} too far from 10"
+        );
     }
 
     #[test]
@@ -218,7 +221,10 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(8);
         let n = 20_000;
         let mean: f64 = (0..n).map(|_| rng.exponential(3.0)).sum::<f64>() / n as f64;
-        assert!((mean - 3.0).abs() < 0.15, "sample mean {mean} too far from 3");
+        assert!(
+            (mean - 3.0).abs() < 0.15,
+            "sample mean {mean} too far from 3"
+        );
     }
 
     #[test]

@@ -161,7 +161,10 @@ impl fmt::Display for RunningStats {
 /// assert_eq!(quantile(&v, 1.0), Some(5.0));
 /// ```
 pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
-    assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1], got {q}");
+    assert!(
+        (0.0..=1.0).contains(&q),
+        "quantile must be in [0,1], got {q}"
+    );
     if values.is_empty() {
         return None;
     }

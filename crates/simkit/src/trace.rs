@@ -399,12 +399,9 @@ mod tests {
 
     #[test]
     fn value_at_sample_and_hold() {
-        let t: Trace = vec![
-            (SimTime::from_secs(1), 10.0),
-            (SimTime::from_secs(3), 30.0),
-        ]
-        .into_iter()
-        .collect();
+        let t: Trace = vec![(SimTime::from_secs(1), 10.0), (SimTime::from_secs(3), 30.0)]
+            .into_iter()
+            .collect();
         assert_eq!(t.value_at(SimTime::ZERO), None);
         assert_eq!(t.value_at(SimTime::from_secs(1)), Some(10.0));
         assert_eq!(t.value_at(SimTime::from_secs(2)), Some(10.0));
@@ -471,8 +468,12 @@ mod tests {
     fn residency_of_empty_span_is_empty() {
         let mut t = Trace::new();
         t.push(SimTime::ZERO, 1.0);
-        assert!(t.residency(SimTime::from_secs(1), SimTime::from_secs(1)).is_empty());
-        assert!(Trace::new().residency(SimTime::ZERO, SimTime::from_secs(1)).is_empty());
+        assert!(t
+            .residency(SimTime::from_secs(1), SimTime::from_secs(1))
+            .is_empty());
+        assert!(Trace::new()
+            .residency(SimTime::ZERO, SimTime::from_secs(1))
+            .is_empty());
     }
 
     #[test]

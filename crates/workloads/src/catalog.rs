@@ -186,15 +186,24 @@ mod tests {
         // The two apps the paper names explicitly must be among them.
         for name in ["Cash Slide", "Daum Maps"] {
             let app = by_name(name).unwrap();
-            assert!(app.idle.redundant_fps() >= 16.0, "{name} should be redundant-heavy");
+            assert!(
+                app.idle.redundant_fps() >= 16.0,
+                "{name} should be redundant-heavy"
+            );
         }
     }
 
     #[test]
     fn fig2_examples_match_paper_description() {
         let fb = facebook();
-        assert!(fb.idle.request_fps <= 10.0, "Facebook should be quiet when idle");
-        assert!(fb.active.request_fps >= 40.0, "Facebook should spike on touch");
+        assert!(
+            fb.idle.request_fps <= 10.0,
+            "Facebook should be quiet when idle"
+        );
+        assert!(
+            fb.active.request_fps >= 40.0,
+            "Facebook should spike on touch"
+        );
         let js = jelly_splash();
         assert!(js.idle.request_fps >= 55.0, "Jelly Splash holds ~60 fps");
         assert!(

@@ -177,7 +177,11 @@ impl PhasedApp {
     fn next_grey(&mut self) -> u8 {
         // Cycle 1..=250, skipping 0 so the pattern never matches the
         // initial black framebuffer by accident.
-        self.grey_seq = if self.grey_seq >= 250 { 1 } else { self.grey_seq + 1 };
+        self.grey_seq = if self.grey_seq >= 250 {
+            1
+        } else {
+            self.grey_seq + 1
+        };
         self.grey_seq
     }
 }
@@ -296,9 +300,15 @@ mod tests {
             }
         }
         let mean_interval = total.as_secs_f64() / n as f64;
-        assert!((mean_interval - 0.1).abs() < 0.01, "mean interval {mean_interval}");
+        assert!(
+            (mean_interval - 0.1).abs() < 0.01,
+            "mean interval {mean_interval}"
+        );
         let content_frac = content as f64 / n as f64;
-        assert!((content_frac - 0.2).abs() < 0.05, "content fraction {content_frac}");
+        assert!(
+            (content_frac - 0.2).abs() < 0.05,
+            "content fraction {content_frac}"
+        );
     }
 
     #[test]
@@ -331,7 +341,10 @@ mod tests {
         app.render(ContentChange::FullRedraw, &mut fb, &mut rng);
         let before: Vec<_> = fb.pixels().collect();
         app.render(ContentChange::FullRedraw, &mut fb, &mut rng);
-        assert!(!fb.pixels().eq(before.iter().copied()), "consecutive redraws must differ");
+        assert!(
+            !fb.pixels().eq(before.iter().copied()),
+            "consecutive redraws must differ"
+        );
     }
 
     #[test]

@@ -86,10 +86,19 @@ impl FlingReader {
     /// Panics if any configured rate or the decay constant is not
     /// positive.
     pub fn new(config: FlingConfig) -> FlingReader {
-        assert!(config.initial_velocity > 0.0, "initial_velocity must be positive");
+        assert!(
+            config.initial_velocity > 0.0,
+            "initial_velocity must be positive"
+        );
         assert!(config.decay_tau_s > 0.0, "decay_tau_s must be positive");
-        assert!(config.active_request_fps > 0.0, "active_request_fps must be positive");
-        assert!(config.idle_request_fps > 0.0, "idle_request_fps must be positive");
+        assert!(
+            config.active_request_fps > 0.0,
+            "active_request_fps must be positive"
+        );
+        assert!(
+            config.idle_request_fps > 0.0,
+            "idle_request_fps must be positive"
+        );
         FlingReader {
             config,
             last_fling: None,
@@ -194,7 +203,11 @@ mod tests {
         // 2400·e^(-t/0.8) < 30 ⇒ t > 0.8·ln(80) ≈ 3.5 s.
         assert!(r.is_scrolling(fling + SimDuration::from_secs(3)));
         assert!(!r.is_scrolling(fling + SimDuration::from_secs(4)));
-        let tick = r.tick(fling + SimDuration::from_secs(4), &ctx(Some(fling)), &mut rng);
+        let tick = r.tick(
+            fling + SimDuration::from_secs(4),
+            &ctx(Some(fling)),
+            &mut rng,
+        );
         assert!(!tick.change.is_content());
     }
 
@@ -204,12 +217,21 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(3);
         let fling = SimTime::from_secs(1);
         let early = r.tick(fling, &ctx(Some(fling)), &mut rng);
-        let late = r.tick(fling + SimDuration::from_secs(2), &ctx(Some(fling)), &mut rng);
+        let late = r.tick(
+            fling + SimDuration::from_secs(2),
+            &ctx(Some(fling)),
+            &mut rng,
+        );
         let dy = |t: &FrameTick| match t.change {
             ContentChange::Scroll { dy } => dy,
             other => panic!("expected scroll, got {other:?}"),
         };
-        assert!(dy(&early) > dy(&late) * 5, "{} vs {}", dy(&early), dy(&late));
+        assert!(
+            dy(&early) > dy(&late) * 5,
+            "{} vs {}",
+            dy(&early),
+            dy(&late)
+        );
     }
 
     #[test]

@@ -82,7 +82,10 @@ impl AppSwitcher {
 impl std::fmt::Debug for AppSwitcher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AppSwitcher")
-            .field("apps", &self.apps.iter().map(|a| a.name()).collect::<Vec<_>>())
+            .field(
+                "apps",
+                &self.apps.iter().map(|a| a.name()).collect::<Vec<_>>(),
+            )
             .field("segment", &self.segment)
             .finish()
     }

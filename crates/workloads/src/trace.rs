@@ -157,8 +157,7 @@ impl FromStr for FrameTrace {
                 continue;
             }
             let mut fields = trimmed.split(',');
-            let (Some(t), Some(c), None) = (fields.next(), fields.next(), fields.next())
-            else {
+            let (Some(t), Some(c), None) = (fields.next(), fields.next(), fields.next()) else {
                 return Err(ParseTraceError::BadLine { line });
             };
             let micros: u64 = t.trim().parse().map_err(|_| ParseTraceError::BadField {
@@ -310,7 +309,10 @@ mod tests {
             "100,1\n50,0".parse::<FrameTrace>(),
             Err(ParseTraceError::OutOfOrder { line: 2 })
         );
-        assert_eq!("# only comments".parse::<FrameTrace>(), Err(ParseTraceError::Empty));
+        assert_eq!(
+            "# only comments".parse::<FrameTrace>(),
+            Err(ParseTraceError::Empty)
+        );
     }
 
     #[test]
@@ -345,7 +347,10 @@ mod tests {
             now += tick.next_in;
         }
         assert_eq!(content, 100, "every frame in this trace is content");
-        assert!(now > SimTime::from_micros(500_000), "time advanced across loops");
+        assert!(
+            now > SimTime::from_micros(500_000),
+            "time advanced across loops"
+        );
     }
 
     #[test]

@@ -11,7 +11,11 @@ use proptest::prelude::*;
 
 fn arb_phase() -> impl Strategy<Value = PhaseBehavior> {
     (1.0f64..120.0, 0.0f64..120.0, 0usize..3).prop_map(|(req, content, kind)| {
-        let kind = [ChangeKind::FullRedraw, ChangeKind::Scroll, ChangeKind::Widget][kind];
+        let kind = [
+            ChangeKind::FullRedraw,
+            ChangeKind::Scroll,
+            ChangeKind::Widget,
+        ][kind];
         PhaseBehavior::new(req, content, kind)
     })
 }

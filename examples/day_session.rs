@@ -17,10 +17,17 @@ use ccdem::simkit::time::SimDuration;
 use ccdem::workloads::catalog;
 
 fn main() {
-    let rotation = ["Facebook", "Jelly Splash", "KakaoTalk", "MX Player", "Cookie Run", "Naver"]
-        .iter()
-        .map(|n| catalog::by_name(n).expect("catalog app"))
-        .collect::<Vec<_>>();
+    let rotation = [
+        "Facebook",
+        "Jelly Splash",
+        "KakaoTalk",
+        "MX Player",
+        "Cookie Run",
+        "Naver",
+    ]
+    .iter()
+    .map(|n| catalog::by_name(n).expect("catalog app"))
+    .collect::<Vec<_>>();
     let segment = SimDuration::from_secs(20);
 
     let scenario = Scenario::new(

@@ -17,7 +17,9 @@ use ccdem::simkit::time::SimDuration;
 use ccdem::workloads::catalog;
 
 fn main() {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "Cookie Run".into());
+    let name = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "Cookie Run".into());
     let Some(spec) = catalog::by_name(&name) else {
         eprintln!("unknown app {name:?}; try one of:");
         for a in catalog::all_apps() {

@@ -17,12 +17,9 @@ use ccdem::workloads::catalog;
 use ccdem::workloads::input::MonkeyConfig;
 
 fn main() {
-    let scenario = Scenario::new(
-        Workload::App(catalog::facebook()),
-        Policy::SectionWithBoost,
-    )
-    .with_duration(SimDuration::from_secs(45))
-    .with_monkey(MonkeyConfig::sparse());
+    let scenario = Scenario::new(Workload::App(catalog::facebook()), Policy::SectionWithBoost)
+        .with_duration(SimDuration::from_secs(45))
+        .with_monkey(MonkeyConfig::sparse());
 
     let (governed, baseline) = scenario.run_with_baseline();
 
@@ -36,8 +33,16 @@ fn main() {
     println!("Facebook, sparse reading session (touch seconds marked *):\n");
     println!("  sec  refresh   content   power(governed)   power(fixed60)");
     for (sec, hz) in refresh.iter().enumerate() {
-        let mark = if touch_secs.contains(&(sec as u64)) { "*" } else { " " };
-        let cr = governed.measured_content_per_second.get(sec).copied().unwrap_or(0.0);
+        let mark = if touch_secs.contains(&(sec as u64)) {
+            "*"
+        } else {
+            " "
+        };
+        let cr = governed
+            .measured_content_per_second
+            .get(sec)
+            .copied()
+            .unwrap_or(0.0);
         let pg = governed.power_per_second.get(sec).copied().unwrap_or(0.0);
         let pb = baseline.power_per_second.get(sec).copied().unwrap_or(0.0);
         let bar = "#".repeat((hz / 3.0).round() as usize);

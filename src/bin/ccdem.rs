@@ -193,8 +193,15 @@ macro_rules! parse_or_fail {
 
 fn parse_duration(flags: &Flags, default_secs: &str) -> Result<SimDuration, String> {
     // Seconds whose microseconds overflow `u64` are refused like 0.
-    let secs = flags.value("--duration").unwrap_or(default_secs).parse::<u64>();
-    match secs.ok().filter(|&s| s > 0).and_then(|s| s.checked_mul(1_000_000)) {
+    let secs = flags
+        .value("--duration")
+        .unwrap_or(default_secs)
+        .parse::<u64>();
+    match secs
+        .ok()
+        .filter(|&s| s > 0)
+        .and_then(|s| s.checked_mul(1_000_000))
+    {
         Some(micros) => Ok(SimDuration::from_micros(micros)),
         None => Err("--duration must be a positive number of seconds".into()),
     }
@@ -320,11 +327,7 @@ fn cmd_table(args: &[String]) -> ExitCode {
 }
 
 fn cmd_sweep(args: &[String], full_report: bool) -> ExitCode {
-    let flags = parse_or_fail!(
-        args,
-        &["--duration", "--seed", "--jobs", "--obs"],
-        &[]
-    );
+    let flags = parse_or_fail!(args, &["--duration", "--seed", "--jobs", "--obs"], &[]);
     let duration = match parse_duration(&flags, "60") {
         Ok(d) => d,
         Err(e) => {
@@ -349,18 +352,18 @@ fn cmd_sweep(args: &[String], full_report: bool) -> ExitCode {
     };
     // Reports include the telemetry-metrics summary by default; plain
     // sweeps stay terse.
-    let with_obs = match flags.value("--obs").unwrap_or(if full_report {
-        "summary"
-    } else {
-        "none"
-    }) {
-        "summary" => true,
-        "none" => false,
-        other => {
-            eprintln!("unknown --obs mode {other:?}; expected summary or none");
-            return ExitCode::FAILURE;
-        }
-    };
+    let with_obs =
+        match flags
+            .value("--obs")
+            .unwrap_or(if full_report { "summary" } else { "none" })
+        {
+            "summary" => true,
+            "none" => false,
+            other => {
+                eprintln!("unknown --obs mode {other:?}; expected summary or none");
+                return ExitCode::FAILURE;
+            }
+        };
 
     let config = sweep::SweepConfig {
         duration,
@@ -488,7 +491,10 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
             }
         };
         if index >= config.devices {
-            eprintln!("--replay-device {index} is outside the {}-device campaign", config.devices);
+            eprintln!(
+                "--replay-device {index} is outside the {}-device campaign",
+                config.devices
+            );
             return ExitCode::FAILURE;
         }
         let spec = fleet::DeviceSpec::sample(config.seed, index);
@@ -523,7 +529,11 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
 
     progress!(
         "{} {} devices ({} s each, batch {}, jobs {})…",
-        if resumed.is_some() { "resuming" } else { "simulating" },
+        if resumed.is_some() {
+            "resuming"
+        } else {
+            "simulating"
+        },
         config.devices,
         config.duration.as_secs_f64(),
         config.batch,
@@ -606,7 +616,10 @@ fn cmd_trace(args: &[String]) -> ExitCode {
     ) {
         (Ok(p), Ok(d), Ok(s)) => (p, d, s),
         (p, d, s) => {
-            for e in [p.err(), d.err().map(|e| e.to_string()), s.err()].into_iter().flatten() {
+            for e in [p.err(), d.err().map(|e| e.to_string()), s.err()]
+                .into_iter()
+                .flatten()
+            {
                 eprintln!("{e}");
             }
             return ExitCode::FAILURE;
@@ -668,7 +681,10 @@ fn cmd_profile(args: &[String]) -> ExitCode {
     ) {
         (Ok(p), Ok(d), Ok(s)) => (p, d, s),
         (p, d, s) => {
-            for e in [p.err(), d.err().map(|e| e.to_string()), s.err()].into_iter().flatten() {
+            for e in [p.err(), d.err().map(|e| e.to_string()), s.err()]
+                .into_iter()
+                .flatten()
+            {
                 eprintln!("{e}");
             }
             return ExitCode::FAILURE;
@@ -784,13 +800,22 @@ fn cmd_simulate(args: &[String]) -> ExitCode {
         Milliwatts::new(governed.avg_power_mw),
     );
     println!("policy              {policy}");
-    println!("average power       {:.1} mW (baseline {:.1} mW)", governed.avg_power_mw, baseline.avg_power_mw);
+    println!(
+        "average power       {:.1} mW (baseline {:.1} mW)",
+        governed.avg_power_mw, baseline.avg_power_mw
+    );
     println!(
         "power saved         {saved:.1} mW ({:.1}%)",
         saved / baseline.avg_power_mw * 100.0
     );
-    println!("average refresh     {:.1} Hz ({} switches)", governed.avg_refresh_hz, governed.refresh_switches);
-    println!("content rate        {:.1} fps actual, {:.1} fps displayed", governed.actual_content_fps, governed.displayed_content_fps);
+    println!(
+        "average refresh     {:.1} Hz ({} switches)",
+        governed.avg_refresh_hz, governed.refresh_switches
+    );
+    println!(
+        "content rate        {:.1} fps actual, {:.1} fps displayed",
+        governed.actual_content_fps, governed.displayed_content_fps
+    );
     println!("display quality     {:.1}%", governed.quality_pct());
     println!("dropped frames      {:.2} fps", governed.dropped_fps());
     let residency = governed.refresh_trace.residency(
@@ -801,7 +826,10 @@ fn cmd_simulate(args: &[String]) -> ExitCode {
     if total > 0.0 {
         println!("rate residency:");
         for (hz, secs) in residency {
-            println!("  {hz:>5.0} Hz  {:>5.1}%  {secs:>6.1} s", secs / total * 100.0);
+            println!(
+                "  {hz:>5.0} Hz  {:>5.1}%  {secs:>6.1} s",
+                secs / total * 100.0
+            );
         }
     }
     println!(

@@ -17,12 +17,19 @@ fn durations_that_are_zero_or_overflow_microseconds_exit_1() {
     for duration in ["0", "18446744073710", "18446744073709551615"] {
         let out = simulate(duration);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "--duration {duration}: {stderr}");
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "--duration {duration}: {stderr}"
+        );
         assert!(
             stderr.contains("--duration must be a positive number of seconds"),
             "--duration {duration}: {stderr}"
         );
-        assert!(out.stdout.is_empty(), "--duration {duration} printed a result");
+        assert!(
+            out.stdout.is_empty(),
+            "--duration {duration} printed a result"
+        );
     }
 }
 

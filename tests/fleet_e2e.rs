@@ -47,11 +47,31 @@ fn fleet_statistics_are_byte_identical_across_worker_counts() {
         let _ = std::fs::remove_file(path);
     }
 
-    let base = ["--devices", "24", "--duration", "1", "--seed", "11", "--batch", "4"];
-    let serial = fleet(&[&base[..], &["--jobs", "1", "--out", serial_out.to_str().unwrap()]].concat());
+    let base = [
+        "--devices",
+        "24",
+        "--duration",
+        "1",
+        "--seed",
+        "11",
+        "--batch",
+        "4",
+    ];
+    let serial = fleet(
+        &[
+            &base[..],
+            &["--jobs", "1", "--out", serial_out.to_str().unwrap()],
+        ]
+        .concat(),
+    );
     assert_clean(&serial);
-    let parallel =
-        fleet(&[&base[..], &["--jobs", "4", "--out", parallel_out.to_str().unwrap()]].concat());
+    let parallel = fleet(
+        &[
+            &base[..],
+            &["--jobs", "4", "--out", parallel_out.to_str().unwrap()],
+        ]
+        .concat(),
+    );
     assert_clean(&parallel);
 
     let stdout = String::from_utf8_lossy(&serial.stdout);
@@ -78,7 +98,10 @@ fn fleet_statistics_are_byte_identical_across_worker_counts() {
     let serial_doc = std::fs::read(&serial_out).expect("serial --out written");
     let parallel_doc = std::fs::read(&parallel_out).expect("parallel --out written");
     assert!(!serial_doc.is_empty());
-    assert_eq!(serial_doc, parallel_doc, "--out diverged across worker counts");
+    assert_eq!(
+        serial_doc, parallel_doc,
+        "--out diverged across worker counts"
+    );
 
     for path in [&serial_out, &parallel_out] {
         let _ = std::fs::remove_file(path);
@@ -94,9 +117,23 @@ fn killed_at_checkpoint_then_resumed_matches_uninterrupted_run() {
         let _ = std::fs::remove_file(path);
     }
 
-    let base = ["--devices", "20", "--duration", "1", "--seed", "3", "--batch", "2"];
-    let uninterrupted =
-        fleet(&[&base[..], &["--jobs", "2", "--out", full_out.to_str().unwrap()]].concat());
+    let base = [
+        "--devices",
+        "20",
+        "--duration",
+        "1",
+        "--seed",
+        "3",
+        "--batch",
+        "2",
+    ];
+    let uninterrupted = fleet(
+        &[
+            &base[..],
+            &["--jobs", "2", "--out", full_out.to_str().unwrap()],
+        ]
+        .concat(),
+    );
     assert_clean(&uninterrupted);
 
     // Die after the first checkpoint — the stand-in for a mid-campaign
@@ -179,9 +216,23 @@ fn resume_above_two_pow_53_continues_the_same_campaign() {
         let _ = std::fs::remove_file(path);
     }
 
-    let base = ["--devices", "12", "--duration", "1", "--seed", seed, "--batch", "2"];
-    let uninterrupted =
-        fleet(&[&base[..], &["--jobs", "2", "--out", full_out.to_str().unwrap()]].concat());
+    let base = [
+        "--devices",
+        "12",
+        "--duration",
+        "1",
+        "--seed",
+        seed,
+        "--batch",
+        "2",
+    ];
+    let uninterrupted = fleet(
+        &[
+            &base[..],
+            &["--jobs", "2", "--out", full_out.to_str().unwrap()],
+        ]
+        .concat(),
+    );
     assert_clean(&uninterrupted);
     let interrupted = fleet(
         &[
@@ -266,7 +317,10 @@ fn hostile_resume_files_exit_1_with_a_message() {
     let with_runs = |runs: &str| {
         let key = "\"stats\":{\"runs\":";
         let at = saved.find(key).expect("checkpoint has a run count") + key.len();
-        let end = at + saved[at..].find(',').expect("run count is followed by metrics");
+        let end = at
+            + saved[at..]
+                .find(',')
+                .expect("run count is followed by metrics");
         format!("{}{runs}{}", &saved[..at], &saved[end..])
     };
     let hostile = [
@@ -321,12 +375,27 @@ fn hostile_resume_files_exit_1_with_a_message() {
 #[test]
 fn replay_device_prints_the_sampled_spec_and_its_metrics() {
     let output = fleet(&[
-        "--devices", "32", "--duration", "1", "--seed", "11", "--replay-device", "7",
+        "--devices",
+        "32",
+        "--duration",
+        "1",
+        "--seed",
+        "11",
+        "--replay-device",
+        "7",
     ]);
     assert_clean(&output);
     let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("device 7:"), "missing device spec line:\n{stdout}");
-    for line in ["average power", "average refresh", "display quality", "dropped frames"] {
+    assert!(
+        stdout.contains("device 7:"),
+        "missing device spec line:\n{stdout}"
+    );
+    for line in [
+        "average power",
+        "average refresh",
+        "display quality",
+        "dropped frames",
+    ] {
         assert!(stdout.contains(line), "missing {line:?} line:\n{stdout}");
     }
 

@@ -32,7 +32,10 @@ fn governor_walks_down_the_ladder_behind_the_fling() {
     let peak = refresh.iter().fold(0.0f64, |a, &b| a.max(b));
     let floor = refresh.iter().skip(2).fold(f64::INFINITY, |a, &b| a.min(b));
     assert!(peak > 45.0, "never reached a high rate: peak {peak:.1} Hz");
-    assert!(floor < 25.0, "never decayed to the floor: min {floor:.1} Hz");
+    assert!(
+        floor < 25.0,
+        "never decayed to the floor: min {floor:.1} Hz"
+    );
     // And intermediate rungs are used, not just the extremes.
     let intermediate = refresh
         .iter()

@@ -42,10 +42,8 @@ fn lint_json_on_the_repo_is_clean_and_silent_on_stdout() {
 fn lint_json_diagnostics_parse_with_the_obs_json_parser() {
     // A miniature workspace seeded with one panic violation; the lint's
     // JSON output must round-trip through the in-repo parser.
-    let root: PathBuf = std::env::temp_dir().join(format!(
-        "ccdem-lint-json-test-{}",
-        std::process::id()
-    ));
+    let root: PathBuf =
+        std::env::temp_dir().join(format!("ccdem-lint-json-test-{}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
     let write = |rel: &str, contents: &str| {
         let path = root.join(rel);
@@ -90,7 +88,9 @@ fn lint_json_diagnostics_parse_with_the_obs_json_parser() {
             "wrong envelope: {line}"
         );
         assert_eq!(value.get("t_us").and_then(Json::as_f64), Some(0.0));
-        let fields = value.get("fields").unwrap_or_else(|| panic!("no fields: {line}"));
+        let fields = value
+            .get("fields")
+            .unwrap_or_else(|| panic!("no fields: {line}"));
         let id = fields.get("id").and_then(Json::as_str).expect("fields.id");
         assert!(fields.get("file").and_then(Json::as_str).is_some());
         assert!(fields.get("line").and_then(Json::as_f64).is_some());
@@ -102,5 +102,8 @@ fn lint_json_diagnostics_parse_with_the_obs_json_parser() {
             saw_panic = true;
         }
     }
-    assert!(saw_panic, "expected the seeded v[0] panic diagnostic:\n{stdout}");
+    assert!(
+        saw_panic,
+        "expected the seeded v[0] panic diagnostic:\n{stdout}"
+    );
 }

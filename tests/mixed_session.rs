@@ -38,7 +38,10 @@ fn governor_tracks_regime_changes() {
     let quiet = mean(4..10);
     let busy = mean(14..20);
     assert!(quiet < 24.0, "flashlight segment ran at {quiet:.1} Hz");
-    assert!(busy > quiet + 3.0, "game segment at {busy:.1} Hz not above {quiet:.1}");
+    assert!(
+        busy > quiet + 3.0,
+        "game segment at {busy:.1} Hz not above {quiet:.1}"
+    );
     // And the second flashlight segment converges back down.
     let quiet_again = mean(24..30);
     assert!(
@@ -52,15 +55,15 @@ fn switch_transitions_display_new_content() {
     // Each of the 4 segment starts forces a full redraw that must land
     // on the glass.
     let r = mixed(Policy::SectionOnly).run();
-    assert!(
-        r.displayed_content_fps > 0.0,
-        "no content displayed at all"
-    );
+    assert!(r.displayed_content_fps > 0.0, "no content displayed at all");
     // Seconds containing a switch (0, 10, 20, 30) carry at least one
     // displayed content frame.
     for boundary in [0usize, 10, 20, 30] {
         let displayed = r.displayed_content_per_second[boundary]
-            + r.displayed_content_per_second.get(boundary + 1).copied().unwrap_or(0.0);
+            + r.displayed_content_per_second
+                .get(boundary + 1)
+                .copied()
+                .unwrap_or(0.0);
         assert!(
             displayed >= 1.0,
             "switch at t={boundary}s displayed nothing"
@@ -77,5 +80,9 @@ fn mixed_session_saves_power() {
         gov.avg_power_mw,
         base.avg_power_mw
     );
-    assert!(gov.quality_pct() > 90.0, "quality {:.1}%", gov.quality_pct());
+    assert!(
+        gov.quality_pct() > 90.0,
+        "quality {:.1}%",
+        gov.quality_pct()
+    );
 }

@@ -61,14 +61,11 @@ fn mid_grey_content_is_power_neutral() {
 fn refresh_governing_still_saves_on_oled() {
     // The two techniques compose: refresh-rate savings persist under the
     // content-dependent panel model.
-    let mut governed = Scenario::new(
-        Workload::Video(VideoConfig::film_24()),
-        Policy::SectionOnly,
-    )
-    .at_quarter_resolution()
-    .with_duration(SimDuration::from_secs(10))
-    .with_seed(78)
-    .with_monkey(MonkeyConfig::none());
+    let mut governed = Scenario::new(Workload::Video(VideoConfig::film_24()), Policy::SectionOnly)
+        .at_quarter_resolution()
+        .with_duration(SimDuration::from_secs(10))
+        .with_seed(78)
+        .with_monkey(MonkeyConfig::none());
     governed.power = PowerCoefficients::galaxy_s3().with_oled_content_scaling();
     let (gov, base) = governed.run_with_baseline();
     assert!(

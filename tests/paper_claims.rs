@@ -52,7 +52,10 @@ fn section_4_3_jelly_splash_saves_several_times_facebook() {
         - run("Facebook", Policy::SectionOnly, 2).avg_power_mw;
     let js = run("Jelly Splash", Policy::FixedMax, 2).avg_power_mw
         - run("Jelly Splash", Policy::SectionOnly, 2).avg_power_mw;
-    assert!(js > 1.5 * fb, "Jelly Splash saved {js:.0} mW vs Facebook {fb:.0} mW");
+    assert!(
+        js > 1.5 * fb,
+        "Jelly Splash saved {js:.0} mW vs Facebook {fb:.0} mW"
+    );
 }
 
 #[test]

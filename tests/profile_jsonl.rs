@@ -36,7 +36,10 @@ fn profile_verb_emits_valid_spans_and_one_self_time_table() {
         output.status,
         String::from_utf8_lossy(&output.stderr)
     );
-    assert!(output.stderr.is_empty(), "quiet mode leaked progress output");
+    assert!(
+        output.stderr.is_empty(),
+        "quiet mode leaked progress output"
+    );
 
     // Exactly one self-time table and one decision-tick summary line.
     let stdout = String::from_utf8_lossy(&output.stdout);

@@ -17,7 +17,11 @@ fn arb_spec() -> impl Strategy<Value = AppSpec> {
         0usize..3,
     )
         .prop_map(|(idle_req, idle_cr, active_req, active_cr, kind)| {
-            let kind = [ChangeKind::FullRedraw, ChangeKind::Scroll, ChangeKind::Widget][kind];
+            let kind = [
+                ChangeKind::FullRedraw,
+                ChangeKind::Scroll,
+                ChangeKind::Widget,
+            ][kind];
             AppSpec::new(
                 "prop app",
                 AppClass::General,

@@ -9,10 +9,17 @@ use ccdem::workloads::catalog;
 
 /// A small, class-balanced app sample.
 fn sample() -> Vec<ccdem::workloads::phased::AppSpec> {
-    ["Facebook", "Cash Slide", "MX Player", "Jelly Splash", "Everypong", "Watermargin"]
-        .iter()
-        .map(|n| catalog::by_name(n).expect("catalog app"))
-        .collect()
+    [
+        "Facebook",
+        "Cash Slide",
+        "MX Player",
+        "Jelly Splash",
+        "Everypong",
+        "Watermargin",
+    ]
+    .iter()
+    .map(|n| catalog::by_name(n).expect("catalog app"))
+    .collect()
 }
 
 fn class_means(seed: u64, policy: Policy) -> (f64, f64, f64) {
@@ -46,7 +53,10 @@ fn conclusions_hold_across_seeds() {
             games > general,
             "seed {seed}: games saved {games:.0} mW ≤ general {general:.0} mW"
         );
-        assert!(general > 0.0, "seed {seed}: general apps saved {general:.0} mW");
+        assert!(
+            general > 0.0,
+            "seed {seed}: general apps saved {general:.0} mW"
+        );
         assert!(
             quality > 93.0,
             "seed {seed}: mean boosted quality {quality:.1}%"

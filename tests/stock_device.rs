@@ -23,7 +23,10 @@ fn stock_scenario(policy: Policy) -> Scenario {
 fn governor_is_noop_on_single_rate_panel() {
     let governed = stock_scenario(Policy::SectionWithBoost).run();
     let baseline = stock_scenario(Policy::FixedMax).run();
-    assert_eq!(governed.refresh_switches, 0, "no other rate exists to switch to");
+    assert_eq!(
+        governed.refresh_switches, 0,
+        "no other rate exists to switch to"
+    );
     assert_eq!(governed.avg_refresh_hz, 60.0);
     // Identical workload, identical panel behaviour → identical power.
     assert!(

@@ -35,7 +35,10 @@ fn trace_verb_emits_valid_decision_path_jsonl() {
     );
     // --quiet: no progress chatter on stderr, but the result summary —
     // including the telemetry-metrics table — still lands on stdout.
-    assert!(output.stderr.is_empty(), "quiet mode leaked progress output");
+    assert!(
+        output.stderr.is_empty(),
+        "quiet mode leaked progress output"
+    );
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("telemetry metrics"), "missing obs summary");
     assert!(stdout.contains("governor.decisions"), "missing counters");
@@ -79,7 +82,10 @@ fn trace_verb_emits_valid_decision_path_jsonl() {
     let count = |name: &str| events.iter().filter(|(n, _, _)| n == name).count();
     assert_eq!(count("run.start"), 1);
     assert_eq!(count("run.end"), 1);
-    assert_eq!(events.first().map(|(n, _, _)| n.as_str()), Some("run.start"));
+    assert_eq!(
+        events.first().map(|(n, _, _)| n.as_str()),
+        Some("run.start")
+    );
     assert_eq!(events.last().map(|(n, _, _)| n.as_str()), Some("run.end"));
 
     // The full decision path is represented.

@@ -12,13 +12,7 @@ use ccdem::workloads::trace::FrameTrace;
 fn synthetic_trace(fps: u64, total: u64, content_every: u64) -> FrameTrace {
     let period = 1_000_000 / fps;
     let text: String = (0..total)
-        .map(|i| {
-            format!(
-                "{},{}\n",
-                i * period,
-                u8::from(i % content_every == 0)
-            )
-        })
+        .map(|i| format!("{},{}\n", i * period, u8::from(i % content_every == 0)))
         .collect();
     text.parse().expect("synthetic trace is well-formed")
 }
@@ -37,14 +31,15 @@ fn redundant_heavy_trace_settles_at_floor() {
     // 30 fps submissions, content every 10th frame → CR ~3 fps → 20 Hz.
     let r = run_trace(synthetic_trace(30, 450, 10));
     assert_eq!(
-        r.refresh_trace.value_at(ccdem::simkit::time::SimTime::from_secs(14)),
+        r.refresh_trace
+            .value_at(ccdem::simkit::time::SimTime::from_secs(14)),
         Some(RefreshRate::HZ_20.hz_f64()),
         "refresh trace: {:?}",
         r.refresh_trace.per_second(r.duration)
     );
     // The replayed cadence is visible in the submission rate.
-    let mean_submissions = r.submissions_per_second.iter().sum::<f64>()
-        / r.submissions_per_second.len() as f64;
+    let mean_submissions =
+        r.submissions_per_second.iter().sum::<f64>() / r.submissions_per_second.len() as f64;
     assert!(
         (27.0..33.0).contains(&mean_submissions),
         "mean submissions {mean_submissions:.1} fps"
@@ -55,12 +50,10 @@ fn redundant_heavy_trace_settles_at_floor() {
 fn content_dense_trace_holds_a_high_rate() {
     // 60 fps submissions, every other frame content → CR ~30 → 40 Hz.
     let r = run_trace(synthetic_trace(60, 900, 2));
-    let late = r
-        .refresh_trace
-        .time_weighted_mean(
-            ccdem::simkit::time::SimTime::from_secs(5),
-            ccdem::simkit::time::SimTime::from_secs(15),
-        );
+    let late = r.refresh_trace.time_weighted_mean(
+        ccdem::simkit::time::SimTime::from_secs(5),
+        ccdem::simkit::time::SimTime::from_secs(15),
+    );
     assert!(
         (38.0..42.0).contains(&late),
         "steady-state refresh {late:.1} Hz"

@@ -57,8 +57,7 @@ fn untouched_playback_saves_large_fraction() {
         MonkeyConfig::none(),
     )
     .run_with_baseline();
-    let saved_pct =
-        (baseline.avg_power_mw - governed.avg_power_mw) / baseline.avg_power_mw * 100.0;
+    let saved_pct = (baseline.avg_power_mw - governed.avg_power_mw) / baseline.avg_power_mw * 100.0;
     assert!(saved_pct > 8.0, "saved only {saved_pct:.1}%");
 }
 
@@ -74,13 +73,15 @@ fn pause_drops_to_panel_floor() {
         burst_max: 1,
         ..MonkeyConfig::standard()
     };
-    let r = scenario(VideoConfig::film_24(), Policy::SectionWithBoost, single_taps).run();
+    let r = scenario(
+        VideoConfig::film_24(),
+        Policy::SectionWithBoost,
+        single_taps,
+    )
+    .run();
     let refresh = r.refresh_trace.per_second(r.duration);
     let at_floor = refresh.iter().filter(|&&hz| hz < 22.0).count();
-    assert!(
-        at_floor > 0,
-        "never reached the 20 Hz floor: {refresh:?}"
-    );
+    assert!(at_floor > 0, "never reached the 20 Hz floor: {refresh:?}");
 }
 
 #[test]
