@@ -9,7 +9,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use ccdem_obs::{AtomicHistogram, Counter, Obs};
+use ccdem_obs::{AtomicSketch, Counter, Obs};
 use ccdem_panel::refresh::{RefreshRate, RefreshRateSet};
 use ccdem_pixelbuf::buffer::FrameBuffer;
 use ccdem_pixelbuf::damage::DamageRegion;
@@ -263,7 +263,6 @@ pub struct Governor {
     filter: EwmaFilter,
     damper: SwitchDamper,
     decisions: Trace,
-    last_decision: RefreshRate,
     obs: Obs,
     metrics: GovernorMetrics,
 }
@@ -273,7 +272,7 @@ pub struct Governor {
 struct GovernorMetrics {
     decisions: Arc<Counter>,
     touch_boosts: Arc<Counter>,
-    content_fps: Arc<AtomicHistogram>,
+    content_fps: Arc<AtomicSketch>,
 }
 
 impl GovernorMetrics {
@@ -282,7 +281,7 @@ impl GovernorMetrics {
         GovernorMetrics {
             decisions: registry.counter("governor.decisions"),
             touch_boosts: registry.counter("governor.touch_boosts"),
-            content_fps: registry.histogram("governor.content_fps", 0.0, 60.0, 12),
+            content_fps: registry.sketch("governor.content_fps"),
         }
     }
 }
@@ -307,7 +306,6 @@ impl Governor {
         let sampler = GridSampler::for_pixel_budget(resolution, config.grid_budget());
         let table = SectionTable::new(rates.clone());
         let naive = NaiveRateMapper::new(rates.clone());
-        let last_decision = rates.max();
         Governor {
             config,
             rates,
@@ -322,7 +320,6 @@ impl Governor {
             filter: EwmaFilter::new(config.smoothing_alpha()),
             damper: SwitchDamper::new(config.down_dwell()),
             decisions: Trace::new(),
-            last_decision,
             obs: Obs::disabled(),
             metrics: GovernorMetrics::from_registry(),
         }
@@ -357,11 +354,6 @@ impl Governor {
         &self.decisions
     }
 
-    /// The most recent decision (the panel's target rate).
-    pub fn current_target(&self) -> RefreshRate {
-        self.last_decision
-    }
-
     /// Feeds one framebuffer update into the meter.
     ///
     /// Call this after every composition, with the composed framebuffer.
@@ -392,7 +384,7 @@ impl Governor {
         self.booster.on_touch(now);
         if self.config.policy().uses_touch_boost() {
             let rate = self.damper.apply(self.rates.max());
-            self.record_decision(now, rate);
+            self.decisions.push(now, rate.hz_f64());
             self.metrics.decisions.inc();
             self.metrics.touch_boosts.inc();
             self.obs.emit("governor.decision", now, |event| {
@@ -431,9 +423,13 @@ impl Governor {
             }
         };
         let rate = self.damper.apply(proposed);
-        self.record_decision(now, rate);
+        self.decisions.push(now, rate.hz_f64());
         self.metrics.decisions.inc();
-        self.metrics.content_fps.record(measured.fps());
+        // Registry sketches hold thousandths of the unit they print in
+        // (here fps); the float-to-int cast saturates.
+        self.metrics
+            .content_fps
+            .record((measured.fps() * 1000.0).round() as u64);
         self.obs.emit("governor.decision", now, |event| {
             event
                 .field("trigger", "tick")
@@ -444,11 +440,6 @@ impl Governor {
                 .field("boost", boost_active);
         });
         rate
-    }
-
-    fn record_decision(&mut self, now: SimTime, rate: RefreshRate) {
-        self.last_decision = rate;
-        self.decisions.push(now, rate.hz_f64());
     }
 }
 
@@ -525,7 +516,7 @@ mod tests {
         let end = feed_content(&mut gov, 8, SimTime::ZERO);
         gov.decide(end);
         assert_eq!(gov.decisions().len(), 1);
-        assert_eq!(gov.current_target(), RefreshRate::HZ_20);
+        assert_eq!(gov.decisions().value_at(end), Some(20.0));
     }
 
     #[test]

@@ -16,13 +16,12 @@ use std::fmt;
 
 use ccdem_core::governor::{GovernorConfig, Policy};
 use ccdem_metrics::table::TextTable;
-use ccdem_obs::Obs;
 use ccdem_power::model::PowerCoefficients;
 use ccdem_simkit::parallel::ParallelRunner;
-use ccdem_simkit::time::{SimDuration, SimTime};
+use ccdem_simkit::time::SimDuration;
 use ccdem_workloads::catalog;
 
-use crate::campaign::{run_each, CampaignStats};
+use crate::campaign::run_each;
 use crate::scenario::{scaled_budget, RunScratch, Scenario, Workload};
 use ccdem_pixelbuf::geometry::Resolution;
 
@@ -290,29 +289,8 @@ pub fn psr_sweep(config: &AblationConfig) -> Ablation {
 }
 
 /// Runs every ablation.
-///
-/// Emits one `ablation.point` telemetry event per measured configuration
-/// on `obs` (sim-time zero: ablation points summarise whole runs rather
-/// than moments inside one). Telemetry never feeds back into the sweeps,
-/// so the returned ablations are identical whether `obs` is enabled or
-/// not.
-pub fn run_all(config: &AblationConfig, obs: &Obs) -> Vec<Ablation> {
-    run_all_with_campaign(config, obs).0
-}
-
-/// [`run_all`], additionally folding every measured point into a
-/// streaming [`CampaignStats`] as each ablation completes.
-///
-/// Points fold in as the campaign advances through the seven sweeps, so
-/// a live sink sees a `campaign.progress` line (running count plus
-/// headline percentiles — `saved_p50_mw` rather than the power
-/// percentiles a sweep campaign reports) after each `ablation.point`,
-/// and a final `campaign.end` once all sweeps are in. The total point
-/// count is not known up front, so progress lines omit the `total`
-/// field. Folding is order-independent, hence the returned statistics
-/// are identical for any worker count.
-pub fn run_all_with_campaign(config: &AblationConfig, obs: &Obs) -> (Vec<Ablation>, CampaignStats) {
-    let sweeps: [fn(&AblationConfig) -> Ablation; 7] = [
+pub fn run_all(config: &AblationConfig) -> Vec<Ablation> {
+    [
         control_window_sweep,
         grid_budget_sweep,
         boost_hold_sweep,
@@ -320,28 +298,10 @@ pub fn run_all_with_campaign(config: &AblationConfig, obs: &Obs) -> (Vec<Ablatio
         smoothing_sweep,
         down_dwell_sweep,
         psr_sweep,
-    ];
-    let mut campaign = CampaignStats::new();
-    let mut ablations = Vec::with_capacity(sweeps.len());
-    for sweep in sweeps {
-        let ablation = sweep(config);
-        for point in &ablation.points {
-            obs.emit("ablation.point", SimTime::ZERO, |event| {
-                event
-                    .field("sweep", ablation.name.clone())
-                    .field("label", point.label.clone())
-                    .field("saved_mw", point.saved_mw)
-                    .field("quality_pct", point.quality_pct)
-                    .field("dropped_fps", point.dropped_fps)
-                    .field("switches", point.switches);
-            });
-            campaign.observe_point(point);
-            campaign.emit_progress(obs, 0);
-        }
-        ablations.push(ablation);
-    }
-    campaign.emit_end(obs);
-    (ablations, campaign)
+    ]
+    .iter()
+    .map(|sweep| sweep(config))
+    .collect()
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Streaming campaign statistics: fleet-style aggregation over many runs.
 //!
-//! A sweep or ablation is a *campaign* of independent runs. Instead of
+//! A sweep or fleet is a *campaign* of independent runs. Instead of
 //! buffering every [`RunResult`] to compute percentiles at the end, a
 //! [`CampaignStats`] folds each result into fixed-size
 //! [`QuantileSketch`]es the moment it completes, so a campaign of any
@@ -38,13 +38,14 @@ use ccdem_obs::{Obs, QuantileSketch};
 use ccdem_simkit::parallel::ParallelRunner;
 use ccdem_simkit::time::SimTime;
 
-use crate::ablation::AblationPoint;
 use crate::scenario::{RunResult, RunScratch};
 
 /// Fixed-point ticks per natural unit.
 const SCALE: f64 = 1000.0;
 
 /// The metric names [`CampaignStats::observe_run`] records, in order.
+/// [`CampaignStats::from_json`] accepts exactly this set, which is how
+/// parsed names regain their `&'static str` identity.
 pub const RUN_METRICS: [&str; 5] = [
     "avg_power_mw",
     "avg_refresh_hz",
@@ -53,23 +54,10 @@ pub const RUN_METRICS: [&str; 5] = [
     "refresh_switches",
 ];
 
-/// Every metric name any campaign observer can record — [`RUN_METRICS`]
-/// plus the ablation-only savings metric. [`CampaignStats::from_json`]
-/// accepts exactly this set, which is how parsed names regain their
-/// `&'static str` identity.
-pub const KNOWN_METRICS: [&str; 6] = [
-    "avg_power_mw",
-    "avg_refresh_hz",
-    "quality_pct",
-    "dropped_fps",
-    "refresh_switches",
-    "saved_mw",
-];
-
 /// Maps a parsed metric name onto its `'static` counterpart, or `None`
-/// for a name no campaign observer records.
+/// for a name [`CampaignStats::observe_run`] does not record.
 fn intern_metric(name: &str) -> Option<&'static str> {
-    KNOWN_METRICS.iter().find(|&&known| known == name).copied()
+    RUN_METRICS.iter().find(|&&known| known == name).copied()
 }
 
 /// Runs `run(scratch, item)` for every item of `items` on `runner` and
@@ -142,8 +130,8 @@ impl CampaignStats {
 
     /// Records one sample of `metric` (natural units; values are stored
     /// at ×1000 fixed point, negatives clamp to zero). Does not bump the
-    /// run count — use [`observe_run`](Self::observe_run) /
-    /// [`observe_point`](Self::observe_point) for whole results.
+    /// run count — use [`observe_run`](Self::observe_run) for whole
+    /// results.
     pub fn observe(&mut self, metric: &'static str, value: f64) {
         self.metrics
             .entry(metric)
@@ -166,15 +154,6 @@ impl CampaignStats {
         self.observe("quality_pct", result.quality_pct());
         self.observe("dropped_fps", result.dropped_fps());
         self.observe("refresh_switches", result.refresh_switches as f64);
-    }
-
-    /// Folds one ablation point into the aggregate.
-    pub fn observe_point(&mut self, point: &AblationPoint) {
-        self.runs += 1;
-        self.observe("saved_mw", point.saved_mw);
-        self.observe("quality_pct", point.quality_pct);
-        self.observe("dropped_fps", point.dropped_fps);
-        self.observe("refresh_switches", point.switches as f64);
     }
 
     /// Runs folded so far (via the whole-result observers).
@@ -243,16 +222,11 @@ impl CampaignStats {
     /// whichever runs happen to have completed, so progress lines are
     /// *not* deterministic under a parallel runner — only the final
     /// aggregate is.
-    /// Pass `total = 0` when the campaign length is not known up front
-    /// (the `total` field is then omitted).
     pub fn emit_progress(&self, obs: &Obs, total: usize) {
         let runs = self.runs;
         obs.emit("campaign.progress", SimTime::ZERO, |event| {
-            event.field("runs", runs);
-            if total > 0 {
-                // ccdem-lint: allow(arith-cast) — usize → u64 widens.
-                event.field("total", total as u64);
-            }
+            // ccdem-lint: allow(arith-cast) — usize → u64 widens.
+            event.field("runs", runs).field("total", total as u64);
             for (key, metric, q) in Self::HEADLINES {
                 if let Some(v) = self.quantile(metric, q) {
                     event.field(key, v);
@@ -299,7 +273,7 @@ impl CampaignStats {
     /// byte-identical final statistics (pinned by a proptest in
     /// `tests/`). Returns `None` on a malformed document, a run count
     /// that is not an exact integer below 2^53 ([`exact_u64`]), an
-    /// unknown metric name (see [`KNOWN_METRICS`]), or a malformed
+    /// unknown metric name (see [`RUN_METRICS`]), or a malformed
     /// sketch.
     pub fn from_json(doc: &Json) -> Option<CampaignStats> {
         let runs = exact_u64(doc.get("runs")?)?;
@@ -315,13 +289,11 @@ impl CampaignStats {
 
     /// Headline (field, metric, quantile) triples shared by progress and
     /// end events. Fields for metrics a campaign never recorded are
-    /// simply absent (sweeps report power, ablations savings).
-    const HEADLINES: [(&'static str, &'static str, f64); 8] = [
+    /// simply absent.
+    const HEADLINES: [(&'static str, &'static str, f64); 6] = [
         ("power_p50_mw", "avg_power_mw", 0.5),
         ("power_p95_mw", "avg_power_mw", 0.95),
         ("power_p99_mw", "avg_power_mw", 0.99),
-        ("saved_p50_mw", "saved_mw", 0.5),
-        ("saved_p95_mw", "saved_mw", 0.95),
         ("quality_p50_pct", "quality_pct", 0.5),
         ("quality_p05_pct", "quality_pct", 0.05),
         ("dropped_p95_fps", "dropped_fps", 0.95),
@@ -459,7 +431,7 @@ mod tests {
         assert!(events[0].get("power_p50_mw").is_some());
         assert!(events[0].get("total").is_some());
         // Metrics never recorded stay absent rather than defaulting.
-        assert!(events[0].get("saved_p50_mw").is_none());
+        assert!(events[0].get("quality_p50_pct").is_none());
         assert!(events[1].get("power_p99_mw").is_some());
     }
 
@@ -478,8 +450,8 @@ mod tests {
     #[test]
     fn negative_samples_clamp_to_zero() {
         let mut stats = CampaignStats::new();
-        stats.observe("saved_mw", -12.0);
-        assert_eq!(stats.quantile("saved_mw", 0.5), Some(0.0));
+        stats.observe("dropped_fps", -12.0);
+        assert_eq!(stats.quantile("dropped_fps", 0.5), Some(0.0));
     }
 
     #[test]
@@ -490,7 +462,7 @@ mod tests {
         for _ in 0..500 {
             stats.observe("avg_power_mw", rng.range_f64(0.0, 900.0));
             stats.observe("quality_pct", rng.range_f64(0.0, 100.0));
-            stats.observe("saved_mw", rng.range_f64(-5.0, 80.0));
+            stats.observe("dropped_fps", rng.range_f64(-5.0, 80.0));
         }
         let doc = stats.to_json();
         let back = CampaignStats::from_json(&doc).expect("own document parses");
@@ -541,9 +513,9 @@ mod tests {
     #[test]
     fn known_metrics_cover_every_observer() {
         for m in RUN_METRICS {
-            assert!(intern_metric(m).is_some(), "{m} missing from KNOWN_METRICS");
+            assert_eq!(intern_metric(m), Some(m));
         }
-        assert!(intern_metric("saved_mw").is_some());
+        assert!(intern_metric("saved_mw").is_none());
         assert!(intern_metric("not_a_metric").is_none());
     }
 }

@@ -205,14 +205,14 @@ proptest! {
     #[test]
     fn campaign_stats_round_trip_is_exact(
         powers in proptest::collection::vec(1.0f64..4000.0, 0..40),
-        saved in proptest::collection::vec(0.0f64..2000.0, 0..40),
+        dropped in proptest::collection::vec(0.0f64..2000.0, 0..40),
     ) {
         let mut stats = CampaignStats::new();
         for &p in &powers {
             stats.observe("avg_power_mw", p);
         }
-        for &s in &saved {
-            stats.observe("saved_mw", s);
+        for &d in &dropped {
+            stats.observe("dropped_fps", d);
         }
         let document = final_document(&stats);
         let parsed = json::parse(&document).expect("own document parses");

@@ -8,7 +8,6 @@
 use ccdem_experiments::ablation::{self, AblationConfig};
 use ccdem_experiments::generalize::{self, GeneralizeConfig};
 use ccdem_experiments::sweep::{self, SweepConfig};
-use ccdem_obs::Obs;
 use ccdem_simkit::time::SimDuration;
 
 fn config(jobs: usize) -> SweepConfig {
@@ -76,18 +75,14 @@ fn ablations_do_not_depend_on_worker_count() {
             seed: 4321,
             jobs,
         };
-        ablation::run_all_with_campaign(&config, &Obs::disabled())
+        ablation::run_all(&config)
     };
-    let (serial, serial_stats) = ablate(1);
-    let (parallel, parallel_stats) = ablate(3);
-    assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
+    let serial = ablate(1);
     // 5 windows + 5 budgets + 6 holds + 3 rules + 5 alphas + 4 dwells
     // + 5 PSR discounts.
-    assert_eq!(serial_stats.runs(), 33);
-    assert_eq!(
-        serial_stats, parallel_stats,
-        "campaign stats depend on worker count"
-    );
+    let points: usize = serial.iter().map(|a| a.points.len()).sum();
+    assert_eq!(points, 33);
+    assert_eq!(format!("{serial:?}"), format!("{:?}", ablate(3)));
 }
 
 #[test]

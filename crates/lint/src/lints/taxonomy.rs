@@ -7,8 +7,8 @@
 //! * **emitted ⇒ documented** — every event-name / metric-name string
 //!   literal passed to `Obs::emit`, `Obs::span`, `Event::new`,
 //!   `obs_event!`, or the registry constructors (`counter` / `gauge` /
-//!   `histogram` / `sketch`) must appear in the table; an undocumented
-//!   name is flagged at its call site.
+//!   `sketch`) must appear in the table; an undocumented name is flagged
+//!   at its call site.
 //! * **documented ⇒ emitted** — every name in the table must be emitted
 //!   somewhere; a stale row is flagged at its DESIGN.md line.
 //!
@@ -55,7 +55,7 @@ pub fn collect(file: &SourceFile, out: &mut Vec<Emission>) {
         };
         let (event_method, metric_method) = match name {
             "emit" | "span" => (true, false),
-            "counter" | "gauge" | "histogram" | "sketch" => (false, true),
+            "counter" | "gauge" | "sketch" => (false, true),
             "new" | "obs_event" => (false, false),
             _ => continue,
         };

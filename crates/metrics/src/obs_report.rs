@@ -2,15 +2,16 @@
 //!
 //! Turns a [`MetricsSnapshot`] — typically the delta between snapshots
 //! taken before and after a sweep — into the same plain-text table style
-//! as the rest of the reports, followed by ASCII renderings of any
-//! non-empty histograms.
+//! as the rest of the reports. Every registry sketch records thousandths
+//! of the unit it is printed in, so one ÷1000 turns any sketch's ticks
+//! into display values.
 
 use ccdem_obs::{MetricsSnapshot, QuantileSketch};
 
 use crate::table::TextTable;
 
 /// Renders `snapshot` as a text table of counters and gauges followed by
-/// histogram plots.
+/// one table of the non-empty sketches, each row in its own unit.
 ///
 /// `runs`, when given, adds a per-run column dividing each counter by the
 /// number of simulation runs the snapshot covers — the natural reading
@@ -30,11 +31,7 @@ use crate::table::TextTable;
 /// assert!(text.contains("60")); // 120 frames over 2 runs
 /// ```
 pub fn obs_summary(snapshot: &MetricsSnapshot, runs: Option<usize>) -> String {
-    if snapshot.counters.is_empty()
-        && snapshot.gauges.is_empty()
-        && snapshot.histograms.is_empty()
-        && snapshot.sketches.is_empty()
-    {
+    if snapshot.counters.is_empty() && snapshot.gauges.is_empty() && snapshot.sketches.is_empty() {
         return String::from("no telemetry metrics recorded\n");
     }
 
@@ -58,14 +55,6 @@ pub fn obs_summary(snapshot: &MetricsSnapshot, runs: Option<usize>) -> String {
     }
 
     let mut out = table.to_string();
-    for (name, histogram) in &snapshot.histograms {
-        if histogram.total() == 0 {
-            continue;
-        }
-        out.push('\n');
-        out.push_str(&format!("{name} ({} samples)\n", histogram.total()));
-        out.push_str(&histogram.to_string());
-    }
     let live_sketches: Vec<_> = snapshot
         .sketches
         .iter()
@@ -73,30 +62,44 @@ pub fn obs_summary(snapshot: &MetricsSnapshot, runs: Option<usize>) -> String {
         .collect();
     if !live_sketches.is_empty() {
         out.push('\n');
-        out.push_str("latency sketches (µs):\n");
-        let mut t = TextTable::new(["sketch", "samples", "p50", "p90", "p99", "max"]);
+        out.push_str("sketches:\n");
+        let mut t = TextTable::new(["sketch", "unit", "samples", "p50", "p90", "p99", "max"]);
         for (name, sketch) in live_sketches {
-            t.row(sketch_row(name, sketch));
+            let mut row = sketch_row(name, sketch).to_vec();
+            row.insert(1, sketch_unit(name).to_string());
+            t.row(row);
         }
         out.push_str(&t.to_string());
     }
     out
 }
 
-/// Converts a nanosecond tick count to a microsecond display value.
-fn ns_to_us(ticks: u64) -> f64 {
+/// The unit a registry sketch is printed in: frames per second for the
+/// `*_fps` rates, microseconds for the latency sketches (which record
+/// nanoseconds).
+fn sketch_unit(name: &str) -> &'static str {
+    if name.ends_with("_fps") {
+        "fps"
+    } else {
+        "µs"
+    }
+}
+
+/// Converts a sketch tick (a thousandth of the printed unit) to its
+/// display value.
+fn from_thousandths(ticks: u64) -> f64 {
     ticks as f64 / 1e3
 }
 
 fn sketch_row(name: &str, sketch: &QuantileSketch) -> [String; 6] {
-    let q = |q: f64| format!("{:.1}", ns_to_us(sketch.quantile(q).unwrap_or(0)));
+    let q = |q: f64| format!("{:.1}", from_thousandths(sketch.quantile(q).unwrap_or(0)));
     [
         name.to_string(),
         sketch.count().to_string(),
         q(0.5),
         q(0.9),
         q(0.99),
-        format!("{:.1}", ns_to_us(sketch.max().unwrap_or(0))),
+        format!("{:.1}", from_thousandths(sketch.max().unwrap_or(0))),
     ]
 }
 
@@ -133,14 +136,14 @@ pub fn profile_summary(snapshot: &MetricsSnapshot) -> String {
     }
     out.push_str(&t.to_string());
     if let Some(tick) = tick {
-        let q = |q: f64| ns_to_us(tick.quantile(q).unwrap_or(0));
+        let q = |q: f64| from_thousandths(tick.quantile(q).unwrap_or(0));
         out.push_str(&format!(
             "decision tick: {} ticks, p50 {:.1} µs, p90 {:.1} µs, p99 {:.1} µs, max {:.1} µs\n",
             tick.count(),
             q(0.5),
             q(0.9),
             q(0.99),
-            ns_to_us(tick.max().unwrap_or(0)),
+            from_thousandths(tick.max().unwrap_or(0)),
         ));
     }
     out
@@ -162,35 +165,46 @@ mod tests {
         assert!(text.contains("no telemetry metrics"));
     }
 
-    #[test]
-    fn counters_gauges_and_histograms_all_render() {
-        let registry = MetricsRegistry::new();
-        registry.counter("governor.decisions").add(33);
-        registry.gauge("meter.grid_px").set(2304.0);
-        let h = registry.histogram("governor.content_fps", 0.0, 60.0, 6);
-        h.record(5.0);
-        h.record(25.0);
-        let text = obs_summary(&registry.snapshot(), Some(3));
-        assert!(text.contains("governor.decisions"));
-        assert!(text.contains("11.0"), "per-run column missing:\n{text}");
-        assert!(text.contains("meter.grid_px"));
-        assert!(text.contains("2304.0"));
-        assert!(text.contains("governor.content_fps (2 samples)"));
-        assert!(text.contains('#'), "histogram bars missing:\n{text}");
+    /// The whitespace-separated cells of the table row named `name`.
+    fn row<'a>(text: &'a str, name: &str) -> Vec<&'a str> {
+        let line = text
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(name))
+            .unwrap_or_else(|| panic!("no {name} row:\n{text}"));
+        line.split_whitespace().collect()
     }
 
     #[test]
-    fn sketches_render_in_microseconds() {
+    fn counters_gauges_and_sketches_all_render() {
         let registry = MetricsRegistry::new();
-        registry.counter("governor.decisions").inc();
-        let sketch = registry.sketch("meter.diff_ns");
-        sketch.record(2_000); // 2 µs
-        sketch.record(10_000); // 10 µs
-        let text = obs_summary(&registry.snapshot(), None);
-        assert!(text.contains("latency sketches"));
-        assert!(text.contains("meter.diff_ns"));
-        // Max column: 10 000 ns → 10.0 µs (exact; max is tracked exactly).
-        assert!(text.contains("10.0"), "µs conversion missing:\n{text}");
+        registry.counter("governor.decisions").add(33);
+        registry.gauge("meter.grid_px").set(2304.0);
+        let fps = registry.sketch("governor.content_fps");
+        fps.record(5_000); // 5 fps
+        fps.record(25_000); // 25 fps
+        registry.sketch("profile.governor_decide").record(10_000); // 10 µs
+        let text = obs_summary(&registry.snapshot(), Some(3));
+        assert_eq!(
+            row(&text, "governor.decisions"),
+            ["governor.decisions", "counter", "33", "11.0"]
+        );
+        assert_eq!(
+            row(&text, "meter.grid_px"),
+            ["meter.grid_px", "gauge", "2304.0", "-"]
+        );
+        // One sketch table, one ÷1000, each row in its own unit; the max
+        // column is exact (sketches track max exactly).
+        assert_eq!(
+            text.matches("sketch ").count(),
+            1,
+            "one sketch table:\n{text}"
+        );
+        let content = row(&text, "governor.content_fps");
+        assert_eq!(content[1..3], ["fps", "2"]);
+        assert_eq!(content.last(), Some(&"25.0"));
+        let decide = row(&text, "profile.governor_decide");
+        assert_eq!(decide[1..3], ["µs", "1"]);
+        assert_eq!(decide.last(), Some(&"10.0"));
     }
 
     #[test]
@@ -217,11 +231,12 @@ mod tests {
     }
 
     #[test]
-    fn empty_histograms_are_omitted() {
+    fn empty_sketches_are_omitted() {
         let registry = MetricsRegistry::new();
         registry.counter("c").inc();
-        let _ = registry.histogram("h", 0.0, 1.0, 2);
+        let _ = registry.sketch("governor.content_fps");
         let text = obs_summary(&registry.snapshot(), None);
-        assert!(!text.contains("h ("));
+        assert!(!text.contains("governor.content_fps"), "{text}");
+        assert!(!text.contains("sketch"), "table without rows:\n{text}");
     }
 }

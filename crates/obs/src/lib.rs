@@ -13,13 +13,14 @@
 //!   times are measurement about the harness and never feed back into a
 //!   simulation.
 //! * **Metrics registry** ([`registry`]) — process-wide named counters,
-//!   gauges, fixed-bucket histograms, and mergeable quantile sketches
-//!   ([`sketch`]) with cheap relaxed-atomic updates on the hot path and a
+//!   gauges and mergeable quantile sketches ([`sketch`]) with cheap
+//!   relaxed-atomic updates on the hot path and a
 //!   [`snapshot`](registry::MetricsRegistry::snapshot) API for reports.
-//!   Histogram snapshots materialise as
-//!   [`ccdem_simkit::histogram::Histogram`] so they drop straight into the
-//!   existing text reports; sketch snapshots merge exactly and
-//!   order-independently, the substrate for fleet-level percentiles.
+//!   The sketch is the one distribution type: every registry sketch
+//!   records thousandths of the unit its report prints (nanoseconds for
+//!   µs latencies, thousandths of a frame per second for content rates),
+//!   and sketch snapshots merge exactly and order-independently, the
+//!   substrate for fleet-level percentiles.
 //! * **Sinks** ([`sink`]) — where events go: nowhere by default
 //!   ([`sink::NullSink`]), an in-memory ring buffer for tests
 //!   ([`sink::RingSink`]), or a JSON-lines writer
@@ -57,7 +58,7 @@ pub mod sketch;
 pub mod span;
 
 pub use event::{Event, Value};
-pub use registry::{metrics, AtomicHistogram, Counter, Gauge, MetricsRegistry, MetricsSnapshot};
+pub use registry::{metrics, Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 pub use sink::{EventSink, JsonlSink, NullSink, RingSink};
 pub use sketch::{AtomicSketch, QuantileSketch};
 pub use span::Span;

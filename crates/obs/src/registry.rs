@@ -1,5 +1,5 @@
-//! Process-wide metrics: named counters, gauges, and fixed-bucket
-//! histograms with cheap atomic hot-path updates.
+//! Process-wide metrics: named counters, gauges and quantile sketches
+//! with cheap atomic hot-path updates.
 //!
 //! Instrumented components obtain handles once (at construction) from the
 //! global [`metrics()`] registry and update them with relaxed atomics —
@@ -14,8 +14,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-use ccdem_simkit::histogram::Histogram;
 
 use crate::sketch::{AtomicSketch, QuantileSketch};
 
@@ -84,100 +82,11 @@ impl std::fmt::Debug for Gauge {
     }
 }
 
-/// A lock-free histogram with uniform bins over `[lo, hi)`.
-///
-/// Same bucket semantics as [`ccdem_simkit::histogram::Histogram`]
-/// (half-open bins, under/overflow counters), but recordable concurrently.
-/// Unlike the simkit histogram, recording NaN is silently dropped rather
-/// than a panic — telemetry must never abort a simulation.
-///
-/// # Examples
-///
-/// ```
-/// use ccdem_obs::AtomicHistogram;
-///
-/// let h = AtomicHistogram::new(0.0, 10.0, 5);
-/// h.record(1.0);
-/// h.record(12.0);
-/// let snap = h.snapshot();
-/// assert_eq!(snap.bin_count(0), 1);
-/// assert_eq!(snap.overflow(), 1);
-/// ```
-#[derive(Debug)]
-pub struct AtomicHistogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<AtomicU64>,
-    underflow: AtomicU64,
-    overflow: AtomicU64,
-}
-
-impl AtomicHistogram {
-    /// A histogram with `bins` uniform bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins` is zero, the bounds are not finite, or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> AtomicHistogram {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(
-            lo.is_finite() && hi.is_finite() && lo < hi,
-            "bounds must be finite with lo < hi"
-        );
-        AtomicHistogram {
-            lo,
-            hi,
-            bins: (0..bins).map(|_| AtomicU64::new(0)).collect(),
-            underflow: AtomicU64::new(0),
-            overflow: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one sample. NaN samples are dropped.
-    pub fn record(&self, value: f64) {
-        if value.is_nan() {
-            return;
-        }
-        if value < self.lo {
-            // ordering: relaxed — monotonic counter, no data published.
-            self.underflow.fetch_add(1, Ordering::Relaxed);
-        } else if value >= self.hi {
-            // ordering: relaxed — monotonic counter, no data published.
-            self.overflow.fetch_add(1, Ordering::Relaxed);
-        } else {
-            let width = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((value - self.lo) / width) as usize;
-            // Guard the hi-boundary rounding case, as simkit does.
-            let idx = idx.min(self.bins.len() - 1);
-            if let Some(bin) = self.bins.get(idx) {
-                // ordering: relaxed — independent monotonic counter; the
-                // snapshot tolerates torn cross-bin reads by design.
-                bin.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Materialises the current counts as a plain [`Histogram`].
-    pub fn snapshot(&self) -> Histogram {
-        // The snapshot is advisory telemetry: bins read at slightly
-        // different instants may tear across bins, which is acceptable,
-        // so no acquire edge is required on any of these loads.
-        let bins: Vec<u64> = self
-            .bins
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed)) // ordering: relaxed — see above
-            .collect();
-        let underflow = self.underflow.load(Ordering::Relaxed); // ordering: relaxed — see above
-        let overflow = self.overflow.load(Ordering::Relaxed); // ordering: relaxed — see above
-        Histogram::from_parts(self.lo, self.hi, bins, underflow, overflow)
-    }
-}
-
 /// A process-wide registry of named metrics.
 ///
 /// Names are `&'static str` in dotted form (`"meter.frames"`). The first
-/// registration of a name fixes its kind (and, for histograms, its
-/// shape); later lookups return the same shared handle, so components
+/// registration of a name fixes its kind; later lookups return the
+/// same shared handle, so components
 /// constructed many times (one governor per simulated run) all accumulate
 /// into one metric.
 ///
@@ -196,7 +105,6 @@ impl AtomicHistogram {
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<&'static str, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<&'static str, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<&'static str, Arc<AtomicHistogram>>>,
     sketches: Mutex<BTreeMap<&'static str, Arc<AtomicSketch>>>,
 }
 
@@ -206,7 +114,6 @@ impl MetricsRegistry {
         MetricsRegistry {
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
-            histograms: Mutex::new(BTreeMap::new()),
             sketches: Mutex::new(BTreeMap::new()),
         }
     }
@@ -224,22 +131,6 @@ impl MetricsRegistry {
         let mut map = self.gauges.lock().unwrap_or_else(|p| p.into_inner());
         map.entry(name)
             .or_insert_with(|| Arc::new(Gauge::new()))
-            .clone()
-    }
-
-    /// The histogram named `name`, created with the given shape on first
-    /// use. Later calls return the existing histogram regardless of the
-    /// shape arguments — the first registration wins.
-    pub fn histogram(
-        &self,
-        name: &'static str,
-        lo: f64,
-        hi: f64,
-        bins: usize,
-    ) -> Arc<AtomicHistogram> {
-        let mut map = self.histograms.lock().unwrap_or_else(|p| p.into_inner());
-        map.entry(name)
-            .or_insert_with(|| Arc::new(AtomicHistogram::new(lo, hi, bins)))
             .clone()
     }
 
@@ -270,13 +161,6 @@ impl MetricsRegistry {
             .iter()
             .map(|(name, g)| (name.to_string(), g.get()))
             .collect();
-        let histograms = self
-            .histograms
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .iter()
-            .map(|(name, h)| (name.to_string(), h.snapshot()))
-            .collect();
         let sketches = self
             .sketches
             .lock()
@@ -287,7 +171,6 @@ impl MetricsRegistry {
         MetricsSnapshot {
             counters,
             gauges,
-            histograms,
             sketches,
         }
     }
@@ -306,8 +189,6 @@ pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     /// Gauge values by name.
     pub gauges: BTreeMap<String, f64>,
-    /// Histogram contents by name.
-    pub histograms: BTreeMap<String, Histogram>,
     /// Quantile sketch contents by name.
     pub sketches: BTreeMap<String, QuantileSketch>,
 }
@@ -316,10 +197,9 @@ impl MetricsSnapshot {
     /// The change between `earlier` and `self`.
     ///
     /// Counters subtract (saturating, in case `earlier` is from a
-    /// different epoch); gauges keep the latest value; histograms
-    /// subtract bin-wise when shapes match and otherwise keep the latest
-    /// contents. Metrics absent from `earlier` appear with their full
-    /// current value.
+    /// different epoch); gauges keep the latest value; sketches subtract
+    /// bucket-wise ([`QuantileSketch::delta_since`]). Metrics absent from
+    /// `earlier` appear with their full current value.
     pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         let counters = self
             .counters
@@ -327,25 +207,6 @@ impl MetricsSnapshot {
             .map(|(name, &now)| {
                 let before = earlier.counters.get(name).copied().unwrap_or(0);
                 (name.clone(), now.saturating_sub(before))
-            })
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(name, now)| {
-                let delta = match earlier.histograms.get(name) {
-                    Some(before) if same_shape(now, before) => Histogram::from_parts(
-                        now.lo(),
-                        now.hi(),
-                        (0..now.bins())
-                            .map(|i| now.bin_count(i).saturating_sub(before.bin_count(i)))
-                            .collect(),
-                        now.underflow().saturating_sub(before.underflow()),
-                        now.overflow().saturating_sub(before.overflow()),
-                    ),
-                    _ => now.clone(),
-                };
-                (name.clone(), delta)
             })
             .collect();
         let sketches = self
@@ -362,54 +223,22 @@ impl MetricsSnapshot {
         MetricsSnapshot {
             counters,
             gauges: self.gauges.clone(),
-            histograms,
             sketches,
         }
     }
 
     /// Whether the snapshot records no activity: all counters zero and
-    /// all histograms and sketches empty (gauges are levels, not
-    /// activity, and are ignored here).
+    /// all sketches empty (gauges are levels, not activity, and are
+    /// ignored here).
     pub fn is_empty(&self) -> bool {
         self.counters.values().all(|&v| v == 0)
-            && self.histograms.values().all(|h| h.total() == 0)
             && self.sketches.values().all(QuantileSketch::is_empty)
     }
-}
-
-fn same_shape(a: &Histogram, b: &Histogram) -> bool {
-    a.bins() == b.bins() && a.lo() == b.lo() && a.hi() == b.hi()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_bucket_edges_match_simkit_semantics() {
-        // Satellite check: half-open [lo, hi) buckets, boundary values land
-        // in the upper bin, hi itself overflows, lo itself is in-range.
-        let h = AtomicHistogram::new(0.0, 10.0, 5);
-        h.record(0.0); // first bin, inclusive lower edge
-        h.record(2.0); // exactly on a bin edge -> bin 1
-        h.record(9.999); // last bin
-        h.record(10.0); // upper bound is exclusive -> overflow
-        h.record(-0.001); // underflow
-        h.record(f64::NAN); // dropped, not panicking
-        let snap = h.snapshot();
-        assert_eq!(snap.bin_count(0), 1);
-        assert_eq!(snap.bin_count(1), 1);
-        assert_eq!(snap.bin_count(4), 1);
-        assert_eq!(snap.overflow(), 1);
-        assert_eq!(snap.underflow(), 1);
-        assert_eq!(snap.total(), 5);
-
-        // The same samples into the single-threaded simkit histogram must
-        // land identically (minus the NaN, which simkit rejects loudly).
-        let mut reference = Histogram::new(0.0, 10.0, 5);
-        reference.extend([0.0, 2.0, 9.999, 10.0, -0.001]);
-        assert_eq!(snap, reference);
-    }
 
     #[test]
     fn counter_snapshots_are_consistent_under_concurrency() {
@@ -436,32 +265,21 @@ mod tests {
         registry.counter("a").add(2);
         registry.counter("a").add(3);
         registry.gauge("g").set(1.25);
-        registry.histogram("h", 0.0, 1.0, 2).record(0.5);
-        // Mismatched shape on re-lookup: first registration wins.
-        registry.histogram("h", 0.0, 100.0, 50).record(0.5);
         let snap = registry.snapshot();
         assert_eq!(snap.counters["a"], 5);
         assert_eq!(snap.gauges["g"], 1.25);
-        assert_eq!(snap.histograms["h"].bins(), 2);
-        assert_eq!(snap.histograms["h"].bin_count(1), 2);
     }
 
     #[test]
-    fn delta_since_subtracts_counters_and_bins() {
+    fn delta_since_subtracts_counters_and_keeps_gauges() {
         let registry = MetricsRegistry::new();
         let c = registry.counter("c");
-        let h = registry.histogram("h", 0.0, 10.0, 2);
         c.add(10);
-        h.record(1.0);
         let before = registry.snapshot();
         c.add(7);
-        h.record(1.0);
-        h.record(8.0);
         registry.gauge("g").set(4.0);
         let delta = registry.snapshot().delta_since(&before);
         assert_eq!(delta.counters["c"], 7);
-        assert_eq!(delta.histograms["h"].bin_count(0), 1);
-        assert_eq!(delta.histograms["h"].bin_count(1), 1);
         assert_eq!(delta.gauges["g"], 4.0);
         assert!(!delta.is_empty());
     }

@@ -3,13 +3,15 @@
 //! Deterministic discrete-event simulation primitives for the `ccdem`
 //! display-energy-management simulator: a microsecond simulation clock
 //! ([`time`]), a FIFO-stable future-event queue ([`event`]), seeded and
-//! forkable randomness ([`rng`]), streaming statistics ([`stats`]),
-//! fixed-bin histograms ([`histogram`]), time-series traces ([`trace`])
-//! and a deterministic worker pool for independent runs ([`parallel`]),
-//! whose one dispatch loop (`ParallelRunner::run_batches`) hands item
-//! indices to workers that fold results into per-worker accumulators
-//! without ever materializing the full work list — the substrate for
-//! every campaign, from a 30-app sweep to a million-device fleet.
+//! forkable randomness ([`rng`]), streaming statistics and batch
+//! quantiles ([`stats`]), time-series traces ([`trace`]) and a
+//! deterministic worker pool for independent runs ([`parallel`]), whose
+//! one dispatch loop (`ParallelRunner::run_batches`) hands item indices
+//! to workers that fold results into per-worker accumulators without
+//! ever materializing the full work list — the substrate for every
+//! campaign, from a 30-app sweep to a million-device fleet.
+//! Distributions that must stream or merge (telemetry, campaign
+//! percentiles) live in `ccdem-obs`'s quantile sketch.
 //!
 //! Everything here is independent of the display domain; the display stack
 //! (panel, compositor, workloads) is built on top of these primitives in the
@@ -36,7 +38,6 @@
 //! ```
 
 pub mod event;
-pub mod histogram;
 pub mod parallel;
 pub mod rng;
 pub mod stats;
@@ -44,7 +45,6 @@ pub mod time;
 pub mod trace;
 
 pub use event::EventQueue;
-pub use histogram::Histogram;
 pub use parallel::{derive_seed, ParallelRunner};
 pub use rng::SimRng;
 pub use stats::{quantile, RunningStats, Summary};

@@ -1,7 +1,6 @@
 //! Property-based tests for the simulation primitives.
 
 use ccdem_simkit::event::EventQueue;
-use ccdem_simkit::histogram::Histogram;
 use ccdem_simkit::stats::{quantile, RunningStats};
 use ccdem_simkit::time::{SimDuration, SimTime};
 use ccdem_simkit::trace::{EventCounter, Trace};
@@ -198,30 +197,6 @@ proptest! {
         // pull the mean toward 0: widen the bound to include 0.
         prop_assert!(mean >= min.min(0.0) - 1e-9, "mean {mean} below {min}");
         prop_assert!(mean <= max.max(0.0) + 1e-9, "mean {mean} above {max}");
-    }
-
-    /// Merging per-shard histograms — at any split point, in either
-    /// order — is exactly recording every sample into one histogram.
-    #[test]
-    fn histogram_merge_equals_sequential(
-        a in proptest::collection::vec(-10f64..110.0, 0..150),
-        b in proptest::collection::vec(-10f64..110.0, 0..150),
-    ) {
-        let mut whole = Histogram::new(0.0, 100.0, 10);
-        whole.extend(a.iter().copied().chain(b.iter().copied()));
-
-        let mut ha = Histogram::new(0.0, 100.0, 10);
-        ha.extend(a.iter().copied());
-        let mut hb = Histogram::new(0.0, 100.0, 10);
-        hb.extend(b.iter().copied());
-
-        let mut ab = ha.clone();
-        ab.merge(&hb);
-        let mut ba = hb;
-        ba.merge(&ha);
-        prop_assert_eq!(&ab, &whole, "merge differs from sequential recording");
-        prop_assert_eq!(&ba, &whole, "merge is not commutative");
-        prop_assert_eq!(ab.total(), (a.len() + b.len()) as u64);
     }
 
     /// Per-second counts sum to the total count of in-range events.

@@ -119,7 +119,7 @@ fn main() {
             duration: per_app.min(SimDuration::from_secs(30)),
             ..Default::default()
         };
-        for a in ablation::run_all(&cfg, &ccdem::obs::Obs::disabled()) {
+        for a in ablation::run_all(&cfg) {
             println!("{a}\n");
         }
     }

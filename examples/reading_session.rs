@@ -12,6 +12,7 @@
 
 use ccdem::core::governor::Policy;
 use ccdem::experiments::{Scenario, Workload};
+use ccdem::simkit::stats::quantile;
 use ccdem::simkit::time::SimDuration;
 use ccdem::workloads::catalog;
 use ccdem::workloads::input::MonkeyConfig;
@@ -57,13 +58,17 @@ fn main() {
         governed.refresh_switches,
     );
 
-    let mut saved = ccdem::simkit::histogram::Histogram::new(0.0, 300.0, 6);
-    saved.extend(
-        baseline
-            .power_per_second
-            .iter()
-            .zip(&governed.power_per_second)
-            .map(|(b, g)| b - g),
+    let saved: Vec<f64> = baseline
+        .power_per_second
+        .iter()
+        .zip(&governed.power_per_second)
+        .map(|(b, g)| b - g)
+        .collect();
+    let q = |q: f64| quantile(&saved, q).unwrap_or(0.0);
+    println!(
+        "\nper-second savings: p10 {:.0} mW, p50 {:.0} mW, p90 {:.0} mW",
+        q(0.1),
+        q(0.5),
+        q(0.9),
     );
-    println!("\nper-second savings distribution (mW):\n{saved}");
 }

@@ -5,22 +5,25 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+# Every suite runs once: the workspace run includes the root package's
+# suites, among them three CLI end-to-end tests on the real binary:
+# - trace_jsonl: the trace verb runs, its JSONL parses, the taxonomy
+#   holds, and the stdout content-rate sketch matches the tick events;
+# - profile_jsonl: the decision-path profiler runs, every JSONL line
+#   parses, exactly one self-time table prints;
+# - fleet_e2e: worker-count byte identity, kill+resume byte identity,
+#   replay, and trace taxonomy.
 cargo test -q --workspace
+# Two examples run end to end: the reading session's per-second savings
+# quantiles and the design-knob ablation tables.
+cargo run --release -q --example reading_session > target/reading_session.txt
+cargo run --release -q --example paper_report -- ablations > target/ablations.txt
 # The benchmark packages' own tests. They build apart from the
 # workspace and drive the layers through public calls (buffer_mut,
 # fill_rect, set_naive_compose, framebuffer().generation(), the meter
 # counters), so breaking one of those calls fails here.
 cargo test --release --manifest-path benchmark/e2e/Cargo.toml
 cargo test --release --manifest-path benchmark/traced/Cargo.toml
-# The trace CLI end-to-end: binary runs, JSONL parses, taxonomy holds.
-cargo test -q --test trace_jsonl
-# Profile smoke: the decision-path profiler end-to-end — binary runs,
-# every JSONL line parses, exactly one self-time table prints.
-cargo test -q --test profile_jsonl
-# Fleet CLI end-to-end: worker-count byte identity, kill+resume byte
-# identity, replay, and trace taxonomy through the real binary.
-cargo test -q --test fleet_e2e
 # Fleet smoke: the acceptance scenario end-to-end on the release
 # binary — run a small campaign, kill a second run at its first
 # checkpoint, resume it under a different worker count, and require the

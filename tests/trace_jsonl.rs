@@ -65,18 +65,35 @@ fn trace_verb_emits_valid_decision_path_jsonl() {
 
     // One tick decision per elapsed 500 ms control window of a 6 s run:
     // ticks at k * 500 ms for k = 1..=11 (the tick at 6 s is past the end).
-    let ticks = events
+    let tick_fps: Vec<f64> = events
         .iter()
-        .filter(|(name, _, value)| {
-            name == "governor.decision"
-                && value
-                    .get("fields")
-                    .and_then(|f| f.get("trigger"))
-                    .and_then(Json::as_str)
-                    == Some("tick")
+        .filter_map(|(name, _, value)| {
+            let fields = value.get("fields")?;
+            let trigger = fields.get("trigger").and_then(Json::as_str);
+            if name != "governor.decision" || trigger != Some("tick") {
+                return None;
+            }
+            // A tick without its rate falls out of the count below.
+            fields.get("content_fps").and_then(Json::as_f64)
         })
-        .count();
-    assert_eq!(ticks, 11, "expected one tick decision per control window");
+        .collect();
+    assert_eq!(
+        tick_fps.len(),
+        11,
+        "expected one tick decision per control window"
+    );
+
+    // The stdout sketch row holds exactly those tick rates: one sample
+    // per tick, and the exact max (in fps) of their content rates.
+    let row: Vec<&str> = stdout
+        .lines()
+        .find(|l| l.split_whitespace().next() == Some("governor.content_fps"))
+        .unwrap_or_else(|| panic!("no governor.content_fps row:\n{stdout}"))
+        .split_whitespace()
+        .collect();
+    let max_fps = tick_fps.iter().copied().fold(0.0, f64::max);
+    assert_eq!(row[1..3], ["fps", "11"], "row {row:?}");
+    assert_eq!(row.last().copied(), Some(format!("{max_fps:.1}").as_str()));
 
     // Exactly one run lifecycle pair, bracketing the stream in sim time.
     let count = |name: &str| events.iter().filter(|(n, _, _)| n == name).count();
