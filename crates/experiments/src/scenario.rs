@@ -19,7 +19,7 @@
 //! methodology of repeating one Monkey script with and without the
 //! proposed system (§4).
 
-use crate::profile::Profiler;
+use crate::profile::{Layer, NoProbe, Probe};
 use ccdem_compositor::flinger::{ComposeOutcome, SurfaceFlinger};
 use ccdem_core::governor::{Governor, GovernorConfig, Policy};
 use ccdem_obs::Obs;
@@ -144,12 +144,6 @@ pub struct Scenario {
     /// panel) emit structured events through it. Telemetry never feeds
     /// back into the simulation, so results are identical either way.
     pub obs: Obs,
-    /// Whether to profile the decision path: wrap compose, metering,
-    /// governor decisions, and rate requests in spans that record host
-    /// latency into the global `profile.*` sketches (see
-    /// [`Profiler`]). Off by default; like
-    /// `obs`, profiling is strictly outward and never changes results.
-    pub profile: bool,
 }
 
 impl Scenario {
@@ -167,7 +161,6 @@ impl Scenario {
             seed: 0xC0DE,
             status_bar: false,
             obs: Obs::disabled(),
-            profile: false,
         }
     }
 
@@ -212,12 +205,6 @@ impl Scenario {
         self
     }
 
-    /// Turns on the decision-path profiler (see the `profile` field).
-    pub fn with_profiling(mut self) -> Scenario {
-        self.profile = true;
-        self
-    }
-
     /// Disables (or re-enables) every damage-aware fast path: the
     /// compositor recomposes the full screen each frame and the meter
     /// runs one scalar-oracle pass over the full grid per observed frame
@@ -248,7 +235,15 @@ impl Scenario {
     /// byte-identical to [`run`](Self::run) — the `scratch_determinism`
     /// integration test pins this.
     pub fn run_with_scratch(&self, scratch: &mut RunScratch) -> RunResult {
-        Engine::new(self, scratch).run(scratch)
+        self.run_probed(scratch, &mut NoProbe)
+    }
+
+    /// [`run_with_scratch`](Self::run_with_scratch), calling `probe`'s
+    /// hooks around every layer call and control tick (see
+    /// [`Probe`]). A probe only observes, so the result equals the
+    /// unprobed run's.
+    pub fn run_probed<P: Probe>(&self, scratch: &mut RunScratch, probe: &mut P) -> RunResult {
+        Engine::new(self, scratch, probe).run(scratch)
     }
 
     /// Runs this scenario and its fixed-60 Hz baseline twin (identical
@@ -313,7 +308,10 @@ const POWER_SAMPLE_INTERVAL: SimDuration = SimDuration::from_millis(100);
 const ACTIVITY_WINDOW: SimDuration = SimDuration::from_secs(1);
 const TOUCH_ACTIVE_WINDOW: SimDuration = SimDuration::from_millis(300);
 
-struct Engine<'a> {
+/// The event loop. Every call into a layer of the stack sits inside that
+/// layer's [`Probe`] hooks, attributed call for call as
+/// [`Layer`]'s variants list; with [`NoProbe`] the hooks compile away.
+struct Engine<'a, P: Probe> {
     scenario: &'a Scenario,
     end: SimTime,
     queue: EventQueue<Event>,
@@ -332,11 +330,12 @@ struct Engine<'a> {
     input: InputContext,
     script: MonkeyScript,
     obs: Obs,
-    profiler: Option<Profiler>,
+    probe: &'a mut P,
 }
 
-impl<'a> Engine<'a> {
-    fn new(scenario: &'a Scenario, scratch: &mut RunScratch) -> Engine<'a> {
+impl<'a, P: Probe> Engine<'a, P> {
+    fn new(scenario: &'a Scenario, scratch: &mut RunScratch, probe: &'a mut P) -> Engine<'a, P> {
+        probe.enter(Layer::ScenarioSetup);
         let device = &scenario.device;
         let resolution = device.resolution();
         let root = SimRng::seed_from_u64(scenario.seed);
@@ -398,6 +397,7 @@ impl<'a> Engine<'a> {
         for t in script.times() {
             queue.schedule(t, Event::Touch);
         }
+        probe.exit(Layer::ScenarioSetup);
 
         Engine {
             scenario,
@@ -418,8 +418,21 @@ impl<'a> Engine<'a> {
             input: InputContext::default(),
             script,
             obs: scenario.obs.clone(),
-            profiler: scenario.profile.then(Profiler::from_global_registry),
+            probe,
         }
+    }
+
+    /// Runs `call` inside `layer`'s probe hooks.
+    #[inline(always)]
+    fn within<R>(&mut self, layer: Layer, call: impl FnOnce(&mut Self) -> R) -> R {
+        self.probe.enter(layer);
+        let out = call(self);
+        self.probe.exit(layer);
+        out
+    }
+
+    fn schedule(&mut self, at: SimTime, event: Event) {
+        self.within(Layer::SimkitEvent, |e| e.queue.schedule(at, event));
     }
 
     fn run(mut self, scratch: &mut RunScratch) -> RunResult {
@@ -431,7 +444,7 @@ impl<'a> Engine<'a> {
                 .field("seed", self.scenario.seed)
                 .field("duration_s", self.scenario.duration.as_secs_f64());
         });
-        while let Some((now, event)) = self.queue.pop() {
+        while let Some((now, event)) = self.within(Layer::SimkitEvent, |e| e.queue.pop()) {
             if now >= self.end {
                 break;
             }
@@ -448,157 +461,140 @@ impl<'a> Engine<'a> {
     }
 
     fn on_app_frame(&mut self, now: SimTime) {
-        let tick = self.app.tick(now, &self.input, &mut self.app_rng);
-        if tick.change.is_content() {
-            let surface = self
-                .flinger
-                .surface_mut(self.surface)
-                .expect("engine-created surface");
-            self.app
-                .render(tick.change, surface.buffer_mut(), &mut self.app_rng);
-        }
-        self.flinger
-            .submit(self.surface, now, tick.change.is_content())
-            .expect("engine-created surface");
-        self.queue.schedule(now + tick.next_in, Event::AppFrame);
+        let tick = self.within(Layer::Workloads, |e| {
+            let tick = e.app.tick(now, &e.input, &mut e.app_rng);
+            if tick.change.is_content() {
+                let surface = e
+                    .flinger
+                    .surface_mut(e.surface)
+                    .expect("engine-created surface");
+                e.app
+                    .render(tick.change, surface.buffer_mut(), &mut e.app_rng);
+            }
+            tick
+        });
+        self.within(Layer::Compositor, |e| {
+            e.flinger
+                .submit(e.surface, now, tick.change.is_content())
+                .expect("engine-created surface")
+        });
+        self.schedule(now + tick.next_in, Event::AppFrame);
     }
 
     fn on_vsync(&mut self) {
-        let edge = self.vsync.advance();
-        // Rate switches land on frame boundaries.
-        if let Some(rate) = self.controller.poll(edge) {
-            self.vsync.set_rate(rate);
-        }
-        let outcome = {
-            // The span borrows `self.obs` while the compositor mutates
-            // `self.flinger`; fields are disjoint, so this measures the
-            // compose call without an extra scope dance.
-            let _compose = self.profiler.as_ref().map(|p| {
-                self.obs
-                    .span("profile.compose", edge)
-                    .record_self_into(p.compose.clone())
-            });
-            self.flinger.compose(edge)
-        };
+        let edge = self.within(Layer::Panel, |e| {
+            let edge = e.vsync.advance();
+            // Rate switches land on frame boundaries.
+            if let Some(rate) = e.controller.poll(edge) {
+                e.vsync.set_rate(rate);
+            }
+            edge
+        });
+        let outcome = self.within(Layer::Compositor, |e| e.flinger.compose(edge));
         if let ComposeOutcome::Composed { damage, .. } = outcome {
             let generation = self.flinger.framebuffer().generation();
             self.obs.emit("framebuffer.update", edge, |event| {
                 event.field("generation", generation);
             });
-            let _gather = self.profiler.as_ref().map(|p| {
-                self.obs
-                    .span("profile.meter_gather", edge)
-                    .record_self_into(p.meter_gather.clone())
+            self.within(Layer::CoreMeter, |e| {
+                e.governor
+                    .on_framebuffer_update_damaged(e.flinger.framebuffer(), &damage, edge)
             });
-            self.governor
-                .on_framebuffer_update_damaged(self.flinger.framebuffer(), &damage, edge);
         }
-        self.panel
-            .refresh(edge, self.flinger.framebuffer().generation());
-        self.queue.schedule(self.vsync.next_edge(), Event::Vsync);
+        let next = self.within(Layer::Panel, |e| {
+            e.panel.refresh(edge, e.flinger.framebuffer().generation());
+            e.vsync.next_edge()
+        });
+        self.schedule(next, Event::Vsync);
     }
 
     fn on_control_tick(&mut self, now: SimTime) {
-        // Total tick latency (decide + request + rescheduling); the two
-        // inner spans record their self time, so phase self times plus
-        // untracked spill sum to this total.
-        let _tick = self.profiler.as_ref().map(|p| {
-            self.obs
-                .span("profile.decision_tick", now)
-                .record_total_into(p.decision_tick.clone())
-        });
-        let rate = {
-            let _decide = self.profiler.as_ref().map(|p| {
-                self.obs
-                    .span("profile.governor_decide", now)
-                    .record_self_into(p.governor_decide.clone())
-            });
-            self.governor.decide(now)
-        };
-        {
-            let _switch = self.profiler.as_ref().map(|p| {
-                self.obs
-                    .span("profile.panel_switch", now)
-                    .record_self_into(p.panel_switch.clone())
-            });
-            self.controller
+        self.probe.tick_start();
+        let rate = self.within(Layer::CoreGovernor, |e| e.governor.decide(now));
+        self.within(Layer::Panel, |e| {
+            e.controller
                 .request(rate, now)
-                .expect("governor only emits supported rates");
-        }
-        self.queue.schedule(
+                .expect("governor only emits supported rates")
+        });
+        self.schedule(
             now + self.scenario.governor.control_window(),
             Event::ControlTick,
         );
+        self.probe.tick_end();
     }
 
     fn on_touch(&mut self, now: SimTime) {
         self.obs.emit("input.touch", now, |_| {});
         self.input.last_touch = Some(now);
-        if let Some(rate) = self.governor.on_touch(now) {
-            self.controller
-                .request(rate, now)
-                .expect("governor only emits supported rates");
+        if let Some(rate) = self.within(Layer::CoreGovernor, |e| e.governor.on_touch(now)) {
+            self.within(Layer::Panel, |e| {
+                e.controller
+                    .request(rate, now)
+                    .expect("governor only emits supported rates")
+            });
         }
     }
 
     fn on_status_bar_tick(&mut self, now: SimTime) {
         let Some(id) = self.status_bar else { return };
-        self.status_ticks += 1;
-        let tick = self.status_ticks;
-        let bar = self
-            .flinger
-            .surface_mut(id)
-            .expect("engine-created surface");
-        let bounds = bar.bounds();
-        // The "clock digits": a small block whose shade advances each
-        // second, inside the bar region of the surface buffer.
-        let digits = ccdem_pixelbuf::geometry::Rect::new(
-            bounds.width / 8,
-            bounds.y,
-            (bounds.width / 6).max(1),
-            bounds.height,
-        );
-        bar.buffer_mut().fill_rect(
-            digits,
-            ccdem_pixelbuf::pixel::Pixel::grey(100 + (tick % 100) as u8),
-        );
-        self.flinger
-            .submit(id, now, true)
-            .expect("engine-created surface");
-        self.queue
-            .schedule(now + SimDuration::from_secs(1), Event::StatusBarTick);
+        self.within(Layer::Workloads, |e| {
+            e.status_ticks += 1;
+            let tick = e.status_ticks;
+            let bar = e.flinger.surface_mut(id).expect("engine-created surface");
+            let bounds = bar.bounds();
+            // The "clock digits": a small block whose shade advances each
+            // second, inside the bar region of the surface buffer.
+            let digits = ccdem_pixelbuf::geometry::Rect::new(
+                bounds.width / 8,
+                bounds.y,
+                (bounds.width / 6).max(1),
+                bounds.height,
+            );
+            bar.buffer_mut().fill_rect(
+                digits,
+                ccdem_pixelbuf::pixel::Pixel::grey(100 + (tick % 100) as u8),
+            );
+        });
+        self.within(Layer::Compositor, |e| {
+            e.flinger
+                .submit(id, now, true)
+                .expect("engine-created surface")
+        });
+        self.schedule(now + SimDuration::from_secs(1), Event::StatusBarTick);
     }
 
     fn on_power_sample(&mut self, now: SimTime) {
-        let window_start = if now.as_micros() >= ACTIVITY_WINDOW.as_micros() {
-            now - ACTIVITY_WINDOW
-        } else {
-            SimTime::ZERO
-        };
-        let composed_fps = self.flinger.stats().composed().rate_in(window_start, now);
-        // The optional inputs are computed only for a model that reads
-        // them; left `None`, they cannot change the power of one that does
-        // not.
-        let model = &self.scenario.power;
-        let activity = DisplayActivity {
-            refresh_hz: self.controller.current().hz_f64(),
-            composed_fps,
-            touch_active: self.input.touched_within(now, TOUCH_ACTIVE_WINDOW),
-            mean_luminance: model
-                .reads_luminance()
-                .then(|| self.governor.meter().mean_sampled_luminance())
-                .flatten(),
-            content_scanout_fps: model
-                .reads_content_scanouts()
-                .then(|| self.panel.content_scanouts().rate_in(window_start, now)),
-        };
-        let power = model.power(&activity);
-        self.power_meter.sample(now, power, &mut self.meter_rng);
-        self.queue
-            .schedule(now + POWER_SAMPLE_INTERVAL, Event::PowerSample);
+        self.within(Layer::Power, |e| {
+            let window_start = if now.as_micros() >= ACTIVITY_WINDOW.as_micros() {
+                now - ACTIVITY_WINDOW
+            } else {
+                SimTime::ZERO
+            };
+            let composed_fps = e.flinger.stats().composed().rate_in(window_start, now);
+            // The optional inputs are computed only for a model that reads
+            // them; left `None`, they cannot change the power of one that
+            // does not.
+            let model = &e.scenario.power;
+            let activity = DisplayActivity {
+                refresh_hz: e.controller.current().hz_f64(),
+                composed_fps,
+                touch_active: e.input.touched_within(now, TOUCH_ACTIVE_WINDOW),
+                mean_luminance: model
+                    .reads_luminance()
+                    .then(|| e.governor.meter().mean_sampled_luminance())
+                    .flatten(),
+                content_scanout_fps: model
+                    .reads_content_scanouts()
+                    .then(|| e.panel.content_scanouts().rate_in(window_start, now)),
+            };
+            let power = model.power(&activity);
+            e.power_meter.sample(now, power, &mut e.meter_rng);
+        });
+        self.schedule(now + POWER_SAMPLE_INTERVAL, Event::PowerSample);
     }
 
     fn finish(self, scratch: &mut RunScratch) -> RunResult {
+        self.probe.enter(Layer::ScenarioFinish);
         let duration = self.scenario.duration;
         let end = self.end;
         let stats = self.flinger.stats();
@@ -660,6 +656,7 @@ impl<'a> Engine<'a> {
         let mut pool = self.flinger.into_pool();
         self.governor.recycle(&mut pool);
         scratch.pool = pool;
+        self.probe.exit(Layer::ScenarioFinish);
         result
     }
 }
@@ -833,40 +830,6 @@ mod tests {
         assert_eq!(governed.policy, Policy::SectionOnly);
         assert_eq!(baseline.policy, Policy::FixedMax);
         assert!(governed.avg_power_mw < baseline.avg_power_mw);
-    }
-
-    #[test]
-    fn profiled_run_matches_silent_run_and_fills_sketches() {
-        let scenario = Scenario::new(Workload::App(catalog::facebook()), Policy::SectionWithBoost)
-            .at_quarter_resolution()
-            .with_duration(SimDuration::from_secs(6))
-            .with_seed(7);
-        let silent = scenario.run();
-        let before = ccdem_obs::metrics().snapshot();
-        let profiled = scenario.clone().with_profiling().run();
-        let delta = ccdem_obs::metrics().snapshot().delta_since(&before);
-        // Profiling is strictly outward: identical results, field for field.
-        assert_eq!(silent, profiled);
-        let count = |name: &str| {
-            delta
-                .sketches
-                .get(name)
-                .unwrap_or_else(|| panic!("{name} sketch missing"))
-                .count()
-        };
-        // 6 s at the default 500 ms control window: ticks at 0.5 .. 5.5 s.
-        assert_eq!(count("profile.decision_tick"), 11);
-        assert_eq!(count("profile.governor_decide"), 11);
-        assert_eq!(count("profile.panel_switch"), 11);
-        assert!(count("profile.compose") > 0, "no composes profiled");
-        assert!(count("profile.meter_gather") > 0, "no gathers profiled");
-        // Self times of the inner phases never exceed the tick totals.
-        let sum = |name: &str| delta.sketches[name].sum();
-        assert!(
-            sum("profile.governor_decide") + sum("profile.panel_switch")
-                <= sum("profile.decision_tick"),
-            "phase self time exceeds tick totals"
-        );
     }
 
     #[test]

@@ -189,8 +189,6 @@ pub fn run_timed_with_campaign(
             .field("runs", items.len())
             .field("jobs", runner.jobs());
     });
-    let mut span = obs.span("sweep", ccdem_simkit::time::SimTime::ZERO);
-    span.field("runs", items.len());
     let total = items.len();
     let campaign = Mutex::new(CampaignStats::new());
     let runs = run_each(&runner, &items, |scratch, &(app_index, spec, policy)| {
@@ -238,8 +236,14 @@ pub fn run_timed_with_campaign(
             boost,
         });
     }
-    report.finish(started.elapsed());
+    let elapsed = started.elapsed();
+    report.finish(elapsed);
     campaign.emit_end(obs);
+    obs.emit("sweep", ccdem_simkit::time::SimTime::ZERO, |event| {
+        event
+            .field("runs", total)
+            .field("host_dur_us", elapsed.as_secs_f64() * 1e6);
+    });
     (Sweep { apps }, report, campaign)
 }
 

@@ -5,10 +5,9 @@
 //! column). This lint closes the loop in both directions:
 //!
 //! * **emitted ⇒ documented** — every event-name / metric-name string
-//!   literal passed to `Obs::emit`, `Obs::span`, `Event::new`,
-//!   `obs_event!`, or the registry constructors (`counter` / `gauge` /
-//!   `sketch`) must appear in the table; an undocumented name is flagged
-//!   at its call site.
+//!   literal passed to `Obs::emit`, `Event::new`, `obs_event!`, or the
+//!   registry constructors (`counter` / `gauge` / `sketch`) must appear
+//!   in the table; an undocumented name is flagged at its call site.
 //! * **documented ⇒ emitted** — every name in the table must be emitted
 //!   somewhere; a stale row is flagged at its DESIGN.md line.
 //!
@@ -54,7 +53,7 @@ pub fn collect(file: &SourceFile, out: &mut Vec<Emission>) {
             continue;
         };
         let (event_method, metric_method) = match name {
-            "emit" | "span" => (true, false),
+            "emit" => (true, false),
             "counter" | "gauge" | "sketch" => (false, true),
             "new" | "obs_event" => (false, false),
             _ => continue,

@@ -1,9 +1,9 @@
 //! Event sinks: where emitted telemetry goes.
 //!
-//! Three implementations cover the repo's needs: [`NullSink`] (drop
-//! everything — useful when a concrete sink is required but output is
-//! not), [`RingSink`] (bounded in-memory buffer for tests), and
-//! [`JsonlSink`] (append one JSON line per event to a writer).
+//! Two implementations cover the repo's needs: [`RingSink`] (bounded
+//! in-memory buffer for tests) and [`JsonlSink`] (append one JSON line
+//! per event to a writer). A disabled [`Obs`](crate::Obs) handle holds
+//! no sink at all.
 //!
 //! All sinks are `Send + Sync`; a single sink may receive events from
 //! several simulation worker threads at once. Sinks must never panic or
@@ -32,26 +32,6 @@ pub trait EventSink: Send + Sync {
 
     /// Forces buffered output out (default: no-op).
     fn flush(&self) {}
-}
-
-/// Discards every event.
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::Arc;
-/// use ccdem_obs::{Obs, NullSink};
-/// use ccdem_simkit::time::SimTime;
-///
-/// let obs = Obs::to_sink(Arc::new(NullSink));
-/// assert!(obs.enabled()); // events are constructed, then dropped
-/// obs.emit("x", SimTime::ZERO, |_| {});
-/// ```
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn emit(&self, _event: Event) {}
 }
 
 /// Keeps the most recent `capacity` events in memory.
@@ -416,7 +396,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!(
             "ccdem-sink-test-{}-{}",
             std::process::id(),
-            crate::span::host_micros(),
+            crate::host_micros(),
         ));
         let path = dir.join("a/b/trace.jsonl");
         let sink = JsonlSink::create(&path).expect("parents should be created");

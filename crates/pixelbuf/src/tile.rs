@@ -242,16 +242,16 @@ impl TileMap {
 
     /// `rect` clipped to the screen as a tile span per axis, `None` when
     /// none of it is on-screen.
-    fn spans(&self, rect: Rect) -> Option<(Span, Span)> {
+    fn spans(&self, rect: Rect) -> Option<(TileSpan, TileSpan)> {
         let r = rect.clipped_to(self.resolution)?;
         Some((
-            Span::new(r.x, r.right(), self.resolution.width),
-            Span::new(r.y, r.bottom(), self.resolution.height),
+            TileSpan::new(r.x, r.right(), self.resolution.width),
+            TileSpan::new(r.y, r.bottom(), self.resolution.height),
         ))
     }
 
     /// The indices into `tiles` of tile row `ty`'s tiles in `xs`.
-    fn row(&self, ty: u32, xs: Span) -> Range<usize> {
+    fn row(&self, ty: u32, xs: TileSpan) -> Range<usize> {
         let start = ty as usize * self.cols as usize;
         start + xs.first as usize..start + xs.end as usize
     }
@@ -268,7 +268,7 @@ impl TileMap {
 /// A clipped rect's extent on one axis in tile indices: the tiles it
 /// touches and, among them, the tiles it covers fully.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Span {
+struct TileSpan {
     /// The first touched tile.
     first: u32,
     /// One past the last touched tile.
@@ -279,16 +279,16 @@ struct Span {
     covered_end: u32,
 }
 
-impl Span {
+impl TileSpan {
     /// The span of pixels `[lo, hi)` on an axis `extent` pixels long
     /// (`lo < hi <= extent`). A tile is covered when it starts at or
     /// after `lo` and ends at or before `hi`; the last tile ends at
     /// `extent`.
-    fn new(lo: u32, hi: u32, extent: u32) -> Span {
+    fn new(lo: u32, hi: u32, extent: u32) -> TileSpan {
         let end = (hi - 1) / TILE_SIZE + 1;
         let covered_first = lo.div_ceil(TILE_SIZE);
         let covered_end = if hi == extent { end } else { hi / TILE_SIZE };
-        Span {
+        TileSpan {
             first: lo / TILE_SIZE,
             end,
             covered_first,
@@ -459,22 +459,22 @@ mod tests {
     #[test]
     fn spans_split_touched_from_covered_tiles() {
         // Inside one tile: touched, not covered.
-        let s = Span::new(1, T - 1, 3 * T);
+        let s = TileSpan::new(1, T - 1, 3 * T);
         assert_eq!((s.tiles(), s.covers(0)), (0..1, false));
         // Straddling a boundary: two touched, neither covered.
-        let s = Span::new(T / 2, T + T / 2, 3 * T);
+        let s = TileSpan::new(T / 2, T + T / 2, 3 * T);
         assert_eq!(s.tiles(), 0..2);
         assert!(!s.covers(0) && !s.covers(1));
         // Tile-aligned: exactly the tiles in the range are covered.
-        let s = Span::new(T, 3 * T, 3 * T);
+        let s = TileSpan::new(T, 3 * T, 3 * T);
         assert_eq!(s.tiles(), 1..3);
         assert!(!s.covers(0) && s.covers(1) && s.covers(2));
         // The clipped last tile is covered when the range runs to the
         // axis's end.
-        let s = Span::new(T, 2 * T + 5, 2 * T + 5);
+        let s = TileSpan::new(T, 2 * T + 5, 2 * T + 5);
         assert_eq!(s.tiles(), 1..3);
         assert!(s.covers(1) && s.covers(2));
-        let s = Span::new(T, 2 * T + 4, 2 * T + 5);
+        let s = TileSpan::new(T, 2 * T + 4, 2 * T + 5);
         assert!(s.covers(1) && !s.covers(2));
     }
 

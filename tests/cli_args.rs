@@ -41,6 +41,8 @@ fn unknown_commands_and_flags_exit_1_with_empty_stdout() {
     ] {
         cases.push((vec![command, "--bogus"], "unknown flag \"--bogus\""));
     }
+    // `profile` prints its layer table to stdout; it writes no file.
+    cases.push((vec!["profile", "--out", "x"], "unknown flag \"--out\""));
     for (args, message) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_ccdem"))
             .args(&args)

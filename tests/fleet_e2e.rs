@@ -361,13 +361,13 @@ fn hostile_resume_files_exit_1_with_a_message() {
         ("deep_nesting", "[".repeat(200_000)),
         ("truncated", saved[..saved.len() / 2].to_string()),
     ];
-    for (name, document) in hostile {
+    let refused = |name: &str, document: &str| -> String {
         assert_ne!(document, saved, "{name}: the hostile edit changed nothing");
         let path = temp(&format!("hostile_{name}.json"));
         std::fs::write(&path, document).expect("write hostile checkpoint");
         let resumed = fleet(&["--resume", path.to_str().unwrap()]);
         let _ = std::fs::remove_file(&path);
-        let stderr = String::from_utf8_lossy(&resumed.stderr);
+        let stderr = String::from_utf8_lossy(&resumed.stderr).into_owned();
         // 101 is a Rust panic; a stack overflow aborts (134, or no code).
         assert_eq!(
             resumed.status.code(),
@@ -379,6 +379,30 @@ fn hostile_resume_files_exit_1_with_a_message() {
             stderr.contains("cannot resume"),
             "{name}: no message on stderr: {stderr}"
         );
+        stderr
+    };
+    for (name, document) in hostile {
+        refused(name, &document);
+    }
+    // Well-formed statistics that disagree with the cursor (stopped at
+    // 2 of 4 devices) parse, and are refused after the parse.
+    let disagreeing = [
+        (
+            "one_sample_sketch",
+            with_sketch(
+                r#"{"precision":5,"count":1,"sum":900000,"min":900000,"max":900000,"buckets":[[502,1]]}"#,
+            ),
+            "1 \"avg_power_mw\" samples over 2 runs",
+        ),
+        (
+            "cursor_behind",
+            saved.replacen("\"next_index\":\"2\"", "\"next_index\":\"1\"", 1),
+            "2 runs but the cursor is at device 1",
+        ),
+    ];
+    for (name, document, why) in disagreeing {
+        let stderr = refused(name, &document);
+        assert!(stderr.contains(why), "{name}: {stderr}");
     }
 }
 
