@@ -14,7 +14,7 @@
 //! | [`sweep`] | Figs. 9–11 and Table 1 — the 30-app × policy sweep |
 //! | [`fleet`] | population-scale device campaigns with checkpoint/resume |
 //! | [`campaign`] | streaming campaign statistics and the shared batch dispatch |
-//! | [`profile`] | the decision-path profiler behind `ccdem profile` |
+//! | [`profile`] | the engine's probe hooks and the layer profiler behind `ccdem profile` |
 //! | [`ablation`] | design-knob sweeps beyond the paper |
 //! | [`generalize`] | the section table on 90/120 Hz rate ladders |
 //! | [`certificate`] | all headline claims, re-derived and checked mechanically |

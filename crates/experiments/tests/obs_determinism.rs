@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use ccdem_experiments::sweep::{self, SweepConfig};
-use ccdem_obs::json::parse;
+use ccdem_obs::json::{parse, Json};
 use ccdem_obs::{JsonlSink, Obs, RingSink};
 use ccdem_simkit::time::SimDuration;
 
@@ -77,6 +77,14 @@ fn jsonl_telemetry_does_not_change_sweep_results() {
         .count();
     assert_eq!(progress, runs, "expected one campaign.progress per run");
     assert_eq!(campaign_ends, 1, "expected exactly one campaign.end");
+    // The sweep's own event closes the stream, after campaign.end, with
+    // the run count and the sweep's host wall time.
+    assert!(lines[lines.len() - 2].contains("\"event\":\"campaign.end\""));
+    let sweep = parse(lines[lines.len() - 1]).expect("parsed above");
+    assert_eq!(sweep.get("event").and_then(Json::as_str), Some("sweep"));
+    let fields = sweep.get("fields").expect("sweep fields");
+    assert_eq!(fields.get("runs").and_then(Json::as_f64), Some(runs as f64));
+    assert!(fields.get("host_dur_us").and_then(Json::as_f64) > Some(0.0));
 
     let _ = std::fs::remove_file(&path);
 }
