@@ -114,10 +114,10 @@ impl Surface {
     /// # Panics
     ///
     /// Panics if `bounds` lies entirely off-screen.
+    #[expect(clippy::expect_used, reason = "documented `# Panics` contract")]
     pub fn set_bounds(&mut self, bounds: Rect) {
         let clipped = bounds
             .clipped_to(self.buffer.resolution())
-            // ccdem-lint: allow(panic) — documented `# Panics` contract
             .expect("surface bounds must intersect the screen");
         self.bounds = clipped;
         self.layout_generation += 1;

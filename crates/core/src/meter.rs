@@ -493,6 +493,10 @@ impl ContentRateMeter {
 /// # Panics
 ///
 /// Panics if `iterations` is zero or the resolution mismatches.
+#[expect(
+    clippy::disallowed_types,
+    reason = "micro-bench helper; host time is its output"
+)]
 pub fn measure_metering_cost(
     sampler: &GridSampler,
     framebuffer: &FrameBuffer,
@@ -504,7 +508,6 @@ pub fn measure_metering_cost(
     let mut snapshot = Vec::new();
     sampler.sample_into(framebuffer, &mut snapshot);
     let everything = DamageRegion::of(sampler.resolution().bounds());
-    // ccdem-lint: allow(determinism) — micro-bench helper; host time is its output
     let start = std::time::Instant::now();
     for _ in 0..iterations {
         let result = sampler.reference_capture(framebuffer, &everything, &mut snapshot);

@@ -77,6 +77,10 @@ fn intern_metric(name: &str) -> Option<&'static str> {
 /// # Panics
 ///
 /// Propagates the first panic raised by `run` (after all workers stop).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "run_batches yields only indices of the range it was given, 0..items.len()"
+)]
 pub fn run_each<T, R, F>(runner: &ParallelRunner, items: &[T], run: F) -> Vec<R>
 where
     T: Sync,
@@ -91,8 +95,6 @@ where
         |(scratch, done), index| {
             // ccdem-lint: allow(arith-cast) — index < items.len(), a usize.
             let index = index as usize;
-            // ccdem-lint: allow(panic) — run_batches yields only indices
-            // of the range it was given, 0..items.len()
             let item = &items[index];
             done.push((index, run(scratch, item)));
         },

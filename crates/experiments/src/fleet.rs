@@ -137,6 +137,10 @@ impl DeviceSpec {
     /// # Panics
     ///
     /// Panics if `catalog` is empty.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "app_index is `% catalog.len()`, in range for the asserted non-empty catalog"
+    )]
     pub fn sample_from(catalog: &[AppSpec], campaign_seed: u64, index: u64) -> DeviceSpec {
         assert!(
             !catalog.is_empty(),
@@ -144,8 +148,6 @@ impl DeviceSpec {
         );
         let device_seed = derive_seed(campaign_seed, index);
         let app_index = (derive_seed(device_seed, STREAM_APP) % catalog.len() as u64) as usize;
-        // ccdem-lint: allow(panic) — app_index is `% catalog.len()`,
-        // provably in range for the asserted non-empty catalog
         let app = &catalog[app_index];
         let usage = match derive_seed(device_seed, STREAM_USAGE) % 6 {
             0..=2 => UsagePattern::Standard,

@@ -17,8 +17,6 @@
 //! self time.
 
 use std::sync::Arc;
-// ccdem-lint: allow(determinism) — host time feeds the profile.* sketches only, never a RunResult
-use std::time::Instant;
 
 use ccdem_obs::{metrics, AtomicSketch};
 
@@ -110,11 +108,15 @@ impl Probe for NoProbe {
 /// Records host nanoseconds per layer call and per control tick into
 /// the global registry's `profile.*` sketches.
 #[derive(Debug)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "host time feeds the profile.* sketches only, never a RunResult"
+)]
 pub struct Profiler {
     /// One sketch per layer, in [`Layer::ALL`] order.
     layers: [Arc<AtomicSketch>; 9],
     decision_tick: Arc<AtomicSketch>,
-    origin: Instant, // ccdem-lint: allow(determinism) — profile timing only
+    origin: std::time::Instant,
     /// Nanoseconds from `origin` to the open layer call and tick.
     entered_ns: u64,
     tick_started_ns: u64,
@@ -123,6 +125,10 @@ pub struct Profiler {
 impl Profiler {
     /// Resolves (registering on first use) the ten sketches in the
     /// global registry, once, off the hot path.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "host time feeds the profile.* sketches only, never a RunResult"
+    )]
     pub fn from_global_registry() -> Profiler {
         let registry = metrics();
         Profiler {
@@ -138,7 +144,7 @@ impl Profiler {
                 registry.sketch("profile.scenario.finish"),
             ],
             decision_tick: registry.sketch("profile.decision_tick"),
-            origin: Instant::now(), // ccdem-lint: allow(determinism) — profile timing only
+            origin: std::time::Instant::now(),
             entered_ns: 0,
             tick_started_ns: 0,
         }

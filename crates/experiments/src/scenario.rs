@@ -334,6 +334,10 @@ struct Engine<'a, P: Probe> {
 }
 
 impl<'a, P: Probe> Engine<'a, P> {
+    #[expect(
+        clippy::expect_used,
+        reason = "the status bar surface was just created"
+    )]
     fn new(scenario: &'a Scenario, scratch: &mut RunScratch, probe: &'a mut P) -> Engine<'a, P> {
         probe.enter(Layer::ScenarioSetup);
         let device = &scenario.device;
@@ -460,6 +464,10 @@ impl<'a, P: Probe> Engine<'a, P> {
         self.finish(scratch)
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the engine created the app surface and never destroys it"
+    )]
     fn on_app_frame(&mut self, now: SimTime) {
         let tick = self.within(Layer::Workloads, |e| {
             let tick = e.app.tick(now, &e.input, &mut e.app_rng);
@@ -508,6 +516,10 @@ impl<'a, P: Probe> Engine<'a, P> {
         self.schedule(next, Event::Vsync);
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the governor only emits rates from the panel's own set"
+    )]
     fn on_control_tick(&mut self, now: SimTime) {
         self.probe.tick_start();
         let rate = self.within(Layer::CoreGovernor, |e| e.governor.decide(now));
@@ -523,6 +535,10 @@ impl<'a, P: Probe> Engine<'a, P> {
         self.probe.tick_end();
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the governor only emits rates from the panel's own set"
+    )]
     fn on_touch(&mut self, now: SimTime) {
         self.obs.emit("input.touch", now, |_| {});
         self.input.last_touch = Some(now);
@@ -535,6 +551,10 @@ impl<'a, P: Probe> Engine<'a, P> {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the engine created the status bar surface and never destroys it"
+    )]
     fn on_status_bar_tick(&mut self, now: SimTime) {
         let Some(id) = self.status_bar else { return };
         self.within(Layer::Workloads, |e| {

@@ -13,9 +13,6 @@
 
 use std::fmt;
 use std::sync::Mutex;
-// ccdem-lint: allow(determinism) — wall-clock feeds TimingReport only,
-// never a RunResult (asserted by the `obs_determinism` test).
-use std::time::Instant;
 
 use ccdem_core::governor::Policy;
 use ccdem_metrics::summary::{AppRunSummary, ClassAggregate};
@@ -84,12 +81,12 @@ impl AppSweep {
     /// # Panics
     ///
     /// Panics if `policy` was not part of the sweep.
+    #[expect(clippy::panic, reason = "documented `# Panics` contract")]
     pub fn run_for(&self, policy: Policy) -> &RunResult {
         match policy {
             Policy::FixedMax => &self.baseline,
             Policy::SectionOnly => &self.section,
             Policy::SectionWithBoost => &self.boost,
-            // ccdem-lint: allow(panic) — documented `# Panics` contract
             other => panic!("policy {other:?} not part of the sweep"),
         }
     }
@@ -170,6 +167,15 @@ pub fn run_timed_with_obs(config: &SweepConfig, obs: &Obs) -> (Sweep, TimingRepo
 /// in. Because sketch folding is order-independent, the returned
 /// statistics are identical for any worker count even though the
 /// progress lines are not.
+#[expect(
+    clippy::disallowed_types,
+    reason = "wall-clock feeds TimingReport only, never a RunResult \
+              (asserted by the `obs_determinism` test)"
+)]
+#[expect(
+    clippy::expect_used,
+    reason = "a poisoned lock means another worker panicked; re-raising is correct"
+)]
 pub fn run_timed_with_campaign(
     config: &SweepConfig,
     obs: &Obs,
@@ -182,7 +188,7 @@ pub fn run_timed_with_campaign(
         .collect();
 
     let runner = ParallelRunner::new(config.jobs);
-    let started = Instant::now(); // ccdem-lint: allow(determinism) — timing only
+    let started = std::time::Instant::now();
     obs.emit("sweep.start", ccdem_simkit::time::SimTime::ZERO, |event| {
         event
             .field("apps", items.len() / SWEEP_POLICIES.len())
@@ -193,7 +199,7 @@ pub fn run_timed_with_campaign(
     let campaign = Mutex::new(CampaignStats::new());
     let runs = run_each(&runner, &items, |scratch, &(app_index, spec, policy)| {
         let seed = derive_seed(config.seed, app_index as u64);
-        let run_started = Instant::now(); // ccdem-lint: allow(determinism) — timing only
+        let run_started = std::time::Instant::now();
         let mut s = Scenario::new(Workload::App(spec.clone()), policy)
             .with_duration(config.duration)
             .with_seed(seed)
@@ -206,14 +212,11 @@ pub fn run_timed_with_campaign(
             format!("{} / {}", result.app_name, policy),
             run_started.elapsed(),
         );
-        // ccdem-lint: allow(panic) — poisoned lock means another worker
-        // panicked; re-raising is correct
         let mut campaign = campaign.lock().expect("campaign poisoned");
         campaign.observe_run(&result);
         campaign.emit_progress(obs, total);
         (result, timing)
     });
-    // ccdem-lint: allow(panic) — poisoned lock re-raises a worker panic
     let campaign = campaign.into_inner().expect("campaign poisoned");
 
     let mut report = TimingReport::new(runner.jobs());

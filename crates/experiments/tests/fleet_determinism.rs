@@ -92,7 +92,8 @@ fn interrupted_and_resumed_campaign_is_byte_identical_to_uninterrupted() {
     );
     assert_eq!(
         final_document(&resumed.stats),
-        final_document(&uninterrupted.stats)
+        final_document(&uninterrupted.stats),
+        "resumed statistics diverged from the uninterrupted run"
     );
 
     // A checkpoint from a different campaign is rejected, not silently

@@ -3,22 +3,15 @@
 use std::fmt;
 
 /// The stable identity of a lint family. The string forms are part of
-/// the tool's interface: they appear in diagnostics, in
-/// `// ccdem-lint: allow(<id>)` suppressions, and in the `lint.allow`
-/// baseline file.
+/// the tool's interface: they appear in diagnostics and in
+/// `// ccdem-lint: allow(<id>)` suppressions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LintId {
-    /// Host time, spawned threads, or unordered hash iteration in a
-    /// result-affecting crate.
-    Determinism,
-    /// `unwrap()` / `expect(…)` / `panic!` / indexing-without-`get` in
-    /// library code.
-    Panic,
     /// An emitted event or metric name missing from the DESIGN.md §8
     /// taxonomy, or a documented name nothing emits.
     ObsTaxonomy,
     /// Heap allocation inside a function reachable from a hot-path
-    /// root (never baselinable; suppressible by documented allow).
+    /// root (suppressible by documented allow).
     AllocHotPath,
     /// A truncating `as` cast or unchecked `+`/`*` in fixed-point code.
     ArithCast,
@@ -26,16 +19,13 @@ pub enum LintId {
     /// justification.
     AtomicsOrdering,
     /// The lint tool itself failed to process a file (lexer error,
-    /// unreadable file), or found its own configuration stale (unused
-    /// suppressions, slack `lint.allow` budgets). Always fatal.
+    /// unreadable file), or found an unused suppression. Always fatal.
     Internal,
 }
 
 impl LintId {
     /// All suppressible lint families.
-    pub const ALL: [LintId; 6] = [
-        LintId::Determinism,
-        LintId::Panic,
+    pub const ALL: [LintId; 4] = [
         LintId::ObsTaxonomy,
         LintId::AllocHotPath,
         LintId::ArithCast,
@@ -45,8 +35,6 @@ impl LintId {
     /// The stable string form.
     pub fn as_str(self) -> &'static str {
         match self {
-            LintId::Determinism => "determinism",
-            LintId::Panic => "panic",
             LintId::ObsTaxonomy => "obs-taxonomy",
             LintId::AllocHotPath => "alloc-hot-path",
             LintId::ArithCast => "arith-cast",
@@ -55,8 +43,7 @@ impl LintId {
         }
     }
 
-    /// Parses the stable string form (as used in suppressions and the
-    /// baseline file).
+    /// Parses the stable string form (as used in suppressions).
     pub fn parse(s: &str) -> Option<LintId> {
         LintId::ALL.into_iter().find(|id| id.as_str() == s)
     }
@@ -79,11 +66,6 @@ pub struct Diagnostic {
     pub line: u32,
     /// Human-readable description.
     pub message: String,
-    /// Whether the finding sits on the hot path (inside a function
-    /// reachable from a hot-path root). Hot findings are never
-    /// absorbed by the `lint.allow` baseline — only an explicit,
-    /// documented line allow can silence them.
-    pub hot: bool,
 }
 
 impl Diagnostic {
@@ -99,7 +81,6 @@ impl Diagnostic {
             file: file.into(),
             line,
             message: message.into(),
-            hot: false,
         }
     }
 
@@ -124,9 +105,6 @@ impl Diagnostic {
         out.push_str(&self.line.to_string());
         out.push_str(",\"message\":");
         write_json_string(&mut out, &self.message);
-        if self.hot {
-            out.push_str(",\"hot\":true");
-        }
         out.push_str("}}");
         out
     }
@@ -172,14 +150,14 @@ mod tests {
     #[test]
     fn render_is_file_line_id_message() {
         let d = Diagnostic::new(
-            LintId::Panic,
+            LintId::ArithCast,
             "crates/x/src/a.rs",
             7,
-            "unwrap() in library code",
+            "`as u32` truncates",
         );
         assert_eq!(
             d.render(),
-            "crates/x/src/a.rs:7: [panic] unwrap() in library code"
+            "crates/x/src/a.rs:7: [arith-cast] `as u32` truncates"
         );
     }
 

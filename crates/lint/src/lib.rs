@@ -1,13 +1,8 @@
 //! `ccdem-lint` — workspace static analysis with zero dependencies.
 //!
-//! Six lint families guard invariants the compiler cannot see
-//! (DESIGN.md §10):
+//! Four lint families guard invariants neither the compiler nor clippy
+//! can see (DESIGN.md §10):
 //!
-//! * **determinism** — no host clocks, unscoped threads, or
-//!   randomized-order hash containers in result-affecting crates;
-//! * **panic** — no `unwrap()` / `expect(…)` / `panic!` / unchecked
-//!   indexing in library code; panics inside functions the call graph
-//!   proves reachable from a hot-path root are never baselinable;
 //! * **alloc-hot-path** — no heap allocation reachable from a hot-path
 //!   root ([`callgraph`]);
 //! * **arith-cast** — no truncating `as` casts or unchecked `+`/`*` in
@@ -17,17 +12,18 @@
 //! * **obs-taxonomy** — the emitted event/metric names and the DESIGN.md
 //!   §8 taxonomy tables agree in both directions.
 //!
+//! The panic and determinism policies are clippy's: the root
+//! `clippy.toml` and the `scripts/ci.sh` clippy steps (DESIGN.md §10).
+//!
 //! Everything is built on a hand-rolled Rust lexer ([`lexer`]) — no
 //! `syn`, no `proc-macro2` — because the workspace builds offline with
 //! no external crates. On top of the lexer, [`parse`] recovers item
 //! nesting and call sites, and [`callgraph`] computes which functions
 //! are reachable from the declared hot-path roots. Findings can be
 //! suppressed per line with `// ccdem-lint: allow(<id>)` comments
-//! ([`source`]) or absorbed by the committed `lint.allow` count ratchet
-//! ([`baseline`]); a suppression that suppresses nothing and a budget
-//! with slack are themselves findings, so the ratchet only tightens.
+//! ([`source`]); a suppression that suppresses nothing is itself a
+//! finding.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod diag;
 pub mod lexer;
@@ -39,16 +35,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::baseline::Baseline;
 use crate::callgraph::CallGraph;
 use crate::diag::{Diagnostic, LintId};
-use crate::lints::{
-    alloc_hot_path, arith_cast, atomics_ordering, determinism, panic as panic_lint, taxonomy,
-};
+use crate::lints::{alloc_hot_path, arith_cast, atomics_ordering, taxonomy};
 use crate::source::SourceFile;
 
-/// The committed baseline file, at the workspace root.
-pub const BASELINE_FILE: &str = "lint.allow";
 /// The design document holding the §8 taxonomy tables.
 pub const DESIGN_FILE: &str = "DESIGN.md";
 
@@ -56,11 +47,8 @@ pub const DESIGN_FILE: &str = "DESIGN.md";
 #[derive(Debug, Clone)]
 pub struct LintOptions {
     /// Workspace root (the directory holding the `[workspace]`
-    /// `Cargo.toml`, `DESIGN.md`, and `lint.allow`).
+    /// `Cargo.toml` and `DESIGN.md`).
     pub root: PathBuf,
-    /// Rewrite `lint.allow` to match the current findings instead of
-    /// failing on them.
-    pub fix_baseline: bool,
     /// Override for the DESIGN.md text (tests use this to prove the
     /// taxonomy lint fires when a documented name is removed).
     pub design_text: Option<String>,
@@ -71,7 +59,6 @@ impl LintOptions {
     pub fn new(root: impl Into<PathBuf>) -> LintOptions {
         LintOptions {
             root: root.into(),
-            fix_baseline: false,
             design_text: None,
         }
     }
@@ -82,14 +69,10 @@ impl LintOptions {
 pub struct Report {
     /// Findings that fail the run, sorted by file, line, and id.
     pub reported: Vec<Diagnostic>,
-    /// Findings absorbed by the `lint.allow` baseline.
-    pub baselined: Vec<Diagnostic>,
     /// Findings silenced by `// ccdem-lint: allow(…)` comments.
     pub suppressed: usize,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Whether `--fix-baseline` rewrote `lint.allow`.
-    pub baseline_rewritten: bool,
     /// Analyzer-level numbers for `--stats`.
     pub stats: Stats,
 }
@@ -97,15 +80,13 @@ pub struct Report {
 /// Analyzer statistics for `ccdem lint --stats`.
 #[derive(Debug, Clone, Default)]
 pub struct Stats {
-    /// Findings per family before suppression and baselining (so the
-    /// counts describe what the analyzer saw, not what survived).
+    /// Findings per family before suppression (so the counts describe
+    /// what the analyzer saw, not what survived).
     pub family_counts: BTreeMap<LintId, usize>,
     /// Functions parsed across the workspace.
     pub fn_count: usize,
     /// Functions reachable from the hot-path roots.
     pub reachable_fns: usize,
-    /// Total violation budget granted by `lint.allow`.
-    pub baseline_total: usize,
 }
 
 impl Report {
@@ -135,10 +116,10 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 ///
 /// # Errors
 ///
-/// Returns a message for configuration-level failures (unreadable root,
-/// malformed `lint.allow`, unwritable baseline under `--fix-baseline`).
-/// Per-file problems (lex errors, unreadable files) become `internal`
-/// diagnostics instead, so one bad file cannot hide the rest.
+/// Returns a message when the workspace root's `crates/` directory
+/// cannot be read. Per-file problems (lex errors, unreadable files)
+/// become `internal` diagnostics instead, so one bad file cannot hide
+/// the rest.
 pub fn run(options: &LintOptions) -> Result<Report, String> {
     let root = &options.root;
     let paths = workspace_sources(root)?;
@@ -184,8 +165,6 @@ pub fn run(options: &LintOptions) -> Result<Report, String> {
     // Per-file families, plus the taxonomy emission sweep.
     let mut emissions = Vec::new();
     for file in files.values() {
-        determinism::check(file, &mut diagnostics);
-        panic_lint::check(file, &mut diagnostics);
         alloc_hot_path::check(file, &graph, &mut diagnostics);
         arith_cast::check(file, &mut diagnostics);
         atomics_ordering::check(file, &mut diagnostics);
@@ -210,19 +189,6 @@ pub fn run(options: &LintOptions) -> Result<Report, String> {
     };
     if let Some(design) = &design_text {
         taxonomy::check(design, DESIGN_FILE, &emissions, &mut diagnostics);
-    }
-
-    // Reachability-aware severity: a panic finding inside a function
-    // reachable from a hot-path root can never be baselined — only a
-    // documented line allow may silence it.
-    for d in &mut diagnostics {
-        if d.id == LintId::Panic && !d.hot {
-            if let Some(witness) = graph.hot(&d.file, d.line) {
-                d.hot = true;
-                d.message
-                    .push_str(&format!(" [hot path: reachable from {witness}]"));
-            }
-        }
     }
 
     let mut family_counts: BTreeMap<LintId, usize> = BTreeMap::new();
@@ -268,71 +234,16 @@ pub fn run(options: &LintOptions) -> Result<Report, String> {
         }
     }
 
-    sort_diagnostics(&mut diagnostics);
-
-    // The baseline ratchet. `--fix-baseline` rewrites the file to the
-    // current findings (internal and hot-path findings are never
-    // baselinable); otherwise a budget with slack is itself a finding,
-    // so the ratchet only tightens.
-    let baseline_path = root.join(BASELINE_FILE);
-    let mut baseline_rewritten = false;
-    let baseline = if options.fix_baseline {
-        let baselinable: Vec<Diagnostic> = diagnostics
-            .iter()
-            .filter(|d| d.id != LintId::Internal && !d.hot)
-            .cloned()
-            .collect();
-        let rendered = Baseline::render(&baselinable);
-        fs::write(&baseline_path, &rendered)
-            .map_err(|err| format!("cannot write {}: {err}", baseline_path.display()))?;
-        baseline_rewritten = true;
-        Baseline::parse(&rendered).map_err(|err| err.to_string())?
-    } else {
-        match fs::read_to_string(&baseline_path) {
-            Ok(text) => Baseline::parse(&text).map_err(|err| err.to_string())?,
-            Err(_) => Baseline::default(),
-        }
-    };
-    if !options.fix_baseline {
-        let mut live: BTreeMap<(LintId, String), usize> = BTreeMap::new();
-        for d in diagnostics
-            .iter()
-            .filter(|d| !d.hot && d.id != LintId::Internal)
-        {
-            *live.entry((d.id, d.file.clone())).or_insert(0) += 1;
-        }
-        for ((id, file), budget) in baseline.entries() {
-            let found = live.get(&(*id, file.clone())).copied().unwrap_or(0);
-            if found < budget {
-                diagnostics.push(Diagnostic::new(
-                    LintId::Internal,
-                    file.clone(),
-                    0,
-                    format!(
-                        "stale baseline: lint.allow grants {budget} `{id}` \
-                         finding(s) here but only {found} exist; run \
-                         `ccdem lint --fix-baseline` to tighten the ratchet"
-                    ),
-                ));
-            }
-        }
-        sort_diagnostics(&mut diagnostics);
-    }
     let stats = Stats {
         family_counts,
         fn_count: graph.fn_count(),
         reachable_fns: graph.reachable_count(),
-        baseline_total: baseline.total(),
     };
-    let (mut reported, baselined) = baseline.apply(diagnostics);
-    sort_diagnostics(&mut reported);
-
+    sort_diagnostics(&mut diagnostics);
     Ok(Report {
-        reported,
-        baselined,
+        reported: diagnostics,
         suppressed,
         files_scanned,
-        baseline_rewritten,
         stats,
     })
 }
@@ -467,12 +378,12 @@ mod tests {
     #[test]
     fn sort_is_stable_across_fields() {
         let mut d = vec![
-            Diagnostic::new(LintId::Panic, "b.rs", 1, "m"),
-            Diagnostic::new(LintId::Panic, "a.rs", 9, "m"),
-            Diagnostic::new(LintId::Determinism, "a.rs", 9, "m"),
+            Diagnostic::new(LintId::ArithCast, "b.rs", 1, "m"),
+            Diagnostic::new(LintId::ArithCast, "a.rs", 9, "m"),
+            Diagnostic::new(LintId::ObsTaxonomy, "a.rs", 9, "m"),
         ];
         sort_diagnostics(&mut d);
-        assert_eq!(d.first().map(|x| x.id), Some(LintId::Determinism));
+        assert_eq!(d.first().map(|x| x.id), Some(LintId::ObsTaxonomy));
         assert_eq!(d.last().map(|x| x.file.as_str()), Some("b.rs"));
     }
 }

@@ -92,7 +92,7 @@ pub fn check(file: &SourceFile, graph: &CallGraph, out: &mut Vec<Diagnostic>) {
 }
 
 fn diag(file: &SourceFile, line: u32, what: &str, root: &str) -> Diagnostic {
-    let mut d = Diagnostic::new(
+    Diagnostic::new(
         LintId::AllocHotPath,
         file.path.clone(),
         line,
@@ -101,9 +101,7 @@ fn diag(file: &SourceFile, line: u32, what: &str, root: &str) -> Diagnostic {
              reuse a scratch buffer or hoist the allocation out of the \
              per-frame path"
         ),
-    );
-    d.hot = true;
-    d
+    )
 }
 
 #[cfg(test)]

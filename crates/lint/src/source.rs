@@ -86,10 +86,10 @@ impl SourceFile {
 /// line after it, so both styles work:
 ///
 /// ```text
-/// foo().unwrap(); // ccdem-lint: allow(panic) — justified because …
+/// let q = (v * 4.0) as u64; // ccdem-lint: allow(arith-cast) — v ≤ 2^40
 ///
-/// // ccdem-lint: allow(determinism) — host timing is telemetry-only
-/// use std::time::Instant;
+/// // ccdem-lint: allow(alloc-hot-path) — warm-up only; reused after
+/// let buf = Vec::with_capacity(n);
 /// ```
 ///
 /// When the justification spans several consecutive `//` lines, coverage
@@ -291,35 +291,34 @@ mod tests {
 
     #[test]
     fn trailing_allow_covers_its_line() {
-        let f = file("fn f() { g().unwrap(); } // ccdem-lint: allow(panic) — invariant\n");
-        assert!(f.is_allowed(LintId::Panic, 1));
-        assert!(!f.is_allowed(LintId::Determinism, 1));
+        let f = file("fn f() { g() as u8; } // ccdem-lint: allow(arith-cast) — invariant\n");
+        assert!(f.is_allowed(LintId::ArithCast, 1));
+        assert!(!f.is_allowed(LintId::AllocHotPath, 1));
     }
 
     #[test]
     fn preceding_allow_covers_next_line() {
-        let f =
-            file("// ccdem-lint: allow(determinism) — telemetry only\nuse std::time::Instant;\n");
-        assert!(f.is_allowed(LintId::Determinism, 2));
-        assert!(!f.is_allowed(LintId::Determinism, 3));
+        let f = file("// ccdem-lint: allow(alloc-hot-path) — warm-up\nlet v = Vec::new();\n");
+        assert!(f.is_allowed(LintId::AllocHotPath, 2));
+        assert!(!f.is_allowed(LintId::AllocHotPath, 3));
     }
 
     #[test]
     fn allow_block_extends_through_consecutive_comments() {
-        let src = "// ccdem-lint: allow(determinism) — wall-clock feeds the\n\
-                   // timing report only, never a RunResult.\n\
-                   use std::time::Instant;\n\
+        let src = "// ccdem-lint: allow(alloc-hot-path) — the buffer is\n\
+                   // recycled after the first frame.\n\
+                   let v = Vec::new();\n\
                    fn lib() {}\n";
         let f = file(src);
-        assert!(f.is_allowed(LintId::Determinism, 3));
-        assert!(!f.is_allowed(LintId::Determinism, 4));
+        assert!(f.is_allowed(LintId::AllocHotPath, 3));
+        assert!(!f.is_allowed(LintId::AllocHotPath, 4));
     }
 
     #[test]
     fn allow_accepts_multiple_ids() {
-        let f = file("// ccdem-lint: allow(panic, determinism)\nlet x = v[0];\n");
-        assert!(f.is_allowed(LintId::Panic, 2));
-        assert!(f.is_allowed(LintId::Determinism, 2));
+        let f = file("// ccdem-lint: allow(arith-cast, alloc-hot-path)\nlet x = v as u8;\n");
+        assert!(f.is_allowed(LintId::ArithCast, 2));
+        assert!(f.is_allowed(LintId::AllocHotPath, 2));
     }
 
     #[test]

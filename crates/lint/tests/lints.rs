@@ -1,15 +1,14 @@
-//! Fixture-corpus tests: every lint family against known-good and
+//! Fixture-corpus tests: the taxonomy family against known-good and
 //! known-bad inputs, asserting exact diagnostic IDs and line numbers,
-//! plus end-to-end runs of the `ccdem-lint` binary against miniature
-//! workspaces seeded with one violation per family.
+//! plus end-to-end [`ccdem_lint::run`]s against miniature workspaces
+//! seeded with one violation per family.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
-use ccdem_lint::diag::{Diagnostic, LintId};
+use ccdem_lint::diag::LintId;
 use ccdem_lint::lexer::lex;
-use ccdem_lint::lints::{determinism, panic as panic_lint, taxonomy};
+use ccdem_lint::lints::taxonomy;
 use ccdem_lint::source::SourceFile;
 
 fn fixture(name: &str) -> String {
@@ -19,111 +18,8 @@ fn fixture(name: &str) -> String {
     fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// Lexes a fixture under a crate name and applies the same line-level
-/// suppression filtering the driver does.
-fn check_fixture(
-    name: &str,
-    crate_name: &str,
-    run: impl Fn(&SourceFile, &mut Vec<Diagnostic>),
-) -> Vec<(LintId, u32)> {
-    let lexed = lex(&fixture(name)).expect("fixture lexes");
-    let file = SourceFile::new(name.to_string(), crate_name.to_string(), lexed);
-    let mut out = Vec::new();
-    run(&file, &mut out);
-    out.retain(|d| !file.is_allowed(d.id, d.line));
-    let mut pairs: Vec<(LintId, u32)> = out.iter().map(|d| (d.id, d.line)).collect();
-    pairs.sort();
-    pairs
-}
-
 #[test]
-fn panic_fixture_flags_exact_lines() {
-    let pairs = check_fixture("panic_violations.rs", "core", panic_lint::check);
-    assert_eq!(
-        pairs,
-        vec![
-            (LintId::Panic, 11), // v[0]
-            (LintId::Panic, 12), // .unwrap()
-            (LintId::Panic, 13), // .expect(…)
-            (LintId::Panic, 15), // panic!
-        ],
-        "strings containing unwrap(), the RangeFull slice, the allow-\
-         suppressed index, and the #[cfg(test)] module must not be flagged"
-    );
-}
-
-#[test]
-fn panic_fixture_is_exempt_in_the_proptest_shim() {
-    let pairs = check_fixture("panic_violations.rs", "proptest", panic_lint::check);
-    assert!(
-        pairs.is_empty(),
-        "the proptest shim is panic-exempt: {pairs:?}"
-    );
-}
-
-#[test]
-fn determinism_fixture_flags_exact_lines() {
-    let pairs = check_fixture("determinism_violations.rs", "core", determinism::check);
-    assert_eq!(
-        pairs,
-        vec![
-            (LintId::Determinism, 10), // use HashMap
-            (LintId::Determinism, 11), // use Instant
-            (LintId::Determinism, 14), // Instant::now
-            (LintId::Determinism, 15), // thread::spawn
-            (LintId::Determinism, 16), // HashMap type + constructor
-            (LintId::Determinism, 16),
-        ],
-        "the allow-suppressed telemetry block and the test-module HashSet \
-         must not be flagged"
-    );
-}
-
-#[test]
-fn determinism_skips_non_result_affecting_crates() {
-    let pairs = check_fixture("determinism_violations.rs", "obs", determinism::check);
-    assert!(pairs.is_empty(), "obs is not result-affecting: {pairs:?}");
-}
-
-#[test]
-fn determinism_skips_whitelisted_files() {
-    let lexed = lex(&fixture("determinism_violations.rs")).expect("fixture lexes");
-    let file = SourceFile::new(
-        "crates/simkit/src/parallel.rs".to_string(),
-        "simkit".to_string(),
-        lexed,
-    );
-    let mut out = Vec::new();
-    determinism::check(&file, &mut out);
-    assert!(out.is_empty(), "whitelisted host-timing file: {out:?}");
-}
-
-#[test]
-fn determinism_whitelist_covers_every_timing_harness() {
-    // Each whitelist entry must silence the lint for exactly that path,
-    // while the same tokens in any sibling file still flag.
-    for path in determinism::WHITELIST_FILES {
-        let lexed = lex(&fixture("determinism_violations.rs")).expect("fixture lexes");
-        let file = SourceFile::new(path.to_string(), "experiments".to_string(), lexed);
-        let mut out = Vec::new();
-        determinism::check(&file, &mut out);
-        assert!(out.is_empty(), "{path} is whitelisted: {out:?}");
-    }
-    let lexed = lex(&fixture("determinism_violations.rs")).expect("fixture lexes");
-    let sibling = SourceFile::new(
-        "crates/experiments/src/sweep.rs".to_string(),
-        "experiments".to_string(),
-        lexed,
-    );
-    let mut out = Vec::new();
-    determinism::check(&sibling, &mut out);
-    assert!(!out.is_empty(), "non-whitelisted sibling must still flag");
-}
-
-#[test]
-fn clean_fixture_passes_every_family() {
-    assert!(check_fixture("clean.rs", "core", panic_lint::check).is_empty());
-    assert!(check_fixture("clean.rs", "core", determinism::check).is_empty());
+fn clean_fixture_emits_nothing() {
     let lexed = lex(&fixture("clean.rs")).expect("fixture lexes");
     let file = SourceFile::new("clean.rs".into(), "core".into(), lexed);
     let mut emissions = Vec::new();
@@ -245,7 +141,7 @@ fn removing_a_documented_event_fails_the_lint() {
     );
 }
 
-// --- end-to-end: the ccdem-lint binary against seeded mini-workspaces ---
+// --- end-to-end: `ccdem_lint::run` against seeded mini-workspaces ---
 
 /// A minimal valid workspace the lint accepts end to end.
 struct MiniWorkspace {
@@ -283,24 +179,12 @@ impl MiniWorkspace {
         fs::write(&path, contents).expect("write");
     }
 
-    fn lint(&self) -> (i32, String) {
-        self.lint_args(&[])
-    }
-
-    fn lint_args(&self, args: &[&str]) -> (i32, String) {
-        let output = Command::new(env!("CARGO_BIN_EXE_ccdem-lint"))
-            .args(args)
-            .current_dir(&self.root)
-            .output()
-            .expect("run ccdem-lint");
-        (
-            output.status.code().unwrap_or(-1),
-            String::from_utf8_lossy(&output.stdout).into_owned(),
-        )
-    }
-
-    fn read(&self, rel: &str) -> String {
-        fs::read_to_string(self.root.join(rel)).expect("read")
+    /// Lints the workspace; returns whether it is clean and the
+    /// rendered findings, one per line.
+    fn lint(&self) -> (bool, String) {
+        let report = ccdem_lint::run(&ccdem_lint::LintOptions::new(&self.root)).expect("lint runs");
+        let rendered: Vec<String> = report.reported.iter().map(|d| d.render()).collect();
+        (report.clean(), rendered.join("\n"))
     }
 }
 
@@ -311,35 +195,10 @@ impl Drop for MiniWorkspace {
 }
 
 #[test]
-fn e2e_clean_workspace_exits_zero() {
+fn e2e_clean_workspace_is_clean() {
     let w = MiniWorkspace::new("clean");
-    let (code, stdout) = w.lint();
-    assert_eq!(code, 0, "expected clean, got:\n{stdout}");
-}
-
-#[test]
-fn e2e_seeded_panic_violation_fails() {
-    let w = MiniWorkspace::new("panic");
-    let w_file = "crates/core/src/bad.rs";
-    w.write(w_file, "pub fn first(v: &[u32]) -> u32 {\n    v[0]\n}\n");
-    let (code, stdout) = w.lint();
-    assert_eq!(code, 1, "stdout:\n{stdout}");
-    assert!(
-        stdout.contains("[panic]") && stdout.contains("bad.rs:2"),
-        "{stdout}"
-    );
-}
-
-#[test]
-fn e2e_seeded_determinism_violation_fails() {
-    let w = MiniWorkspace::new("det");
-    w.write(
-        "crates/core/src/bad.rs",
-        "use std::collections::HashMap;\npub type Cache = HashMap<u32, u32>;\n",
-    );
-    let (code, stdout) = w.lint();
-    assert_eq!(code, 1, "stdout:\n{stdout}");
-    assert!(stdout.contains("[determinism]"), "{stdout}");
+    let (clean, found) = w.lint();
+    assert!(clean, "expected clean, got:\n{found}");
 }
 
 #[test]
@@ -350,42 +209,29 @@ fn e2e_seeded_taxonomy_violation_fails() {
         "pub fn leak(obs: &Obs, now: SimTime) {\n    \
          obs.emit(\"ghost.event\", now, |_| {});\n}\n",
     );
-    let (code, stdout) = w.lint();
-    assert_eq!(code, 1, "stdout:\n{stdout}");
+    let (clean, found) = w.lint();
+    assert!(!clean, "found:\n{found}");
     assert!(
-        stdout.contains("[obs-taxonomy]") && stdout.contains("ghost.event"),
-        "{stdout}"
+        found.contains("[obs-taxonomy]") && found.contains("ghost.event"),
+        "{found}"
     );
 }
 
 #[test]
-fn e2e_stale_suppression_flags_and_stale_budget_tightens() {
+fn e2e_stale_suppression_flags() {
     let w = MiniWorkspace::new("stale");
     // An allow comment with nothing to suppress is itself a finding.
     w.write(
         "crates/core/src/fine.rs",
         "pub fn f(v: &[u32]) -> u32 {\n    \
-         // ccdem-lint: allow(panic) \u{2014} nothing here panics any more\n    \
+         // ccdem-lint: allow(arith-cast) \u{2014} nothing here casts any more\n    \
          v.first().copied().unwrap_or(0)\n}\n",
     );
-    // A budget larger than the live finding count is stale too.
-    w.write(
-        "lint.allow",
-        "# test baseline\npanic crates/core/src/fine.rs 3\n",
-    );
-    let (code, stdout) = w.lint();
-    assert_eq!(code, 1, "stdout:\n{stdout}");
-    assert!(stdout.contains("stale suppression"), "{stdout}");
-    assert!(stdout.contains("stale baseline"), "{stdout}");
-
-    // --fix-baseline tightens the budget to the live count (zero here:
-    // the file's entry disappears entirely).
-    let (fix_code, _) = w.lint_args(&["--fix-baseline"]);
-    assert_eq!(fix_code, 1, "the stale allow comment still reports");
+    let (clean, found) = w.lint();
+    assert!(!clean, "found:\n{found}");
     assert!(
-        !w.read("lint.allow").contains("fine.rs"),
-        "budget must drop to the live count: {}",
-        w.read("lint.allow")
+        found.contains("fine.rs:2: [internal] stale suppression"),
+        "{found}"
     );
 }
 
@@ -404,11 +250,11 @@ fn e2e_seeded_alloc_hot_path_violation_fails() {
          fn scratch_rates() -> Vec<f64> {\n    \
          Vec::new()\n}\n",
     );
-    let (code, stdout) = w.lint();
-    assert_eq!(code, 1, "stdout:\n{stdout}");
+    let (clean, found) = w.lint();
+    assert!(!clean, "found:\n{found}");
     assert!(
-        stdout.contains("[alloc-hot-path]") && stdout.contains("Governor::decide"),
-        "{stdout}"
+        found.contains("[alloc-hot-path]") && found.contains("Governor::decide"),
+        "{found}"
     );
 }
 
@@ -420,8 +266,8 @@ fn e2e_cold_alloc_does_not_flag() {
         "crates/core/src/scratch.rs",
         "pub fn scratch_rates() -> Vec<f64> {\n    Vec::new()\n}\n",
     );
-    let (code, stdout) = w.lint();
-    assert_eq!(code, 0, "cold allocations are fine:\n{stdout}");
+    let (clean, found) = w.lint();
+    assert!(clean, "cold allocations are fine:\n{found}");
 }
 
 #[test]
@@ -432,11 +278,11 @@ fn e2e_seeded_arith_cast_violation_fails() {
         "pub fn quantize(v: f64, scale: u64) -> u64 {\n    \
          (v * scale as f64) as u64\n}\n",
     );
-    let (code, stdout) = w.lint();
-    assert_eq!(code, 1, "stdout:\n{stdout}");
+    let (clean, found) = w.lint();
+    assert!(!clean, "found:\n{found}");
     assert!(
-        stdout.contains("[arith-cast]") && stdout.contains("as u64"),
-        "{stdout}"
+        found.contains("[arith-cast]") && found.contains("as u64"),
+        "{found}"
     );
 }
 
@@ -453,59 +299,11 @@ fn e2e_seeded_atomics_ordering_violation_fails() {
          c.fetch_add(1, Ordering::Relaxed);\n    \
          c.load(Ordering::SeqCst)\n}\n",
     );
-    let (code, stdout) = w.lint();
-    assert_eq!(code, 1, "stdout:\n{stdout}");
+    let (clean, found) = w.lint();
+    assert!(!clean, "found:\n{found}");
     assert!(
-        stdout.contains("[atomics-ordering]") && stdout.contains("counter.rs:5"),
-        "the unjustified SeqCst load (and only it) must flag:\n{stdout}"
+        found.contains("[atomics-ordering]") && found.contains("counter.rs:5"),
+        "the unjustified SeqCst load (and only it) must flag:\n{found}"
     );
-    assert!(!stdout.contains("counter.rs:4"), "{stdout}");
-}
-
-#[test]
-fn e2e_hot_panic_is_never_baselinable() {
-    let w = MiniWorkspace::new("hot-panic");
-    // A panic reachable from a root is internal severity: a lint.allow
-    // budget cannot absorb it.
-    w.write(
-        "crates/core/src/governor.rs",
-        "pub struct Governor;\n\
-         impl Governor {\n    \
-         pub fn decide(&mut self, v: &[u32]) -> u32 {\n        \
-         v[0]\n    }\n}\n",
-    );
-    w.write(
-        "lint.allow",
-        "# test baseline\npanic crates/core/src/governor.rs 1\n",
-    );
-    let (code, stdout) = w.lint();
-    assert_eq!(code, 1, "hot panic must not be baselinable:\n{stdout}");
-    assert!(
-        stdout.contains("[panic]") && stdout.contains("hot path"),
-        "{stdout}"
-    );
-}
-
-#[test]
-fn e2e_baseline_absorbs_then_ratchets() {
-    let w = MiniWorkspace::new("baseline");
-    w.write(
-        "crates/core/src/bad.rs",
-        "pub fn f(v: &[u32]) -> u32 {\n    v[0]\n}\n",
-    );
-    w.write(
-        "lint.allow",
-        "# test baseline\npanic crates/core/src/bad.rs 1\n",
-    );
-    let (code, stdout) = w.lint();
-    assert_eq!(code, 0, "one finding within budget:\n{stdout}");
-
-    // A second violation exceeds the budget: the whole group reports.
-    w.write(
-        "crates/core/src/bad.rs",
-        "pub fn f(v: &[u32]) -> u32 {\n    v[0] + v[1]\n}\n",
-    );
-    let (code, stdout) = w.lint();
-    assert_eq!(code, 1, "over budget:\n{stdout}");
-    assert!(stdout.contains("exceed the lint.allow budget"), "{stdout}");
+    assert!(!found.contains("counter.rs:4"), "{found}");
 }

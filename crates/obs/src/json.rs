@@ -213,6 +213,7 @@ pub const MAX_DEPTH: usize = 128;
 /// ```
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -227,6 +228,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -254,7 +256,11 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self
+            .text
+            .get(self.pos..)
+            .is_some_and(|rest| rest.starts_with(word))
+        {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -378,11 +384,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = s.chars().next().expect("non-empty by peek");
+                    // Consume one code point: every step consumes whole
+                    // code points, so `pos` sits on a char boundary.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| format!("split code point at byte {}", self.pos))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -398,7 +406,8 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        // Every byte consumed above is ASCII, so the slice is a `str`.
+        let text = self.text.get(start..self.pos).unwrap_or_default();
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("invalid number {text:?} at byte {start}"))

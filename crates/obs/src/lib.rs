@@ -61,16 +61,19 @@ pub use sink::{EventSink, JsonlSink, RingSink};
 pub use sketch::{AtomicSketch, QuantileSketch};
 
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 use ccdem_simkit::time::SimTime;
 
 /// Microseconds of host-monotonic time since the first telemetry emission
 /// in this process. Host stamps order events across threads but are not
 /// reproducible across runs; they never appear in simulation results.
+#[expect(
+    clippy::disallowed_types,
+    reason = "host stamps order telemetry events and never reach a result"
+)]
 pub fn host_micros() -> u64 {
-    static START: OnceLock<Instant> = OnceLock::new();
-    let start = *START.get_or_init(Instant::now);
+    static START: OnceLock<std::time::Instant> = OnceLock::new();
+    let start = *START.get_or_init(std::time::Instant::now);
     start.elapsed().as_micros() as u64
 }
 

@@ -161,9 +161,11 @@ impl QuantileSketch {
     }
 
     /// Records one sample.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "bucket_index is < the bucket count fixed at construction for this precision"
+    )]
     pub fn record(&mut self, v: u64) {
-        // ccdem-lint: allow(panic) — bucket_index is < the bucket count
-        // fixed at construction for this precision, by construction.
         self.buckets[bucket_index(self.precision, v)] += 1;
         self.count += 1;
         // ccdem-lint: allow(arith-cast) — u128 accumulator: even 2^64
@@ -337,11 +339,13 @@ impl QuantileSketch {
     /// precision, bucket index, bucket count, `count`, `min` or `max`
     /// that is not an integer in range (all below 2^53, see
     /// [`exact_u64`]); bucket counts whose sum overflows `u64` or
-    /// differs from `count`; or a `min`/`max` pair with `min > max` or
-    /// outside the value range of the non-empty buckets. Checkpoints and
-    /// committed reports arrive from outside the program, so a hostile
-    /// document must come back as `None`, never as a sketch whose
-    /// [`quantile`](Self::quantile) could panic.
+    /// differs from `count`; a `min`/`max` pair with `min > max` or
+    /// outside the value range of the non-empty buckets; or a `sum` that
+    /// is not an integer in `count·min ..= count·max` (0 when empty).
+    /// Checkpoints and committed reports arrive from outside the
+    /// program, so a hostile document must come back as `None`, never
+    /// as a sketch whose [`quantile`](Self::quantile) could panic or
+    /// whose [`merge`](Self::merge) could overflow the sum.
     pub fn from_json(doc: &Json) -> Option<QuantileSketch> {
         let precision = u32::try_from(exact_u64(doc.get("precision")?)?).ok()?;
         if !(1..=12).contains(&precision) {
@@ -365,10 +369,7 @@ impl QuantileSketch {
         if sketch.count != exact_u64(doc.get("count")?)? {
             return None;
         }
-        // ccdem-lint: allow(arith-cast) — sums beyond 2^53 lose low bits
-        // to the f64 round trip; approximate totals are acceptable for
-        // a deserialized telemetry sketch.
-        sketch.sum = doc.get("sum")?.as_f64()? as u128;
+        let sum = doc.get("sum")?.as_f64()?;
         if sketch.count > 0 {
             sketch.min = exact_u64(doc.get("min")?)?;
             sketch.max = exact_u64(doc.get("max")?)?;
@@ -383,6 +384,19 @@ impl QuantileSketch {
                 return None;
             }
         }
+        // The sum lies in count·min ..= count·max, compared in f64:
+        // count, min and max are exact below 2^53 and rounding is
+        // monotone, so every serialized valid sum passes. An empty
+        // sketch (min u64::MAX, max 0) must sum to 0.
+        let count = sketch.count as f64; // ccdem-lint: allow(arith-cast) — exact below 2^53
+        let (lowest, highest) = (count * sketch.min as f64, count * sketch.max as f64);
+        if !(sum.fract() == 0.0 && lowest <= sum && sum <= highest) {
+            return None;
+        }
+        // ccdem-lint: allow(arith-cast) — integral and ≤ 2^106; sums
+        // beyond 2^53 lose low bits to the f64 round trip, which is
+        // acceptable for a deserialized telemetry sketch.
+        sketch.sum = sum as u128;
         Some(sketch)
     }
 }
@@ -452,12 +466,14 @@ impl AtomicSketch {
     }
 
     /// Records one sample (relaxed atomics; wait-free).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "bucket_index is < the bucket count fixed at construction for this precision"
+    )]
     pub fn record(&self, v: u64) {
         // Every counter here is independently monotonic and snapshot()
         // tolerates cross-counter tearing by design, so each operation
         // uses relaxed ordering: no happens-before edge is needed.
-        // ccdem-lint: allow(panic) — bucket_index is < the bucket count
-        // fixed at construction for this precision, by construction.
         self.buckets[bucket_index(self.precision, v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed); // ordering: relaxed — see above
         let prev = self.sum.fetch_add(v, Ordering::Relaxed); // ordering: relaxed — see above
@@ -776,8 +792,41 @@ mod tests {
             r#"{"precision":5,"count":9007199254740992,"sum":0,"min":1,"max":1,"buckets":[[1,9007199254740992]]}"#
         ));
         assert!(!rejects(
-            r#"{"precision":5,"count":9007199254740991,"sum":0,"min":1,"max":1,"buckets":[[1,9007199254740991]]}"#
+            r#"{"precision":5,"count":9007199254740991,"sum":9007199254740991,"min":1,"max":1,"buckets":[[1,9007199254740991]]}"#
         ));
+    }
+
+    #[test]
+    fn from_json_rejects_sums_outside_count_times_the_extremes() {
+        // Three samples between 7 and 81 sum to 21 ..= 243.
+        let doc = |sum: &str| {
+            format!(
+                r#"{{"precision":5,"count":3,"sum":{sum},"min":7,"max":81,"buckets":[[7,1],[72,2]]}}"#
+            )
+        };
+        for sum in ["21", "168", "243"] {
+            assert!(!rejects(&doc(sum)), "sum {sum}");
+        }
+        // Below the floor, above the ceiling, fractional, negative, and
+        // large enough to overflow a merge.
+        for sum in ["20", "244", "168.5", "-5", "1e14", "1e300"] {
+            assert!(rejects(&doc(sum)), "sum {sum}");
+        }
+        // An empty sketch sums to exactly 0.
+        assert!(!rejects(
+            r#"{"precision":5,"count":0,"sum":0,"buckets":[]}"#
+        ));
+        assert!(rejects(r#"{"precision":5,"count":0,"sum":1,"buckets":[]}"#));
+        // A real sketch round-trips through the check: the largest
+        // exact samples, whose sum is not representable in f64.
+        let mut sketch = QuantileSketch::new();
+        for v in [(1u64 << 53) - 1, (1 << 53) - 3, (1 << 53) - 5] {
+            sketch.record(v);
+        }
+        let mut text = String::new();
+        crate::json::write_json(&mut text, &sketch.to_json());
+        let reparsed = crate::json::parse(&text).expect("sketch JSON parses");
+        assert!(QuantileSketch::from_json(&reparsed).is_some());
     }
 
     #[test]

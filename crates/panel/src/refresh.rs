@@ -133,14 +133,16 @@ impl RefreshRateSet {
     /// The Samsung Galaxy S3's five levels: 20, 24, 30, 40, 60 Hz
     /// (paper §3.2).
     pub fn galaxy_s3() -> RefreshRateSet {
-        RefreshRateSet::new([
-            RefreshRate::HZ_20,
-            RefreshRate::HZ_24,
-            RefreshRate::HZ_30,
-            RefreshRate::HZ_40,
-            RefreshRate::HZ_60,
-        ])
-        .expect("static set is valid") // ccdem-lint: allow(panic) — five distinct rates
+        // Already sorted and distinct, as `new` would leave them.
+        RefreshRateSet {
+            rates: vec![
+                RefreshRate::HZ_20,
+                RefreshRate::HZ_24,
+                RefreshRate::HZ_30,
+                RefreshRate::HZ_40,
+                RefreshRate::HZ_60,
+            ],
+        }
     }
 
     /// A single fixed rate (stock Android behaviour: 60 Hz only).
@@ -164,13 +166,14 @@ impl RefreshRateSet {
     }
 
     /// The lowest supported rate.
+    #[expect(clippy::indexing_slicing, reason = "non-empty by construction")]
     pub fn min(&self) -> RefreshRate {
-        self.rates[0] // ccdem-lint: allow(panic) — non-empty by construction
+        self.rates[0]
     }
 
     /// The highest supported rate.
+    #[expect(clippy::expect_used, reason = "non-empty by construction")]
     pub fn max(&self) -> RefreshRate {
-        // ccdem-lint: allow(panic) — non-empty by construction
         *self.rates.last().expect("set is non-empty")
     }
 
@@ -237,6 +240,11 @@ mod tests {
     #[test]
     fn at_least_picks_ceiling_rate() {
         let set = RefreshRateSet::galaxy_s3();
+        // The literal set is what `new` builds from the same rates.
+        assert_eq!(
+            RefreshRateSet::new(set.rates.iter().rev().copied()),
+            Ok(set.clone())
+        );
         assert_eq!(set.at_least(0.0), RefreshRate::HZ_20);
         assert_eq!(set.at_least(20.5), RefreshRate::HZ_24);
         assert_eq!(set.at_least(24.0), RefreshRate::HZ_24);

@@ -153,13 +153,6 @@ impl DamageRegion {
         }
     }
 
-    /// Adds every rectangle of `other`.
-    pub fn add_region(&mut self, other: &DamageRegion) {
-        for &r in other.rects() {
-            self.add(r);
-        }
-    }
-
     fn remove(&mut self, i: usize) {
         let last = self.len as usize - 1;
         self.rects.swap(i, last);

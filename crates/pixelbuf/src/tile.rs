@@ -120,12 +120,12 @@ impl TileMap {
     /// # Panics
     ///
     /// Panics if the tile coordinate is out of range.
+    #[expect(clippy::indexing_slicing, reason = "bounds asserted on entry")]
     pub fn tile(&self, tx: u32, ty: u32) -> Tile {
         assert!(
             tx < self.cols && ty < self.rows,
             "tile ({tx},{ty}) out of range"
         );
-        // ccdem-lint: allow(panic) — bounds asserted on the line above.
         self.tiles[(ty * self.cols + tx) as usize]
     }
 

@@ -427,12 +427,6 @@ proptest! {
             }
         }
         prop_assert_eq!(region.area(), true_area);
-
-        // Merging a whole region at once preserves the same invariants.
-        let mut merged = DamageRegion::new();
-        merged.add_region(&region);
-        assert_disjoint(&merged);
-        prop_assert_eq!(merged.area(), region.area());
     }
 
     /// The production gather against the oracle. Over arbitrary frames

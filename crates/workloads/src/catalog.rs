@@ -98,14 +98,20 @@ pub fn by_name(name: &str) -> Option<AppSpec> {
 }
 
 /// Facebook — the paper's running low-frame-rate example (Fig. 2a).
+#[expect(
+    clippy::expect_used,
+    reason = "static Fig. 3 catalog; covered by tests"
+)]
 pub fn facebook() -> AppSpec {
-    // ccdem-lint: allow(panic) — static Fig. 3 catalog; covered by tests
     by_name("Facebook").expect("Facebook is in the catalog")
 }
 
 /// Jelly Splash — the paper's running redundant-60-fps example (Fig. 2b).
+#[expect(
+    clippy::expect_used,
+    reason = "static Fig. 3 catalog; covered by tests"
+)]
 pub fn jelly_splash() -> AppSpec {
-    // ccdem-lint: allow(panic) — static Fig. 3 catalog; covered by tests
     by_name("Jelly Splash").expect("Jelly Splash is in the catalog")
 }
 

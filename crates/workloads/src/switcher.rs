@@ -100,11 +100,14 @@ impl AppModel for AppSwitcher {
         AppClass::General
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`active_index` is modulo `apps.len()`"
+    )]
     fn tick(&mut self, now: SimTime, input: &InputContext, rng: &mut SimRng) -> FrameTick {
         let index = self.active_index(now);
         let switched = self.last_index != Some(index);
         self.last_index = Some(index);
-        // ccdem-lint: allow(panic) — `active_index` is modulo `apps.len()`
         let mut tick = self.apps[index].tick(now, input, rng);
         if switched {
             // The launch/resume transition repaints the whole screen.
@@ -113,10 +116,13 @@ impl AppModel for AppSwitcher {
         tick
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`last_index` comes from `active_index`, modulo `apps.len()`; \
+                  0 is valid (non-empty set)"
+    )]
     fn render(&mut self, change: ContentChange, buffer: &mut FrameBuffer, rng: &mut SimRng) {
         let index = self.last_index.unwrap_or(0);
-        // ccdem-lint: allow(panic) — `last_index` comes from
-        // `active_index`, modulo `apps.len()`; 0 is valid (non-empty set)
         self.apps[index].render(change, buffer, rng);
     }
 }

@@ -43,10 +43,10 @@ cmp target/fleet_full.json target/fleet_resumed.json
 cargo run --release -q --bin ccdem -- report --duration 3 --jobs 1 > target/report_j1.txt
 cargo run --release -q --bin ccdem -- report --duration 3 --jobs 4 > target/report_j4.txt
 cmp target/report_j1.txt target/report_j4.txt
-# Workspace static analysis (hard gate): determinism, panic-policy,
-# alloc-hot-path, arith-cast, atomics-ordering and obs-taxonomy
-# invariants — see DESIGN.md §10. `--stats` prints machine-parseable
-# lines we gate on below.
+# Workspace static analysis (hard gate): the alloc-hot-path,
+# arith-cast, atomics-ordering and obs-taxonomy invariants — see
+# DESIGN.md §10. `--stats` prints machine-parseable lines we gate on
+# below.
 cargo run --release -q --bin ccdem -- lint --json --stats | tee target/lint_stats.txt
 # The analyzer must stay interactive: whole-workspace call graph plus
 # all families in under 5 s wall.
@@ -56,21 +56,22 @@ test "$lint_wall_ms" -lt 5000 || {
     echo "ci: lint took ${lint_wall_ms} ms (budget 5000 ms)" >&2
     exit 1
 }
-# The lint.allow ratchet only turns one way: the committed budget total
-# must never grow relative to the baseline at HEAD.
-lint_budget=$(awk '/^stats baseline_total /{print $3}' target/lint_stats.txt)
-head_budget=$(git show HEAD:lint.allow 2>/dev/null \
-    | awk '!/^#/ && NF == 3 {sum += $3} END {print sum + 0}')
-if [ -n "$lint_budget" ] && [ "$lint_budget" -gt "$head_budget" ] \
-    && [ "$head_budget" -gt 0 ]; then
-    echo "ci: lint.allow budget grew ${head_budget} -> ${lint_budget}" >&2
-    exit 1
-fi
 # Mutation checks: every oracle test named in scripts/mutants.tsv must
 # still catch its mutant, on an export of HEAD outside the repo (about
 # 30 s on a 2-vCPU guest).
 scripts/mutants.sh
+# Clippy, every target. The root clippy.toml refuses host clocks,
+# unscoped threads and hash containers (the determinism policy), and an
+# `#[expect]` that suppresses nothing fails as
+# unfulfilled_lint_expectations.
 cargo clippy --workspace --all-targets -- -D warnings
+# The panic policy: library and binary code never unwraps, expects,
+# panics or indexes unchecked except under an item-level
+# `#[expect(clippy::…, reason = "…")]`. Tests, examples and the
+# proptest shim (whose panics are its failure reports) are out of scope.
+cargo clippy --workspace --exclude proptest --lib --bins -- \
+    -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic \
+    -D clippy::indexing_slicing
 # Formatting gate: every workspace crate matches rustfmt's output.
 cargo fmt --all -- --check
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

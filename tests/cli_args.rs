@@ -43,6 +43,11 @@ fn unknown_commands_and_flags_exit_1_with_empty_stdout() {
     }
     // `profile` prints its layer table to stdout; it writes no file.
     cases.push((vec!["profile", "--out", "x"], "unknown flag \"--out\""));
+    // `lint` keeps no baseline file to rewrite.
+    cases.push((
+        vec!["lint", "--fix-baseline"],
+        "unknown flag \"--fix-baseline\"",
+    ));
     for (args, message) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_ccdem"))
             .args(&args)

@@ -83,17 +83,11 @@ fn fleet_statistics_are_byte_identical_across_worker_counts() {
         stdout.contains("campaign percentiles over 24 runs:"),
         "missing statistics table:\n{stdout}"
     );
-    // The work-stealing partition differs (and so does the partials
-    // count in the summary line); the statistics table must not.
-    let table = |out: &[u8]| {
-        let text = String::from_utf8_lossy(out).to_string();
-        let start = text.find("campaign percentiles").expect("statistics table");
-        text[start..].to_string()
-    };
+    // The work-stealing partition differs; stdout must not.
     assert_eq!(
-        table(&serial.stdout),
-        table(&parallel.stdout),
-        "statistics table diverged across worker counts"
+        String::from_utf8_lossy(&serial.stdout),
+        String::from_utf8_lossy(&parallel.stdout),
+        "stdout diverged across worker counts"
     );
     let serial_doc = std::fs::read(&serial_out).expect("serial --out written");
     let parallel_doc = std::fs::read(&parallel_out).expect("parallel --out written");
@@ -321,6 +315,16 @@ fn hostile_resume_files_exit_1_with_a_message() {
     std::fs::write(&control, valid).expect("write control checkpoint");
     assert_clean(&fleet(&["--resume", control.to_str().unwrap()]));
     let _ = std::fs::remove_file(&control);
+    // Each hostile sum replaces the real `avg_power_mw` sum. Before the
+    // sum was checked, -5 resumed dropping the saved devices' power,
+    // 1e14 resumed into a mean of 12.5 TW, and 1e300 saturated the u128
+    // sum, which the resume's merge then overflowed.
+    let with_sum = |sum: &str| {
+        let sketch = &saved[sketch_span("avg_power_mw")];
+        let at = sketch.find("\"sum\":").expect("the sketch has a sum") + "\"sum\":".len();
+        let end = at + sketch[at..].find(',').expect("the sum is followed by min");
+        with_sketch(&format!("{}{sum}{}", &sketch[..at], &sketch[end..]))
+    };
     // Each hostile run count replaces the real one. JSON numbers are
     // f64s: 1e30 saturated to u64::MAX (and a resume wrapped it), and
     // 2^53 is the first count an f64 may have rounded.
@@ -352,6 +356,9 @@ fn hostile_resume_files_exit_1_with_a_message() {
             "fractional_index",
             with_sketch(r#"{"precision":5,"count":1,"sum":0,"min":0,"max":0,"buckets":[[0.5,1]]}"#),
         ),
+        ("sum_negative", with_sum("-5")),
+        ("sum_1e14", with_sum("1e14")),
+        ("sum_1e300", with_sum("1e300")),
         (
             "zero_duration",
             saved.replacen("\"duration_us\":\"1000000\"", "\"duration_us\":\"0\"", 1),

@@ -40,8 +40,9 @@ fn lint_json_on_the_repo_is_clean_and_silent_on_stdout() {
 
 #[test]
 fn lint_json_diagnostics_parse_with_the_obs_json_parser() {
-    // A miniature workspace seeded with one panic violation; the lint's
-    // JSON output must round-trip through the in-repo parser.
+    // A miniature workspace seeded with one taxonomy violation (an
+    // emitted event its DESIGN.md does not document); the lint's JSON
+    // output must round-trip through the in-repo parser.
     let root: PathBuf =
         std::env::temp_dir().join(format!("ccdem-lint-json-test-{}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
@@ -59,9 +60,9 @@ fn lint_json_diagnostics_parse_with_the_obs_json_parser() {
     );
     write(
         "crates/core/src/lib.rs",
-        "pub fn run(obs: &Obs, now: SimTime) -> u32 {\n    \
+        "pub fn run(obs: &Obs, now: SimTime) {\n    \
          obs.emit(\"app.tick\", now, |_| {});\n    \
-         let v = [1u32, 2];\n    v[0]\n}\n",
+         obs.emit(\"ghost.event\", now, |_| {});\n}\n",
     );
     write(
         "crates/panel/src/refresh.rs",
@@ -79,7 +80,7 @@ fn lint_json_diagnostics_parse_with_the_obs_json_parser() {
     assert_eq!(code, 1, "seeded violation must fail:\n{stdout}");
     let lines: Vec<&str> = stdout.lines().collect();
     assert!(!lines.is_empty(), "no diagnostics emitted");
-    let mut saw_panic = false;
+    let mut saw_ghost = false;
     for line in &lines {
         let value = parse(line).unwrap_or_else(|e| panic!("bad JSON line {line:?}: {e}"));
         assert_eq!(
@@ -95,15 +96,15 @@ fn lint_json_diagnostics_parse_with_the_obs_json_parser() {
         assert!(fields.get("file").and_then(Json::as_str).is_some());
         assert!(fields.get("line").and_then(Json::as_f64).is_some());
         assert!(fields.get("message").and_then(Json::as_str).is_some());
-        if id == "panic"
+        if id == "obs-taxonomy"
             && fields.get("file").and_then(Json::as_str) == Some("crates/core/src/lib.rs")
-            && fields.get("line").and_then(Json::as_f64) == Some(4.0)
+            && fields.get("line").and_then(Json::as_f64) == Some(3.0)
         {
-            saw_panic = true;
+            saw_ghost = true;
         }
     }
     assert!(
-        saw_panic,
-        "expected the seeded v[0] panic diagnostic:\n{stdout}"
+        saw_ghost,
+        "expected the seeded ghost.event taxonomy diagnostic:\n{stdout}"
     );
 }
