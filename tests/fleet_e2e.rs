@@ -315,10 +315,10 @@ fn hostile_resume_files_exit_1_with_a_message() {
     std::fs::write(&control, valid).expect("write control checkpoint");
     assert_clean(&fleet(&["--resume", control.to_str().unwrap()]));
     let _ = std::fs::remove_file(&control);
-    // Each hostile sum replaces the real `avg_power_mw` sum. Before the
-    // sum was checked, -5 resumed dropping the saved devices' power,
-    // 1e14 resumed into a mean of 12.5 TW, and 1e300 saturated the u128
-    // sum, which the resume's merge then overflowed.
+    // Each hostile sum replaces the real `avg_power_mw` sum. Read as
+    // given, -5 drops the saved devices' power, 1e14 makes a mean of
+    // 12.5 TW, and 1e300 saturates the u128 sum, which the resume's merge
+    // then overflows.
     let with_sum = |sum: &str| {
         let sketch = &saved[sketch_span("avg_power_mw")];
         let at = sketch.find("\"sum\":").expect("the sketch has a sum") + "\"sum\":".len();
