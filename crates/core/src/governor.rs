@@ -7,9 +7,8 @@
 //! to the panel's [`RefreshController`](ccdem_panel::RefreshController).
 
 use std::fmt;
-use std::sync::Arc;
 
-use ccdem_obs::{AtomicSketch, Counter, Obs};
+use ccdem_obs::{Obs, QuantileSketch};
 use ccdem_panel::refresh::{RefreshRate, RefreshRateSet};
 use ccdem_pixelbuf::buffer::FrameBuffer;
 use ccdem_pixelbuf::damage::DamageRegion;
@@ -263,27 +262,9 @@ pub struct Governor {
     filter: EwmaFilter,
     damper: SwitchDamper,
     decisions: Trace,
+    touch_boosts: u64,
+    content_fps: QuantileSketch,
     obs: Obs,
-    metrics: GovernorMetrics,
-}
-
-/// Shared handles into the global metrics registry.
-#[derive(Debug, Clone)]
-struct GovernorMetrics {
-    decisions: Arc<Counter>,
-    touch_boosts: Arc<Counter>,
-    content_fps: Arc<AtomicSketch>,
-}
-
-impl GovernorMetrics {
-    fn from_registry() -> GovernorMetrics {
-        let registry = ccdem_obs::metrics();
-        GovernorMetrics {
-            decisions: registry.counter("governor.decisions"),
-            touch_boosts: registry.counter("governor.touch_boosts"),
-            content_fps: registry.sketch("governor.content_fps"),
-        }
-    }
 }
 
 impl Governor {
@@ -320,8 +301,9 @@ impl Governor {
             filter: EwmaFilter::new(config.smoothing_alpha()),
             damper: SwitchDamper::new(config.down_dwell()),
             decisions: Trace::new(),
+            touch_boosts: 0,
+            content_fps: QuantileSketch::new(),
             obs: Obs::disabled(),
-            metrics: GovernorMetrics::from_registry(),
         }
     }
 
@@ -352,6 +334,17 @@ impl Governor {
     /// Decision history (Hz over time).
     pub fn decisions(&self) -> &Trace {
         &self.decisions
+    }
+
+    /// Decisions made by a touch boost (see [`on_touch`](Self::on_touch)).
+    pub fn touch_boosts(&self) -> u64 {
+        self.touch_boosts
+    }
+
+    /// The content rate measured at each control tick, in thousandths
+    /// of a frame per second.
+    pub fn content_fps(&self) -> &QuantileSketch {
+        &self.content_fps
     }
 
     /// Feeds one framebuffer update into the meter.
@@ -385,8 +378,7 @@ impl Governor {
         if self.config.policy().uses_touch_boost() {
             let rate = self.damper.apply(self.rates.max());
             self.decisions.push(now, rate.hz_f64());
-            self.metrics.decisions.inc();
-            self.metrics.touch_boosts.inc();
+            self.touch_boosts += 1;
             self.obs.emit("governor.decision", now, |event| {
                 event
                     .field("trigger", "touch")
@@ -424,11 +416,9 @@ impl Governor {
         };
         let rate = self.damper.apply(proposed);
         self.decisions.push(now, rate.hz_f64());
-        self.metrics.decisions.inc();
-        // Registry sketches hold thousandths of the unit they print in
-        // (here fps); the float-to-int cast saturates.
-        self.metrics
-            .content_fps
+        // Sketches hold thousandths of the unit they print in (here
+        // fps); the float-to-int cast saturates.
+        self.content_fps
             .record((measured.fps() * 1000.0).round() as u64);
         self.obs.emit("governor.decision", now, |event| {
             event

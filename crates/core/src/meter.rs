@@ -47,9 +47,7 @@
 //! defeat the check. (The simulator has exactly one framebuffer per
 //! engine, owned by the compositor.)
 
-use std::sync::Arc;
-
-use ccdem_obs::{Counter, Obs};
+use ccdem_obs::Obs;
 use ccdem_pixelbuf::buffer::FrameBuffer;
 use ccdem_pixelbuf::damage::DamageRegion;
 use ccdem_pixelbuf::grid::GridSampler;
@@ -89,36 +87,6 @@ impl FrameClass {
         match self {
             FrameClass::Meaningful => "meaningful",
             FrameClass::Redundant => "redundant",
-        }
-    }
-}
-
-/// Shared handles into the global metrics registry; cloned per meter so
-/// every run accumulates into the same process-wide counters.
-#[derive(Debug, Clone)]
-struct MeterMetrics {
-    frames: Arc<Counter>,
-    meaningful: Arc<Counter>,
-    redundant: Arc<Counter>,
-    fast_path: Arc<Counter>,
-    points_read: Arc<Counter>,
-    points_skipped: Arc<Counter>,
-    tiles_checked: Arc<Counter>,
-    tiles_descended: Arc<Counter>,
-}
-
-impl MeterMetrics {
-    fn from_registry() -> MeterMetrics {
-        let registry = ccdem_obs::metrics();
-        MeterMetrics {
-            frames: registry.counter("meter.frames"),
-            meaningful: registry.counter("meter.meaningful"),
-            redundant: registry.counter("meter.redundant"),
-            fast_path: registry.counter("meter.fast_path"),
-            points_read: registry.counter("meter.points_read"),
-            points_skipped: registry.counter("meter.points_skipped"),
-            tiles_checked: registry.counter("meter.tiles_checked"),
-            tiles_descended: registry.counter("meter.tiles_descended"),
         }
     }
 }
@@ -163,15 +131,11 @@ pub struct ContentRateMeter {
     tiles_checked_total: u64,
     tiles_descended_total: u64,
     obs: Obs,
-    metrics: MeterMetrics,
 }
 
 impl ContentRateMeter {
     /// Creates a meter using `sampler` for grid-based comparison.
     pub fn new(sampler: GridSampler) -> ContentRateMeter {
-        ccdem_obs::metrics()
-            .gauge("meter.grid_px")
-            .set(sampler.sample_count() as f64);
         ContentRateMeter {
             sampler,
             snapshot: Vec::new(),
@@ -187,7 +151,6 @@ impl ContentRateMeter {
             tiles_checked_total: 0,
             tiles_descended_total: 0,
             obs: Obs::disabled(),
-            metrics: MeterMetrics::from_registry(),
         }
     }
 
@@ -356,18 +319,7 @@ impl ContentRateMeter {
         self.tiles_descended_total += t_descended as u64;
         if class.is_meaningful() {
             self.meaningful.record(now);
-            self.metrics.meaningful.inc();
-        } else {
-            self.metrics.redundant.inc();
         }
-        self.metrics.frames.inc();
-        if fast {
-            self.metrics.fast_path.inc();
-        }
-        self.metrics.points_read.add(read as u64);
-        self.metrics.points_skipped.add(skipped as u64);
-        self.metrics.tiles_checked.add(t_checked as u64);
-        self.metrics.tiles_descended.add(t_descended as u64);
         self.obs.emit("meter.frame", now, |event| {
             event
                 .field("class", class.name())

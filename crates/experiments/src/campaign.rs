@@ -273,20 +273,29 @@ impl CampaignStats {
     /// The round trip is **exact**: every bucket count, sum, min, max
     /// and the run count survive, so a resumed campaign continues to
     /// byte-identical final statistics (pinned by a proptest in
-    /// `tests/`). Returns `None` on a malformed document, a run count
-    /// that is not an exact integer below 2^53 ([`exact_u64`]), an
-    /// unknown metric name (see [`RUN_METRICS`]), or a malformed
-    /// sketch.
-    pub fn from_json(doc: &Json) -> Option<CampaignStats> {
-        let runs = exact_u64(doc.get("runs")?)?;
-        let Json::Obj(members) = doc.get("metrics")? else {
-            return None;
+    /// `tests/`).
+    ///
+    /// # Errors
+    ///
+    /// Names the member at fault: a missing member, a run count that is
+    /// not an exact integer below 2^53 ([`exact_u64`]), an unknown metric
+    /// name (see [`RUN_METRICS`]), or a malformed sketch, prefixed with
+    /// its metric's name.
+    pub fn from_json(doc: &Json) -> Result<CampaignStats, String> {
+        let runs = doc
+            .get("runs")
+            .and_then(exact_u64)
+            .ok_or("\"runs\" is missing or not an integer below 2^53")?;
+        let Some(Json::Obj(members)) = doc.get("metrics") else {
+            return Err("\"metrics\" is missing or not an object".into());
         };
         let mut metrics = BTreeMap::new();
         for (name, sketch) in members {
-            metrics.insert(intern_metric(name)?, QuantileSketch::from_json(sketch)?);
+            let metric = intern_metric(name).ok_or_else(|| format!("unknown metric {name:?}"))?;
+            let sketch = QuantileSketch::from_json(sketch).map_err(|e| format!("{name:?}: {e}"))?;
+            metrics.insert(metric, sketch);
         }
-        Some(CampaignStats { runs, metrics })
+        Ok(CampaignStats { runs, metrics })
     }
 
     /// Headline (field, metric, quantile) triples shared by progress and
@@ -472,44 +481,47 @@ mod tests {
         // And through the textual writer/parser as well.
         let text = doc.to_string();
         let reparsed = ccdem_obs::json::parse(&text).expect("valid JSON");
-        assert_eq!(CampaignStats::from_json(&reparsed), Some(stats));
+        assert_eq!(CampaignStats::from_json(&reparsed), Ok(stats));
     }
 
     #[test]
     fn empty_stats_round_trip() {
         let stats = CampaignStats::new();
-        assert_eq!(CampaignStats::from_json(&stats.to_json()), Some(stats));
+        assert_eq!(CampaignStats::from_json(&stats.to_json()), Ok(stats));
     }
 
     #[test]
     fn from_json_rejects_malformed_documents() {
-        use ccdem_obs::json::parse;
+        // The error `from_json` names for the document `text`.
+        let refused = |text: &str| {
+            let doc = ccdem_obs::json::parse(text).expect("test inputs are valid JSON");
+            CampaignStats::from_json(&doc).expect_err(text)
+        };
         // Unknown metric names cannot regain a 'static identity.
-        let unknown = parse(r#"{"runs": 1, "metrics": {"bogus_metric": {}}}"#).unwrap();
-        assert_eq!(CampaignStats::from_json(&unknown), None);
-        // Fractional or negative run counts are nonsense.
-        let fractional = parse(r#"{"runs": 1.5, "metrics": {}}"#).unwrap();
-        assert_eq!(CampaignStats::from_json(&fractional), None);
-        let negative = parse(r#"{"runs": -2, "metrics": {}}"#).unwrap();
-        assert_eq!(CampaignStats::from_json(&negative), None);
-        // So are counts an f64 cannot hold exactly: a resume would add
-        // its runs to a saturated or rounded total.
-        for huge in ["1e30", "9007199254740992"] {
-            let doc = parse(&format!(r#"{{"runs": {huge}, "metrics": {{}}}}"#)).unwrap();
-            assert_eq!(CampaignStats::from_json(&doc), None, "runs {huge}");
-        }
-        let below = parse(r#"{"runs": 9007199254740991, "metrics": {}}"#).unwrap();
         assert_eq!(
-            CampaignStats::from_json(&below).map(|s| s.runs),
-            Some((1 << 53) - 1)
+            refused(r#"{"runs": 1, "metrics": {"bogus_metric": {}}}"#),
+            r#"unknown metric "bogus_metric""#
+        );
+        // Fractional or negative run counts are nonsense. So are counts
+        // an f64 cannot hold exactly: a resume would add its runs to a
+        // saturated or rounded total.
+        for runs in ["1.5", "-2", "1e30", "9007199254740992"] {
+            let error = refused(&format!(r#"{{"runs": {runs}, "metrics": {{}}}}"#));
+            assert!(error.starts_with(r#""runs" is"#), "runs {runs}: {error}");
+        }
+        let below = ccdem_obs::json::parse(r#"{"runs": 9007199254740991, "metrics": {}}"#);
+        assert_eq!(
+            CampaignStats::from_json(&below.unwrap()).map(|s| s.runs),
+            Ok((1 << 53) - 1)
         );
         // Missing members.
-        let empty = parse("{}").unwrap();
-        assert_eq!(CampaignStats::from_json(&empty), None);
-        // A malformed sketch inside a known metric.
-        let bad_sketch =
-            parse(r#"{"runs": 0, "metrics": {"avg_power_mw": {"precision": "x"}}}"#).unwrap();
-        assert_eq!(CampaignStats::from_json(&bad_sketch), None);
+        assert!(refused("{}").starts_with(r#""runs" is missing"#));
+        assert!(refused(r#"{"runs": 0}"#).starts_with(r#""metrics" is missing"#));
+        // A malformed sketch inside a known metric names both.
+        assert_eq!(
+            refused(r#"{"runs": 0, "metrics": {"avg_power_mw": {"precision": "x"}}}"#),
+            r#""avg_power_mw": "precision" is not an integer below 2^53"#
+        );
     }
 
     #[test]

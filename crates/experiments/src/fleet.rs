@@ -311,10 +311,9 @@ impl FleetCheckpoint {
                 .filter(|v| v.to_string() == text)
                 .ok_or_else(|| format!("checkpoint member {key:?} is not an exact u64: {text:?}"))
         };
-        let stats = doc
-            .get("stats")
-            .and_then(CampaignStats::from_json)
-            .ok_or("checkpoint \"stats\" missing or malformed")?;
+        let stats = doc.get("stats").ok_or("checkpoint missing \"stats\"")?;
+        let stats =
+            CampaignStats::from_json(stats).map_err(|e| format!("checkpoint \"stats\": {e}"))?;
         let checkpoint = FleetCheckpoint {
             campaign_seed: num("campaign_seed")?,
             devices: num("devices")?,

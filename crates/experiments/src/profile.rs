@@ -9,16 +9,13 @@
 //! with any other. A probe sees no engine state, so a probed run returns
 //! the unprobed run's result.
 //!
-//! [`Profiler`] records each layer call's host nanoseconds into the
-//! registry sketch `profile.<layer>`, and each control tick's into
-//! `profile.decision_tick`: the paper's claim that the decision path is
-//! cheap enough for every tick (§3.4), which the `profile_jsonl` test
-//! holds to 200 µs at p99. Layers never nest, so a layer's time is its
-//! self time.
+//! [`Profiler`] records each layer call's host nanoseconds into a plain
+//! sketch of its own per layer, and each control tick's into one more:
+//! the paper's claim that the decision path is cheap enough for every
+//! tick (§3.4), which the `profile_jsonl` test holds to 200 µs at p99.
+//! Layers never nest, so a layer's time is its self time.
 
-use std::sync::Arc;
-
-use ccdem_obs::{metrics, AtomicSketch};
+use ccdem_obs::QuantileSketch;
 
 /// The layer of the display stack an engine call belongs to, in the
 /// order `ccdem profile` prints them.
@@ -58,7 +55,7 @@ impl Layer {
         Layer::ScenarioFinish,
     ];
 
-    /// The layer's name; [`Profiler`] records it as `profile.<name>`.
+    /// The layer's name, as `ccdem profile` prints it.
     pub fn name(self) -> &'static str {
         match self {
             Layer::ScenarioSetup => "scenario.setup",
@@ -106,16 +103,16 @@ impl Probe for NoProbe {
 }
 
 /// Records host nanoseconds per layer call and per control tick into
-/// the global registry's `profile.*` sketches.
+/// plain sketches of its own, which `ccdem profile` renders.
 #[derive(Debug)]
 #[expect(
     clippy::disallowed_types,
-    reason = "host time feeds the profile.* sketches only, never a RunResult"
+    reason = "host time feeds the profiler's own sketches only, never a RunResult"
 )]
 pub struct Profiler {
     /// One sketch per layer, in [`Layer::ALL`] order.
-    layers: [Arc<AtomicSketch>; 9],
-    decision_tick: Arc<AtomicSketch>,
+    layers: [QuantileSketch; 9],
+    decision_tick: QuantileSketch,
     origin: std::time::Instant,
     /// Nanoseconds from `origin` to the open layer call and tick.
     entered_ns: u64,
@@ -123,31 +120,30 @@ pub struct Profiler {
 }
 
 impl Profiler {
-    /// Resolves (registering on first use) the ten sketches in the
-    /// global registry, once, off the hot path.
+    /// A profiler with empty sketches, its clock started.
     #[expect(
         clippy::disallowed_types,
-        reason = "host time feeds the profile.* sketches only, never a RunResult"
+        reason = "host time feeds the profiler's own sketches only, never a RunResult"
     )]
-    pub fn from_global_registry() -> Profiler {
-        let registry = metrics();
+    pub fn start() -> Profiler {
         Profiler {
-            layers: [
-                registry.sketch("profile.scenario.setup"),
-                registry.sketch("profile.workloads"),
-                registry.sketch("profile.compositor"),
-                registry.sketch("profile.core.meter"),
-                registry.sketch("profile.core.governor"),
-                registry.sketch("profile.panel"),
-                registry.sketch("profile.power"),
-                registry.sketch("profile.simkit.event"),
-                registry.sketch("profile.scenario.finish"),
-            ],
-            decision_tick: registry.sketch("profile.decision_tick"),
+            layers: std::array::from_fn(|_| QuantileSketch::new()),
+            decision_tick: QuantileSketch::new(),
             origin: std::time::Instant::now(),
             entered_ns: 0,
             tick_started_ns: 0,
         }
+    }
+
+    /// Each layer in [`Layer::ALL`] order, with the host nanoseconds of
+    /// every call into it.
+    pub fn layers(&self) -> impl Iterator<Item = (Layer, &QuantileSketch)> {
+        Layer::ALL.into_iter().zip(&self.layers)
+    }
+
+    /// The host nanoseconds of every control tick.
+    pub fn decision_tick(&self) -> &QuantileSketch {
+        &self.decision_tick
     }
 
     fn now_ns(&self) -> u64 {
@@ -162,7 +158,7 @@ impl Probe for Profiler {
 
     fn exit(&mut self, layer: Layer) {
         let took = self.now_ns().saturating_sub(self.entered_ns);
-        if let Some(sketch) = self.layers.get(layer as usize) {
+        if let Some(sketch) = self.layers.get_mut(layer as usize) {
             sketch.record(took);
         }
     }

@@ -670,6 +670,7 @@ impl<'a, P: Probe> Engine<'a, P> {
             panel_refreshes: self.panel.refresh_count(),
         };
 
+        self.publish();
         // Return every buffer to the scratch pool for the next run: the
         // compositor gives back the framebuffer and all surface buffers,
         // the governor its meter snapshots.
@@ -678,6 +679,35 @@ impl<'a, P: Probe> Engine<'a, P> {
         scratch.pool = pool;
         self.probe.exit(Layer::ScenarioFinish);
         result
+    }
+}
+
+impl<P: Probe> Engine<'_, P> {
+    /// Adds this run's totals, read from the layers' own counts, to the
+    /// process-wide registry behind the telemetry tables of `ccdem
+    /// report`, `sweep --obs summary` and `trace`. Every name is
+    /// published every run, zeros included, so no table loses a row.
+    fn publish(&self) {
+        let registry = ccdem_obs::metrics();
+        let meter = self.governor.meter();
+        let frames = meter.frames().count() as u64;
+        let meaningful = meter.meaningful_frames().count() as u64;
+        registry.add("meter.frames", frames);
+        registry.add("meter.meaningful", meaningful);
+        registry.add("meter.redundant", frames.saturating_sub(meaningful));
+        registry.add("meter.fast_path", meter.fast_path_frames());
+        registry.add("meter.points_read", meter.points_read());
+        registry.add("meter.points_skipped", meter.points_skipped());
+        registry.add("meter.tiles_checked", meter.tiles_checked());
+        registry.add("meter.tiles_descended", meter.tiles_descended());
+        registry.set("meter.grid_px", meter.sampler().sample_count() as f64);
+        registry.add("governor.decisions", self.governor.decisions().len() as u64);
+        registry.add("governor.touch_boosts", self.governor.touch_boosts());
+        registry.merge("governor.content_fps", self.governor.content_fps());
+        registry.add("panel.rate_switches", self.controller.switches());
+        registry.add("panel.refreshes", self.panel.refresh_count() as u64);
+        let scanouts = self.panel.content_scanout_count() as u64;
+        registry.add("panel.content_scanouts", scanouts);
     }
 }
 

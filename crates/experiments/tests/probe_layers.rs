@@ -1,7 +1,8 @@
 //! The engine's layer attribution, checked with a counting probe: hooks
 //! balance and never nest, each layer's call count matches what the run
 //! reports, and `NoProbe`, `Profiler` and the counting probe return
-//! equal `RunResult`s, the profiler with one sketch sample per call.
+//! equal `RunResult`s, the profiler with one sample per call in its own
+//! sketch of the layer.
 
 use ccdem_core::governor::Policy;
 use ccdem_experiments::profile::{Layer, Probe, Profiler};
@@ -53,10 +54,8 @@ fn every_layer_call_is_attributed_once_and_probes_change_no_result() {
     let unprobed = scenario.run_with_scratch(&mut RunScratch::new());
     let mut counting = Counting::default();
     let counted = scenario.run_probed(&mut RunScratch::new(), &mut counting);
-    let before = ccdem_obs::metrics().snapshot();
-    let mut profiler = Profiler::from_global_registry();
+    let mut profiler = Profiler::start();
     let profiled = scenario.run_probed(&mut RunScratch::new(), &mut profiler);
-    let delta = ccdem_obs::metrics().snapshot().delta_since(&before);
     assert_eq!(counted, unprobed, "the counting probe changed the result");
     assert_eq!(profiled, unprobed, "the profiler changed the result");
     assert!(counting.open.is_none() && !counting.in_tick);
@@ -87,11 +86,10 @@ fn every_layer_call_is_attributed_once_and_probes_change_no_result() {
         assert_eq!(c(layer), calls, "{layer:?}: one call per {per}");
     }
 
-    for layer in Layer::ALL {
+    for (layer, sketch) in profiler.layers() {
         assert!(c(layer) > 0, "{layer:?} never called");
         let name = format!("profile.{}", layer.name());
-        let samples = delta.sketches.get(&name).map_or(0, |s| s.count());
-        assert_eq!(samples, c(layer), "{name} samples");
+        assert_eq!(sketch.count(), c(layer), "{name} samples");
     }
-    assert_eq!(delta.sketches["profile.decision_tick"].count(), ticks);
+    assert_eq!(profiler.decision_tick().count(), ticks);
 }

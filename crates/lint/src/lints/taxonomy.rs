@@ -6,8 +6,8 @@
 //!
 //! * **emitted ⇒ documented** — every event-name / metric-name string
 //!   literal passed to `Obs::emit`, `Event::new`, `obs_event!`, or the
-//!   registry constructors (`counter` / `gauge` / `sketch`) must appear
-//!   in the table; an undocumented name is flagged at its call site.
+//!   registry's publish calls (`add` / `set` / `merge`) must appear in
+//!   the table; an undocumented name is flagged at its call site.
 //! * **documented ⇒ emitted** — every name in the table must be emitted
 //!   somewhere; a stale row is flagged at its DESIGN.md line.
 //!
@@ -19,11 +19,9 @@ use crate::source::SourceFile;
 
 /// Crates never scanned for emissions: the `proptest` shim is out of
 /// telemetry scope, and the lint itself matches on these method
-/// names. The `obs` framework crate *is* scanned — it registers its own
-/// `obs.events_dropped` / `obs.io_errors` sink-health counters, which
-/// must stay documented like any other metric (its name parameters and
-/// doc/test literals don't trip the lint: parameters aren't literals,
-/// and doc comments lex as single tokens).
+/// names. The `obs` framework crate *is* scanned, like any other; its
+/// name parameters and doc/test literals don't trip the lint
+/// (parameters aren't literals, and doc comments lex as single tokens).
 pub const SCAN_EXEMPT_CRATES: [&str; 2] = ["proptest", "lint"];
 
 /// A name used at a call site.
@@ -54,13 +52,13 @@ pub fn collect(file: &SourceFile, out: &mut Vec<Emission>) {
         };
         let (event_method, metric_method) = match name {
             "emit" => (true, false),
-            "counter" | "gauge" | "sketch" => (false, true),
+            "add" | "set" | "merge" => (false, true),
             "new" | "obs_event" => (false, false),
             _ => continue,
         };
         // The literal argument, if the call shape matches.
         let emission = if event_method || metric_method {
-            // `.emit("…"` / `.counter("…"` — must be a method call.
+            // `.emit("…"` / `.add("…"` — must be a method call.
             let dotted = i >= 1 && tokens.get(i - 1).is_some_and(|t| t.tok.is_punct('.'));
             let lit = tokens
                 .get(i + 1)

@@ -70,6 +70,7 @@ fn taxonomy_fixture_flags_both_directions() {
             ("taxonomy_mismatch.rs".to_string(), 7), // panel.ghost
             ("taxonomy_mismatch.rs".to_string(), 9), // meter.phantom_px
             ("taxonomy_mismatch.rs".to_string(), 10), // input.mystery
+            ("taxonomy_mismatch.rs".to_string(), 12), // governor.ghost_fps
         ],
         "test-module emissions must not count; documented names must all \
          be emitted: {out:?}"
@@ -166,7 +167,7 @@ impl MiniWorkspace {
             "crates/core/src/lib.rs",
             "pub fn run(obs: &Obs, reg: &Registry, now: SimTime) {\n    \
              obs.emit(\"app.tick\", now, |_| {});\n    \
-             let _c = reg.counter(\"app.ticks\");\n}\n",
+             reg.add(\"app.ticks\", 1);\n}\n",
         );
         w
     }

@@ -1,10 +1,11 @@
-//! Rendering of telemetry-metrics snapshots for experiment reports.
+//! Rendering of telemetry for experiment reports, in the same
+//! plain-text table style as the rest of the reports.
 //!
-//! Turns a [`MetricsSnapshot`] — typically the delta between snapshots
-//! taken before and after a sweep — into the same plain-text table style
-//! as the rest of the reports. Every registry sketch records thousandths
-//! of the unit it is printed in, so one ÷1000 turns any sketch's ticks
-//! into display values.
+//! [`obs_summary`] renders a [`MetricsSnapshot`] of the process-wide
+//! registry, which holds the totals every run published when it finished.
+//! [`profile_summary`] renders the layer profiler's own sketches. Every
+//! sketch records thousandths of the unit it is printed in, so one ÷1000
+//! turns any sketch's ticks into display values.
 
 use std::time::Duration;
 
@@ -26,8 +27,8 @@ use crate::table::TextTable;
 /// use ccdem_obs::MetricsRegistry;
 ///
 /// let registry = MetricsRegistry::new();
-/// registry.counter("meter.frames").add(120);
-/// registry.gauge("meter.grid_px").set(9216.0);
+/// registry.add("meter.frames", 120);
+/// registry.set("meter.grid_px", 9216.0);
 /// let text = obs_summary(&registry.snapshot(), Some(2));
 /// assert!(text.contains("meter.frames"));
 /// assert!(text.contains("60")); // 120 frames over 2 runs
@@ -42,14 +43,14 @@ pub fn obs_summary(snapshot: &MetricsSnapshot, runs: Option<usize>) -> String {
         None => TextTable::new(["metric", "kind", "value"]),
     };
     for (name, &value) in &snapshot.counters {
-        let mut cells = vec![name.clone(), "counter".into(), value.to_string()];
+        let mut cells = vec![name.to_string(), "counter".into(), value.to_string()];
         if let Some(runs) = runs {
             cells.push(format!("{:.1}", value as f64 / runs.max(1) as f64));
         }
         table.row(cells);
     }
     for (name, &value) in &snapshot.gauges {
-        let mut cells = vec![name.clone(), "gauge".into(), format!("{value:.1}")];
+        let mut cells = vec![name.to_string(), "gauge".into(), format!("{value:.1}")];
         if runs.is_some() {
             cells.push(String::from("-"));
         }
@@ -76,9 +77,8 @@ pub fn obs_summary(snapshot: &MetricsSnapshot, runs: Option<usize>) -> String {
     out
 }
 
-/// The unit a registry sketch is printed in: frames per second for the
-/// `*_fps` rates, microseconds for the latency sketches (which record
-/// nanoseconds).
+/// The unit a sketch is printed in: frames per second for the `*_fps`
+/// rates, microseconds for latencies (which record nanoseconds).
 fn sketch_unit(name: &str) -> &'static str {
     if name.ends_with("_fps") {
         "fps"
@@ -105,17 +105,19 @@ fn sketch_row(name: &str, sketch: &QuantileSketch) -> [String; 6] {
     ]
 }
 
-/// Renders the `profile.<layer>` sketches the experiments crate's
-/// `Profiler` records (nanoseconds, printed in µs): one table row per
-/// name of `layers`, in that order, with calls, p50/p90/p99/max per
-/// call, total milliseconds and share of `run`, the run's host wall
-/// time; a line comparing the layers' sum with `run`; and, when the
-/// snapshot holds ticks, the decision-tick percentiles (the end-to-end
-/// cost of a control tick, the paper's feasibility headline).
-pub fn profile_summary(snapshot: &MetricsSnapshot, layers: &[&str], run: Duration) -> String {
+/// Renders the layer profiler's sketches (nanoseconds, printed in µs):
+/// one table row per `(layer, sketch)` of `layers`, in that order, with
+/// calls, p50/p90/p99/max per call, total milliseconds and share of
+/// `run`, the run's host wall time; a line comparing the layers' sum with
+/// `run`; and, when `decision_tick` holds ticks, its percentiles (the
+/// end-to-end cost of a control tick, the paper's feasibility headline).
+pub fn profile_summary<'a>(
+    layers: impl IntoIterator<Item = (&'a str, &'a QuantileSketch)>,
+    decision_tick: &QuantileSketch,
+    run: Duration,
+) -> String {
     let run_ms = run.as_secs_f64() * 1e3;
     let share = |ms: f64| format!("{:.1}", ms / run_ms * 100.0);
-    let none = QuantileSketch::new();
     let mut t = TextTable::new([
         "layer",
         "calls",
@@ -127,11 +129,7 @@ pub fn profile_summary(snapshot: &MetricsSnapshot, layers: &[&str], run: Duratio
         "% of run",
     ]);
     let mut sum_ms = 0.0;
-    for &layer in layers {
-        let sketch = snapshot
-            .sketches
-            .get(&format!("profile.{layer}"))
-            .unwrap_or(&none);
+    for (layer, sketch) in layers {
         let total_ms = sketch.sum() as f64 / 1e6;
         sum_ms += total_ms;
         let mut row = sketch_row(layer, sketch).to_vec();
@@ -144,16 +142,15 @@ pub fn profile_summary(snapshot: &MetricsSnapshot, layers: &[&str], run: Duratio
         "Σ layers: {sum_ms:.3} ms of the run's {run_ms:.3} ms wall time ({} %)\n",
         share(sum_ms)
     ));
-    let tick = snapshot.sketches.get("profile.decision_tick");
-    if let Some(tick) = tick.filter(|s| !s.is_empty()) {
-        let q = |q: f64| from_thousandths(tick.quantile(q).unwrap_or(0));
+    if !decision_tick.is_empty() {
+        let q = |q: f64| from_thousandths(decision_tick.quantile(q).unwrap_or(0));
         out.push_str(&format!(
             "decision tick: {} ticks, p50 {:.1} µs, p90 {:.1} µs, p99 {:.1} µs, max {:.1} µs\n",
-            tick.count(),
+            decision_tick.count(),
             q(0.5),
             q(0.9),
             q(0.99),
-            from_thousandths(tick.max().unwrap_or(0)),
+            from_thousandths(decision_tick.max().unwrap_or(0)),
         ));
     }
     out
@@ -183,12 +180,15 @@ mod tests {
     #[test]
     fn counters_gauges_and_sketches_all_render() {
         let registry = MetricsRegistry::new();
-        registry.counter("governor.decisions").add(33);
-        registry.gauge("meter.grid_px").set(2304.0);
-        let fps = registry.sketch("governor.content_fps");
+        registry.add("governor.decisions", 33);
+        registry.set("meter.grid_px", 2304.0);
+        let mut fps = QuantileSketch::new();
         fps.record(5_000); // 5 fps
         fps.record(25_000); // 25 fps
-        registry.sketch("profile.core.governor").record(10_000); // 10 µs
+        registry.merge("governor.content_fps", &fps);
+        let mut latency = QuantileSketch::new();
+        latency.record(10_000); // 10 µs
+        registry.merge("test.latency", &latency);
         let text = obs_summary(&registry.snapshot(), Some(3));
         assert_eq!(
             row(&text, "governor.decisions"),
@@ -208,27 +208,35 @@ mod tests {
         let content = row(&text, "governor.content_fps");
         assert_eq!(content[1..3], ["fps", "2"]);
         assert_eq!(content.last(), Some(&"25.0"));
-        let decide = row(&text, "profile.core.governor");
-        assert_eq!(decide[1..3], ["µs", "1"]);
-        assert_eq!(decide.last(), Some(&"10.0"));
+        let latency = row(&text, "test.latency");
+        assert_eq!(latency[1..3], ["µs", "1"]);
+        assert_eq!(latency.last(), Some(&"10.0"));
     }
 
     #[test]
     fn profile_summary_prints_layers_in_order_their_sum_and_the_tick_line() {
-        let registry = MetricsRegistry::new();
-        registry.sketch("profile.workloads").record(4_000_000); // 4 ms
-        registry.sketch("profile.compositor").record(1_000); // 1 µs
-        registry.sketch("profile.compositor").record(1_000_000); // 1 ms
-        registry.sketch("profile.decision_tick").record(12_000);
-        let layers = ["workloads", "compositor", "panel"];
-        let text = profile_summary(&registry.snapshot(), &layers, Duration::from_millis(10));
+        let sketch = |samples: &[u64]| {
+            let mut sketch = QuantileSketch::new();
+            samples.iter().for_each(|&v| sketch.record(v));
+            sketch
+        };
+        let workloads = sketch(&[4_000_000]); // 4 ms
+        let compositor = sketch(&[1_000, 1_000_000]); // 1 µs, 1 ms
+        let panel = sketch(&[]);
+        let layers = [
+            ("workloads", &workloads),
+            ("compositor", &compositor),
+            ("panel", &panel),
+        ];
+        let names = layers.map(|(name, _)| name);
+        let text = profile_summary(layers, &sketch(&[12_000]), Duration::from_millis(10));
         // Layer order, not name order; a layer without calls still prints.
         let rows: Vec<&str> = text
             .lines()
             .filter_map(|l| l.split_whitespace().next())
-            .filter(|cell| layers.contains(cell))
+            .filter(|cell| names.contains(cell))
             .collect();
-        assert_eq!(rows, layers, "{text}");
+        assert_eq!(rows, names, "{text}");
         assert_eq!(
             row(&text, "compositor").join(" "),
             "compositor 2 1.0 1000.0 1000.0 1000.0 1.001 10.0"
@@ -238,17 +246,18 @@ mod tests {
             text.contains("Σ layers: 5.001 ms of the run's 10.000 ms wall time (50.0 %)"),
             "{text}"
         );
-        // The tick sketch goes to its own line, not the table.
-        assert!(!text.contains("profile.decision_tick"));
         assert!(text.contains("decision tick: 1 ticks"), "{text}");
         assert!(text.contains("max 12.0 µs"));
+        // No ticks, no tick line.
+        let idle = profile_summary(layers, &panel, Duration::from_millis(10));
+        assert!(!idle.contains("decision tick"), "{idle}");
     }
 
     #[test]
     fn empty_sketches_are_omitted() {
         let registry = MetricsRegistry::new();
-        registry.counter("c").inc();
-        let _ = registry.sketch("governor.content_fps");
+        registry.add("c", 1);
+        registry.merge("governor.content_fps", &QuantileSketch::new());
         let text = obs_summary(&registry.snapshot(), None);
         assert!(!text.contains("governor.content_fps"), "{text}");
         assert!(!text.contains("sketch"), "table without rows:\n{text}");

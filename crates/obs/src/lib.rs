@@ -13,14 +13,15 @@
 //!   times are measurement about the harness and never feed back into a
 //!   simulation.
 //! * **Metrics registry** ([`registry`]) — process-wide named counters,
-//!   gauges and mergeable quantile sketches ([`sketch`]) with cheap
-//!   relaxed-atomic updates on the hot path and a
-//!   [`snapshot`](registry::MetricsRegistry::snapshot) API for reports.
+//!   gauges and mergeable quantile sketches ([`sketch`]), three plain
+//!   maps behind one lock. No layer writes it while it works: each keeps
+//!   its own counts, and the scenario engine publishes a run's totals
+//!   once, when the run finishes. Reports read a
+//!   [`snapshot`](registry::MetricsRegistry::snapshot) afterwards.
 //!   The sketch is the one distribution type: every registry sketch
-//!   records thousandths of the unit its report prints (nanoseconds for
-//!   µs latencies, thousandths of a frame per second for content rates),
-//!   and sketch snapshots merge exactly and order-independently, the
-//!   substrate for fleet-level percentiles.
+//!   records thousandths of the unit its report prints (thousandths of a
+//!   frame per second for content rates), and sketches merge exactly and
+//!   order-independently, the substrate for fleet-level percentiles.
 //! * **Sinks** ([`sink`]) — where events go: an in-memory ring buffer
 //!   for tests ([`sink::RingSink`]) or a JSON-lines writer
 //!   ([`sink::JsonlSink`]; hand-rolled serializer, see [`json`]).
@@ -56,9 +57,9 @@ pub mod sink;
 pub mod sketch;
 
 pub use event::{Event, Value};
-pub use registry::{metrics, Counter, Gauge, MetricsRegistry, MetricsSnapshot};
+pub use registry::{metrics, MetricsRegistry, MetricsSnapshot};
 pub use sink::{EventSink, JsonlSink, RingSink};
-pub use sketch::{AtomicSketch, QuantileSketch};
+pub use sketch::QuantileSketch;
 
 use std::sync::{Arc, OnceLock};
 

@@ -1,239 +1,112 @@
-//! Process-wide metrics: named counters, gauges and quantile sketches
-//! with cheap atomic hot-path updates.
+//! Process-wide metrics: named counters, gauges and quantile sketches,
+//! published once per run.
 //!
-//! Instrumented components obtain handles once (at construction) from the
-//! global [`metrics()`] registry and update them with relaxed atomics —
-//! a handful of nanoseconds per update, safe from any thread. Reports
-//! take a [`MetricsRegistry::snapshot`] and, for per-phase accounting,
-//! diff two snapshots with [`MetricsSnapshot::delta_since`].
+//! No layer of the stack writes here while it works. Each layer keeps its
+//! own counts, and the scenario engine publishes one run's totals when the
+//! run finishes, through [`add`](MetricsRegistry::add),
+//! [`set`](MetricsRegistry::set) and [`merge`](MetricsRegistry::merge).
+//! Reports read a [`MetricsRegistry::snapshot`] after the runs end.
 //!
 //! Metrics are write-only during simulation: no simulated component ever
-//! reads a metric back, so cross-thread accumulation order cannot leak
-//! into run results and determinism is preserved.
+//! reads a metric back, so the order in which parallel runs publish cannot
+//! leak into run results. Counter sums and sketch merges are exact and
+//! order-independent, so a snapshot is the same for any worker count.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::sketch::{AtomicSketch, QuantileSketch};
+use crate::sketch::QuantileSketch;
 
-/// A monotonically increasing atomic counter.
-#[derive(Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A counter at zero.
-    pub const fn new() -> Counter {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        // ordering: relaxed — a monotonic counter; readers only need an
-        // eventually-consistent total, no happens-before edge.
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        // ordering: relaxed — snapshot read of an independent counter.
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-impl std::fmt::Debug for Counter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Counter({})", self.get())
-    }
-}
-
-/// A last-write-wins atomic `f64` gauge.
-#[derive(Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// A gauge at `0.0`.
-    pub const fn new() -> Gauge {
-        Gauge(AtomicU64::new(0))
-    }
-
-    /// Stores `value`.
-    pub fn set(&self, value: f64) {
-        // ordering: relaxed — last-write-wins gauge; the bit pattern is
-        // a single word, so no tearing and no ordering needed.
-        self.0.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        // ordering: relaxed — see `set`; any recent value is valid.
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
-impl std::fmt::Debug for Gauge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Gauge({})", self.get())
-    }
-}
-
-/// A process-wide registry of named metrics.
+/// A process-wide registry of named metrics: three plain maps behind one
+/// lock.
 ///
-/// Names are `&'static str` in dotted form (`"meter.frames"`). The first
-/// registration of a name fixes its kind; later lookups return the
-/// same shared handle, so components
-/// constructed many times (one governor per simulated run) all accumulate
-/// into one metric.
+/// Names are `&'static str` in dotted form (`"meter.frames"`). A counter
+/// sums what every run adds, a gauge holds the last level set, and a
+/// sketch is the exact merge of every run's sketch.
 ///
 /// # Examples
 ///
 /// ```
-/// use ccdem_obs::MetricsRegistry;
+/// use ccdem_obs::{MetricsRegistry, QuantileSketch};
 ///
 /// let registry = MetricsRegistry::new();
-/// let frames = registry.counter("meter.frames");
-/// frames.add(3);
-/// registry.counter("meter.frames").inc(); // same underlying counter
-/// assert_eq!(registry.snapshot().counters["meter.frames"], 4);
+/// registry.add("meter.frames", 3);
+/// registry.add("meter.frames", 1); // counters sum across publishes
+/// registry.set("meter.grid_px", 2304.0);
+/// let mut fps = QuantileSketch::new();
+/// fps.record(24_000);
+/// registry.merge("governor.content_fps", &fps);
+/// let snapshot = registry.snapshot();
+/// assert_eq!(snapshot.counters["meter.frames"], 4);
+/// assert_eq!(snapshot.sketches["governor.content_fps"].count(), 1);
 /// ```
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: Mutex<BTreeMap<&'static str, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<&'static str, Arc<Gauge>>>,
-    sketches: Mutex<BTreeMap<&'static str, Arc<AtomicSketch>>>,
+    metrics: Mutex<MetricsSnapshot>,
 }
 
 impl MetricsRegistry {
     /// An empty registry.
     pub const fn new() -> MetricsRegistry {
         MetricsRegistry {
-            counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
-            sketches: Mutex::new(BTreeMap::new()),
+            metrics: Mutex::new(MetricsSnapshot {
+                counters: BTreeMap::new(),
+                gauges: BTreeMap::new(),
+                sketches: BTreeMap::new(),
+            }),
         }
     }
 
-    /// The counter named `name`, created on first use.
-    pub fn counter(&self, name: &'static str) -> Arc<Counter> {
-        let mut map = self.counters.lock().unwrap_or_else(|p| p.into_inner());
-        map.entry(name)
-            .or_insert_with(|| Arc::new(Counter::new()))
-            .clone()
+    fn lock(&self) -> MutexGuard<'_, MetricsSnapshot> {
+        // A publisher that panicked mid-publish leaves at worst part of one
+        // run's totals; telemetry keeps working.
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().unwrap_or_else(|p| p.into_inner());
-        map.entry(name)
-            .or_insert_with(|| Arc::new(Gauge::new()))
-            .clone()
+    /// Adds `n` to the counter named `name` (created at zero on first use).
+    pub fn add(&self, name: &'static str, n: u64) {
+        let mut metrics = self.lock();
+        let total = metrics.counters.entry(name).or_insert(0);
+        *total = total.saturating_add(n);
     }
 
-    /// The quantile sketch named `name`, created at
-    /// [`DEFAULT_PRECISION`](crate::sketch::DEFAULT_PRECISION) on first
-    /// use. All registry sketches share one precision so snapshots and
-    /// deltas always merge exactly.
-    pub fn sketch(&self, name: &'static str) -> Arc<AtomicSketch> {
-        let mut map = self.sketches.lock().unwrap_or_else(|p| p.into_inner());
-        map.entry(name)
-            .or_insert_with(|| Arc::new(AtomicSketch::new()))
-            .clone()
+    /// Sets the gauge named `name` to `value`; the last set wins.
+    pub fn set(&self, name: &'static str, value: f64) {
+        self.lock().gauges.insert(name, value);
     }
 
-    /// A point-in-time copy of every metric's value.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .iter()
-            .map(|(name, c)| (name.to_string(), c.get()))
-            .collect();
-        let gauges = self
-            .gauges
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .iter()
-            .map(|(name, g)| (name.to_string(), g.get()))
-            .collect();
-        let sketches = self
+    /// Merges `sketch` into the sketch named `name` (a copy of `sketch` on
+    /// first use). Every publisher of one name must use one precision;
+    /// see [`QuantileSketch::merge`].
+    pub fn merge(&self, name: &'static str, sketch: &QuantileSketch) {
+        self.lock()
             .sketches
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .iter()
-            .map(|(name, s)| (name.to_string(), s.snapshot()))
-            .collect();
-        MetricsSnapshot {
-            counters,
-            gauges,
-            sketches,
-        }
+            .entry(name)
+            .and_modify(|total| total.merge(sketch))
+            .or_insert_with(|| sketch.clone());
+    }
+
+    /// A copy of every metric's current value.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        self.lock().clone()
     }
 }
 
-/// The global registry used by instrumented ccdem components.
+/// The global registry the scenario engine publishes each run's totals to.
 pub fn metrics() -> &'static MetricsRegistry {
     static GLOBAL: MetricsRegistry = MetricsRegistry::new();
     &GLOBAL
 }
 
-/// A point-in-time copy of registry contents, suitable for reports.
-#[derive(Debug, Clone, PartialEq)]
+/// A copy of a registry's contents, for reports.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
-    pub counters: BTreeMap<String, u64>,
+    pub counters: BTreeMap<&'static str, u64>,
     /// Gauge values by name.
-    pub gauges: BTreeMap<String, f64>,
+    pub gauges: BTreeMap<&'static str, f64>,
     /// Quantile sketch contents by name.
-    pub sketches: BTreeMap<String, QuantileSketch>,
-}
-
-impl MetricsSnapshot {
-    /// The change between `earlier` and `self`.
-    ///
-    /// Counters subtract (saturating, in case `earlier` is from a
-    /// different epoch); gauges keep the latest value; sketches subtract
-    /// bucket-wise ([`QuantileSketch::delta_since`]). Metrics absent from
-    /// `earlier` appear with their full current value.
-    pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(name, &now)| {
-                let before = earlier.counters.get(name).copied().unwrap_or(0);
-                (name.clone(), now.saturating_sub(before))
-            })
-            .collect();
-        let sketches = self
-            .sketches
-            .iter()
-            .map(|(name, now)| {
-                let delta = match earlier.sketches.get(name) {
-                    Some(before) => now.delta_since(before),
-                    None => now.clone(),
-                };
-                (name.clone(), delta)
-            })
-            .collect();
-        MetricsSnapshot {
-            counters,
-            gauges: self.gauges.clone(),
-            sketches,
-        }
-    }
-
-    /// Whether the snapshot records no activity: all counters zero and
-    /// all sketches empty (gauges are levels, not activity, and are
-    /// ignored here).
-    pub fn is_empty(&self) -> bool {
-        self.counters.values().all(|&v| v == 0)
-            && self.sketches.values().all(QuantileSketch::is_empty)
-    }
+    pub sketches: BTreeMap<&'static str, QuantileSketch>,
 }
 
 #[cfg(test)]
@@ -241,80 +114,62 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_snapshots_are_consistent_under_concurrency() {
-        // Satellite check: counters updated from many threads are all
-        // visible in a snapshot taken after the threads join.
+    fn counters_sum_and_gauges_keep_the_last_value() {
         let registry = MetricsRegistry::new();
-        let counter = registry.counter("test.ops");
+        registry.add("a", 2);
+        registry.add("a", 3);
+        registry.add("zero", 0);
+        registry.set("g", 1.25);
+        registry.set("g", 4.0);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counters["a"], 5);
+        assert_eq!(snap.counters["zero"], 0, "a zero publish still makes a row");
+        assert_eq!(snap.gauges["g"], 4.0);
+    }
+
+    #[test]
+    fn concurrent_publishes_equal_one_sequential_fold() {
+        // One run's totals: a frame count and a content-rate sketch.
+        let run = |seed: u64| {
+            let mut fps = QuantileSketch::new();
+            for i in 0..50 {
+                fps.record(seed * 7919 + i * i);
+            }
+            (seed + 1, fps)
+        };
+        let publish = |registry: &MetricsRegistry, seed: u64| {
+            let (frames, fps) = run(seed);
+            registry.add("meter.frames", frames);
+            registry.set("meter.grid_px", 2304.0);
+            registry.merge("governor.content_fps", &fps);
+        };
+        let concurrent = MetricsRegistry::new();
         std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let counter = counter.clone();
+            for worker in 0..4 {
+                let registry = &concurrent;
                 scope.spawn(move || {
-                    for _ in 0..1000 {
-                        counter.inc();
+                    for seed in (worker..32).step_by(4) {
+                        publish(registry, seed);
                     }
                 });
             }
         });
-        assert_eq!(registry.snapshot().counters["test.ops"], 4000);
-    }
-
-    #[test]
-    fn registry_shares_handles_by_name() {
-        let registry = MetricsRegistry::new();
-        registry.counter("a").add(2);
-        registry.counter("a").add(3);
-        registry.gauge("g").set(1.25);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counters["a"], 5);
-        assert_eq!(snap.gauges["g"], 1.25);
-    }
-
-    #[test]
-    fn delta_since_subtracts_counters_and_keeps_gauges() {
-        let registry = MetricsRegistry::new();
-        let c = registry.counter("c");
-        c.add(10);
-        let before = registry.snapshot();
-        c.add(7);
-        registry.gauge("g").set(4.0);
-        let delta = registry.snapshot().delta_since(&before);
-        assert_eq!(delta.counters["c"], 7);
-        assert_eq!(delta.gauges["g"], 4.0);
-        assert!(!delta.is_empty());
-    }
-
-    #[test]
-    fn sketches_register_snapshot_and_delta() {
-        let registry = MetricsRegistry::new();
-        let s = registry.sketch("profile.test_phase");
-        s.record(100);
-        let before = registry.snapshot();
-        assert_eq!(before.sketches["profile.test_phase"].count(), 1);
-        registry.sketch("profile.test_phase").record(5000);
-        s.record(5100);
-        let delta = registry.snapshot().delta_since(&before);
-        let sketch = &delta.sketches["profile.test_phase"];
-        assert_eq!(sketch.count(), 2);
-        let p50 = sketch.quantile(0.5).unwrap() as f64;
-        assert!((p50 - 5000.0).abs() <= 5000.0 * sketch.relative_error());
-        assert!(!delta.is_empty());
-    }
-
-    #[test]
-    fn empty_delta_reports_empty() {
-        let registry = MetricsRegistry::new();
-        registry.counter("c").add(5);
-        let snap = registry.snapshot();
-        let delta = snap.delta_since(&snap);
-        assert!(delta.is_empty());
+        let sequential = MetricsRegistry::new();
+        for seed in 0..32 {
+            publish(&sequential, seed);
+        }
+        let snap = concurrent.snapshot();
+        assert_eq!(snap, sequential.snapshot());
+        assert_eq!(snap.counters["meter.frames"], (1..=32).sum::<u64>());
+        assert_eq!(snap.sketches["governor.content_fps"].count(), 32 * 50);
     }
 
     #[test]
     fn global_registry_is_shared() {
-        let a = metrics().counter("registry.test.global");
-        let before = a.get();
-        metrics().counter("registry.test.global").inc();
-        assert_eq!(a.get(), before + 1);
+        let total = || metrics().snapshot().counters["registry.test.global"];
+        metrics().add("registry.test.global", 1);
+        let before = total();
+        metrics().add("registry.test.global", 1);
+        assert_eq!(total(), before + 1);
     }
 }

@@ -10,20 +10,17 @@
 //! propagate I/O errors into the simulation — telemetry failures cannot
 //! change a run's results — but they are not allowed to lose data
 //! *silently* either: [`RingSink`] counts evictions and [`JsonlSink`]
-//! counts I/O errors (both also feed the `obs.events_dropped` /
-//! `obs.io_errors` registry counters, so `obs_summary` reports surface
-//! them), and [`JsonlSink`] re-raises unreported I/O trouble as a stderr
-//! warning when dropped.
+//! counts I/O errors, for their owners to check, and [`JsonlSink`]
+//! re-raises unreported I/O trouble as a stderr warning when dropped.
 
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::event::Event;
-use crate::registry::{metrics, Counter};
 
 /// Destination for emitted [`Event`]s.
 pub trait EventSink: Send + Sync {
@@ -38,9 +35,8 @@ pub trait EventSink: Send + Sync {
 ///
 /// Intended for tests: run instrumented code, then inspect
 /// [`events`](RingSink::events). When the ring is full the oldest event
-/// is evicted; evictions are counted ([`dropped`](RingSink::dropped),
-/// also the `obs.events_dropped` registry counter) so truncated traces
-/// are detectable.
+/// is evicted; evictions are counted ([`dropped`](RingSink::dropped)) so
+/// truncated traces are detectable.
 ///
 /// # Examples
 ///
@@ -63,9 +59,6 @@ pub struct RingSink {
     capacity: usize,
     buffer: Mutex<VecDeque<Event>>,
     dropped: AtomicU64,
-    // Registry handle resolved once at construction — never on the emit
-    // path, which may run inside simulation workers.
-    dropped_metric: Arc<Counter>,
 }
 
 impl RingSink {
@@ -75,7 +68,6 @@ impl RingSink {
             capacity: capacity.max(1),
             buffer: Mutex::new(VecDeque::new()),
             dropped: AtomicU64::new(0),
-            dropped_metric: metrics().counter("obs.events_dropped"),
         }
     }
 
@@ -115,7 +107,6 @@ impl EventSink for RingSink {
                 // ordering: relaxed — monotonic counter; the mutex on
                 // `buffer` already orders the eviction itself.
                 self.dropped.fetch_add(1, Ordering::Relaxed);
-                self.dropped_metric.inc();
             }
             buffer.push_back(event);
         }
@@ -138,8 +129,7 @@ impl std::fmt::Debug for RingSink {
 /// [`Obs::flush`](crate::Obs::flush)) before reading the file, or
 /// [`try_flush`](JsonlSink::try_flush) to observe the I/O result. Write
 /// errors never reach the simulation, but they are **counted**
-/// ([`io_errors`](JsonlSink::io_errors), plus the `obs.io_errors`
-/// registry counter) with the last error text retained
+/// ([`io_errors`](JsonlSink::io_errors)) with the last error text retained
 /// ([`last_error`](JsonlSink::last_error)); a sink dropped with
 /// unreported errors prints one stderr warning. `lines_written` counts
 /// only successful writes, so callers can detect truncation.
@@ -148,7 +138,6 @@ pub struct JsonlSink {
     lines: AtomicU64,
     io_errors: AtomicU64,
     last_error: Mutex<Option<String>>,
-    io_errors_metric: Arc<Counter>,
 }
 
 impl JsonlSink {
@@ -176,7 +165,6 @@ impl JsonlSink {
             lines: AtomicU64::new(0),
             io_errors: AtomicU64::new(0),
             last_error: Mutex::new(None),
-            io_errors_metric: metrics().counter("obs.io_errors"),
         }
     }
 
@@ -220,7 +208,6 @@ impl JsonlSink {
         // ordering: relaxed — monotonic counter; `last_error`'s mutex
         // publishes the error text, the count needs no edge of its own.
         self.io_errors.fetch_add(1, Ordering::Relaxed);
-        self.io_errors_metric.inc();
         if let Ok(mut last) = self.last_error.lock() {
             *last = Some(error.to_string());
         }
@@ -345,16 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_drops_feed_the_global_registry() {
-        let counter = metrics().counter("obs.events_dropped");
-        let before = counter.get();
-        let sink = RingSink::new(1);
-        sink.emit(Event::new("a", SimTime::ZERO));
-        sink.emit(Event::new("b", SimTime::ZERO));
-        assert!(counter.get() > before);
-    }
-
-    #[test]
     fn jsonl_sink_writes_one_parseable_line_per_event() {
         let buf = SharedBuf::default();
         let sink = JsonlSink::to_writer(buf.clone());
@@ -378,15 +355,12 @@ mod tests {
 
     #[test]
     fn jsonl_sink_counts_and_reports_io_errors() {
-        let counter = metrics().counter("obs.io_errors");
-        let before = counter.get();
         let sink = JsonlSink::to_writer(BrokenWriter);
         // BufWriter defers the failure until its buffer spills or a flush.
         sink.emit(Event::new("x", SimTime::ZERO));
         assert!(sink.try_flush().is_err());
         assert!(sink.io_errors() >= 1);
         assert!(sink.last_error().unwrap().contains("disk on fire"));
-        assert!(counter.get() > before);
         assert!(format!("{sink:?}").contains("io_errors"));
         drop(sink); // prints a warning, must not panic
     }

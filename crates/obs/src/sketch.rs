@@ -26,10 +26,6 @@
 //! (3.125 % at the default `p = 5`). `count`, `sum`, `min` and `max` are
 //! tracked exactly.
 //!
-//! [`AtomicSketch`] is the concurrent recording variant registered in the
-//! global [`metrics()`](crate::registry::metrics) registry; it snapshots
-//! into a plain [`QuantileSketch`] for reports.
-//!
 //! # Examples
 //!
 //! ```
@@ -45,8 +41,6 @@
 //! let p50 = a.quantile(0.5).unwrap() as f64;
 //! assert!((p50 - 300.0).abs() / 300.0 <= a.relative_error());
 //! ```
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::json::Json;
 
@@ -271,41 +265,6 @@ impl QuantileSketch {
         self.max = self.max.max(other.max);
     }
 
-    /// The samples recorded since `earlier` (which must be a snapshot of
-    /// the same sketch's past — bucket counts subtract saturating).
-    /// `min`/`max` of the delta are re-derived from its non-empty bucket
-    /// bounds (the exact extremes of just-the-delta are not recoverable).
-    pub fn delta_since(&self, earlier: &QuantileSketch) -> QuantileSketch {
-        if self.precision != earlier.precision {
-            return self.clone();
-        }
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .zip(&earlier.buckets)
-            .map(|(now, before)| now.saturating_sub(*before))
-            .collect();
-        let count = self.count.saturating_sub(earlier.count);
-        let sum = self.sum.saturating_sub(earlier.sum);
-        let first = buckets.iter().position(|&n| n > 0);
-        let last = buckets.iter().rposition(|&n| n > 0);
-        let (min, max) = match (first, last) {
-            (Some(f), Some(l)) => (
-                bucket_bounds(self.precision, f).0.max(self.min),
-                (bucket_bounds(self.precision, l).1 - 1).min(self.max),
-            ),
-            _ => (u64::MAX, 0),
-        };
-        QuantileSketch {
-            precision: self.precision,
-            buckets,
-            count,
-            sum,
-            min,
-            max,
-        }
-    }
-
     /// Serializes the sketch as a JSON value: precision, exact summary
     /// stats, and the non-empty buckets as sparse `[index, count]` pairs.
     /// `sum` is stored as a float and may lose precision above 2^53; the
@@ -335,53 +294,86 @@ impl QuantileSketch {
     }
 
     /// Reconstructs a sketch serialized by [`to_json`](Self::to_json).
-    /// Returns `None` on any structural problem: a missing member; a
-    /// precision, bucket index, bucket count, `count`, `min` or `max`
-    /// that is not an integer in range (all below 2^53, see
-    /// [`exact_u64`]); bucket counts whose sum overflows `u64` or
-    /// differs from `count`; a `min`/`max` pair with `min > max` or
-    /// outside the value range of the non-empty buckets; or a `sum` that
-    /// is not an integer in `count·min ..= count·max` (0 when empty).
-    /// Checkpoints and committed reports arrive from outside the
-    /// program, so a hostile document must come back as `None`, never
-    /// as a sketch whose [`quantile`](Self::quantile) could panic or
-    /// whose [`merge`](Self::merge) could overflow the sum.
-    pub fn from_json(doc: &Json) -> Option<QuantileSketch> {
-        let precision = u32::try_from(exact_u64(doc.get("precision")?)?).ok()?;
-        if !(1..=12).contains(&precision) {
-            return None;
-        }
-        let mut sketch = QuantileSketch::with_precision(precision);
-        let Json::Arr(pairs) = doc.get("buckets")? else {
-            return None;
+    ///
+    /// # Errors
+    ///
+    /// Names the member at fault: a missing member; a precision, bucket
+    /// index, bucket count, `count`, `min` or `max` that is not an
+    /// integer in range (all below 2^53, see [`exact_u64`]); bucket
+    /// counts whose sum overflows `u64` or differs from `count`; a `min`
+    /// above `max`, or either outside the value range of the non-empty
+    /// buckets; or a `sum` that is not an integer in
+    /// `count·min ..= count·max` (0 when empty). Checkpoints and committed
+    /// reports arrive from outside the program, so a hostile document
+    /// must come back as an error, never as a sketch whose
+    /// [`quantile`](Self::quantile) could panic or whose
+    /// [`merge`](Self::merge) could overflow the sum.
+    pub fn from_json(doc: &Json) -> Result<QuantileSketch, String> {
+        let member = |key: &str| doc.get(key).ok_or_else(|| format!("missing {key:?}"));
+        let exact = |key: &str| {
+            exact_u64(member(key)?).ok_or_else(|| format!("{key:?} is not an integer below 2^53"))
         };
-        for pair in pairs {
-            let Json::Arr(pair) = pair else { return None };
-            let [index, count] = pair.as_slice() else {
-                return None;
+        let precision = u32::try_from(exact("precision")?)
+            .ok()
+            .filter(|p| (1..=12).contains(p))
+            .ok_or("\"precision\" is outside 1 ..= 12")?;
+        let mut sketch = QuantileSketch::with_precision(precision);
+        let Json::Arr(pairs) = member("buckets")? else {
+            return Err("\"buckets\" is not an array".into());
+        };
+        for (i, pair) in pairs.iter().enumerate() {
+            let entry = |what: &str| format!("\"buckets\" entry {i}: {what}");
+            let Json::Arr(pair) = pair else {
+                return Err(entry("not an [index, count] pair"));
             };
-            let index = usize::try_from(exact_u64(index)?).ok()?;
-            let count = exact_u64(count)?;
-            let bucket = sketch.buckets.get_mut(index)?;
-            *bucket = bucket.checked_add(count)?;
-            sketch.count = sketch.count.checked_add(count)?;
+            let [index, count] = pair.as_slice() else {
+                return Err(entry("not an [index, count] pair"));
+            };
+            let bucket = match exact_u64(index).and_then(|index| usize::try_from(index).ok()) {
+                Some(index) => sketch.buckets.get_mut(index),
+                None => None,
+            }
+            .ok_or_else(|| entry("index is not a bucket at this precision"))?;
+            let count =
+                exact_u64(count).ok_or_else(|| entry("count is not an integer below 2^53"))?;
+            *bucket = bucket
+                .checked_add(count)
+                .ok_or_else(|| entry("count overflows u64"))?;
+            sketch.count = sketch
+                .count
+                .checked_add(count)
+                .ok_or_else(|| entry("count overflows u64"))?;
         }
-        if sketch.count != exact_u64(doc.get("count")?)? {
-            return None;
+        let declared = exact("count")?;
+        if sketch.count != declared {
+            return Err(format!(
+                "\"count\" {declared} differs from the buckets' total {}",
+                sketch.count
+            ));
         }
-        let sum = doc.get("sum")?.as_f64()?;
+        let sum = member("sum")?.as_f64().ok_or("\"sum\" is not a number")?;
         if sketch.count > 0 {
-            sketch.min = exact_u64(doc.get("min")?)?;
-            sketch.max = exact_u64(doc.get("max")?)?;
-            // Exact extremes lie in the first and last non-empty buckets;
-            // the inclusive upper bound admits a `max` that the f64 round
+            sketch.min = exact("min")?;
+            sketch.max = exact("max")?;
+            if sketch.min > sketch.max {
+                return Err(format!(
+                    "\"min\" {} is above \"max\" {}",
+                    sketch.min, sketch.max
+                ));
+            }
+            // Exact extremes lie in the first and last non-empty buckets
+            // (both exist, since the buckets sum to `count`); the
+            // inclusive upper bound admits a `max` that the f64 round
             // trip rounded up to its bucket's end.
-            let first = sketch.buckets.iter().position(|&n| n > 0)?;
-            let last = sketch.buckets.iter().rposition(|&n| n > 0)?;
+            let first = sketch.buckets.iter().position(|&n| n > 0).unwrap_or(0);
+            let last = sketch.buckets.iter().rposition(|&n| n > 0).unwrap_or(0);
             let lowest = bucket_bounds(precision, first).0;
             let highest = bucket_bounds(precision, last).1;
-            if !(lowest <= sketch.min && sketch.min <= sketch.max && sketch.max <= highest) {
-                return None;
+            if !(lowest <= sketch.min && sketch.max <= highest) {
+                return Err(format!(
+                    "\"min\" {} ..= \"max\" {} lies outside the buckets' {lowest} ..= {highest}",
+                    sketch.min, sketch.max
+                ));
             }
         }
         // The sum lies in count·min ..= count·max, compared in f64:
@@ -391,13 +383,15 @@ impl QuantileSketch {
         let count = sketch.count as f64; // ccdem-lint: allow(arith-cast) — exact below 2^53
         let (lowest, highest) = (count * sketch.min as f64, count * sketch.max as f64);
         if !(sum.fract() == 0.0 && lowest <= sum && sum <= highest) {
-            return None;
+            return Err(format!(
+                "\"sum\" {sum:?} is not an integer in count·min ..= count·max"
+            ));
         }
         // ccdem-lint: allow(arith-cast) — integral and ≤ 2^106; sums
         // beyond 2^53 lose low bits to the f64 round trip, which is
         // acceptable for a deserialized telemetry sketch.
         sketch.sum = sum as u128;
-        Some(sketch)
+        Ok(sketch)
     }
 }
 
@@ -411,111 +405,6 @@ pub fn exact_u64(value: &Json) -> Option<u64> {
     let v = value.as_f64()?;
     // ccdem-lint: allow(arith-cast) — range- and integrality-checked.
     (v >= 0.0 && v.fract() == 0.0 && v < 9_007_199_254_740_992.0).then_some(v as u64)
-}
-
-/// A concurrently recordable [`QuantileSketch`]: same bucket layout, all
-/// counters relaxed atomics.
-///
-/// A snapshot taken while writers are active may tear between counters
-/// (e.g. `count` momentarily behind a bucket increment) — fine for
-/// telemetry, which only reads after workers quiesce or for progress
-/// display. Recording never blocks and never panics.
-#[derive(Debug)]
-pub struct AtomicSketch {
-    precision: u32,
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    // 128-bit sum split across two words: `sum` wraps mod 2^64 and every
-    // observed wrap bumps `sum_carry`, keeping the total exact.
-    sum: AtomicU64,
-    sum_carry: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for AtomicSketch {
-    fn default() -> AtomicSketch {
-        AtomicSketch::new()
-    }
-}
-
-impl AtomicSketch {
-    /// An empty atomic sketch at [`DEFAULT_PRECISION`].
-    pub fn new() -> AtomicSketch {
-        AtomicSketch::with_precision(DEFAULT_PRECISION)
-    }
-
-    /// An empty atomic sketch with the given precision (see
-    /// [`QuantileSketch::with_precision`] for the valid range).
-    pub fn with_precision(precision: u32) -> AtomicSketch {
-        assert!(
-            (1..=12).contains(&precision),
-            "sketch precision must be in 1..=12, got {precision}"
-        );
-        AtomicSketch {
-            precision,
-            buckets: (0..bucket_count(precision))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            sum_carry: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one sample (relaxed atomics; wait-free).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "bucket_index is < the bucket count fixed at construction for this precision"
-    )]
-    pub fn record(&self, v: u64) {
-        // Every counter here is independently monotonic and snapshot()
-        // tolerates cross-counter tearing by design, so each operation
-        // uses relaxed ordering: no happens-before edge is needed.
-        self.buckets[bucket_index(self.precision, v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed); // ordering: relaxed — see above
-        let prev = self.sum.fetch_add(v, Ordering::Relaxed); // ordering: relaxed — see above
-        if prev.checked_add(v).is_none() {
-            // ordering: relaxed — the carry word is reassembled only by
-            // the advisory snapshot; a torn read is acceptable there.
-            self.sum_carry.fetch_add(1, Ordering::Relaxed);
-        }
-        self.min.fetch_min(v, Ordering::Relaxed); // ordering: relaxed — see above
-        self.max.fetch_max(v, Ordering::Relaxed); // ordering: relaxed — see above
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        // ordering: relaxed — monotonic counter snapshot read.
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Materialises the current counts as a plain [`QuantileSketch`].
-    pub fn snapshot(&self) -> QuantileSketch {
-        // ordering: relaxed — the snapshot is advisory: loads may tear
-        // across counters, which the sketch contract accepts.
-        let count = self.count.load(Ordering::Relaxed);
-        if count == 0 {
-            return QuantileSketch::with_precision(self.precision);
-        }
-        let sum_lo = self.sum.load(Ordering::Relaxed); // ordering: relaxed — see above
-        let sum_hi = self.sum_carry.load(Ordering::Relaxed); // ordering: relaxed — see above
-        QuantileSketch {
-            precision: self.precision,
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed)) // ordering: relaxed — see above
-                .collect(),
-            count,
-            // ccdem-lint: allow(arith-cast) — hi·2^64 + lo < 2^128.
-            sum: u128::from(sum_lo) + (u128::from(sum_hi) << 64),
-            min: self.min.load(Ordering::Relaxed), // ordering: relaxed — see above
-            max: self.max.load(Ordering::Relaxed), // ordering: relaxed — see above
-        }
-    }
 }
 
 #[cfg(test)]
@@ -651,54 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn atomic_sketch_snapshot_matches_plain_recording() {
-        let atomic = AtomicSketch::new();
-        let mut plain = QuantileSketch::new();
-        for v in [0u64, 1, 31, 32, 33, 1000, u64::MAX] {
-            atomic.record(v);
-            plain.record(v);
-        }
-        assert_eq!(atomic.snapshot(), plain);
-        assert_eq!(atomic.count(), 7);
-    }
-
-    #[test]
-    fn atomic_sketch_concurrent_records_all_land() {
-        let sketch = AtomicSketch::new();
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let sketch = &sketch;
-                scope.spawn(move || {
-                    for i in 0..1000u64 {
-                        sketch.record(t * 1000 + i);
-                    }
-                });
-            }
-        });
-        let snap = sketch.snapshot();
-        assert_eq!(snap.count(), 4000);
-        assert_eq!(snap.min(), Some(0));
-        assert_eq!(snap.max(), Some(3999));
-    }
-
-    #[test]
-    fn delta_since_isolates_new_samples() {
-        let mut sketch = QuantileSketch::new();
-        sketch.record(10);
-        sketch.record(20);
-        let earlier = sketch.clone();
-        sketch.record(1000);
-        sketch.record(2000);
-        let delta = sketch.delta_since(&earlier);
-        assert_eq!(delta.count(), 2);
-        assert_eq!(delta.sum(), 3000);
-        let p50 = delta.quantile(0.5).unwrap() as f64;
-        assert!((p50 - 1000.0).abs() <= 1000.0 * delta.relative_error());
-        assert!(delta.min().unwrap() >= 960, "delta min from bucket bounds");
-        assert!(delta.max().unwrap() <= 2047, "delta max from bucket bounds");
-    }
-
-    #[test]
     fn json_round_trip_preserves_the_sketch() {
         let mut sketch = QuantileSketch::new();
         for v in [0u64, 5, 31, 32, 100, 1_000_000, 123_456_789] {
@@ -711,13 +552,13 @@ mod tests {
         let mut text = String::new();
         crate::json::write_json(&mut text, &doc);
         let reparsed = crate::json::parse(&text).expect("sketch JSON parses");
-        assert_eq!(QuantileSketch::from_json(&reparsed), Some(sketch));
+        assert_eq!(QuantileSketch::from_json(&reparsed), Ok(sketch));
     }
 
     /// Whether `from_json` rejects the JSON text `doc`.
     fn rejects(doc: &str) -> bool {
         let doc = crate::json::parse(doc).expect("test inputs are valid JSON");
-        QuantileSketch::from_json(&doc).is_none()
+        QuantileSketch::from_json(&doc).is_err()
     }
 
     #[test]
@@ -826,7 +667,7 @@ mod tests {
         let mut text = String::new();
         crate::json::write_json(&mut text, &sketch.to_json());
         let reparsed = crate::json::parse(&text).expect("sketch JSON parses");
-        assert!(QuantileSketch::from_json(&reparsed).is_some());
+        assert!(QuantileSketch::from_json(&reparsed).is_ok());
     }
 
     #[test]
@@ -839,17 +680,35 @@ mod tests {
     #[test]
     fn from_json_rejects_malformed_documents() {
         use crate::json::parse;
-        for bad in [
-            r#"{"precision":99,"count":0,"sum":0,"buckets":[]}"#,
-            r#"{"precision":5,"count":1,"sum":0,"buckets":[]}"#, // count mismatch
-            r#"{"precision":5,"count":0,"sum":0}"#,              // missing buckets
-            r#"{"precision":5,"count":1,"sum":0,"buckets":[[999999,1]]}"#, // index range
+        for (bad, why) in [
+            (
+                r#"{"precision":99,"count":0,"sum":0,"buckets":[]}"#,
+                r#""precision" is outside 1 ..= 12"#,
+            ),
+            (
+                r#"{"precision":5,"count":1,"sum":0,"buckets":[]}"#,
+                r#""count" 1 differs from the buckets' total 0"#,
+            ),
+            (
+                r#"{"precision":5,"count":0,"sum":0}"#,
+                r#"missing "buckets""#,
+            ),
+            (
+                r#"{"precision":5,"count":1,"sum":0,"buckets":[[999999,1]]}"#,
+                r#""buckets" entry 0: index is not a bucket"#,
+            ),
+            (
+                r#"{"precision":5,"count":1,"sum":7,"min":10,"max":5,"buckets":[[7,1]]}"#,
+                r#""min" 10 is above "max" 5"#,
+            ),
+            (
+                r#"{"precision":5,"count":1,"sum":-5,"min":7,"max":7,"buckets":[[7,1]]}"#,
+                r#""sum" -5.0 is not an integer in count·min ..= count·max"#,
+            ),
         ] {
             let doc = parse(bad).expect("test inputs are valid JSON");
-            assert!(
-                QuantileSketch::from_json(&doc).is_none(),
-                "{bad} should be rejected"
-            );
+            let error = QuantileSketch::from_json(&doc).expect_err(bad);
+            assert!(error.contains(why), "{bad}: {error}");
         }
     }
 }

@@ -2,9 +2,8 @@
 //! enable refresh rate control at runtime", §4).
 
 use std::fmt;
-use std::sync::Arc;
 
-use ccdem_obs::{Counter, Obs};
+use ccdem_obs::Obs;
 use ccdem_simkit::time::{SimDuration, SimTime};
 use ccdem_simkit::trace::Trace;
 
@@ -63,7 +62,6 @@ pub struct RefreshController {
     switches: u64,
     history: Trace,
     obs: Obs,
-    switch_metric: Arc<Counter>,
 }
 
 impl RefreshController {
@@ -91,7 +89,6 @@ impl RefreshController {
             switches: 0,
             history,
             obs: Obs::disabled(),
-            switch_metric: ccdem_obs::metrics().counter("panel.rate_switches"),
         }
     }
 
@@ -160,7 +157,6 @@ impl RefreshController {
                 self.current = rate;
                 self.switches += 1;
                 self.history.push(now, rate.hz_f64());
-                self.switch_metric.inc();
                 self.obs.emit("panel.rate_switch", now, |event| {
                     event.field("from_hz", from.hz()).field("to_hz", rate.hz());
                 });

@@ -6,9 +6,7 @@
 //! scanned out *new* framebuffer content from self-refreshes of unchanged
 //! content, using the framebuffer's write-generation counter.
 
-use std::sync::Arc;
-
-use ccdem_obs::{Counter, Obs};
+use ccdem_obs::Obs;
 use ccdem_simkit::time::SimTime;
 use ccdem_simkit::trace::EventCounter;
 
@@ -36,22 +34,17 @@ pub struct Panel {
     refreshes: EventCounter,
     content_scanouts: EventCounter,
     obs: Obs,
-    refresh_metric: Arc<Counter>,
-    scanout_metric: Arc<Counter>,
 }
 
 impl Panel {
     /// Creates a panel for `profile` that has not yet displayed anything.
     pub fn new(profile: DeviceProfile) -> Panel {
-        let registry = ccdem_obs::metrics();
         Panel {
             profile,
             displayed_generation: None,
             refreshes: EventCounter::new(),
             content_scanouts: EventCounter::new(),
             obs: Obs::disabled(),
-            refresh_metric: registry.counter("panel.refreshes"),
-            scanout_metric: registry.counter("panel.content_scanouts"),
         }
     }
 
@@ -75,9 +68,7 @@ impl Panel {
         if new_content {
             self.displayed_generation = Some(framebuffer_generation);
             self.content_scanouts.record(now);
-            self.scanout_metric.inc();
         }
-        self.refresh_metric.inc();
         self.obs.emit("panel.refresh", now, |event| {
             event
                 .field("generation", framebuffer_generation)

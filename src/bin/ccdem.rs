@@ -53,7 +53,7 @@ use std::sync::Arc;
 use ccdem::core::governor::Policy;
 use ccdem::core::section::SectionTable;
 use ccdem::experiments::export::write_timeseries_csv;
-use ccdem::experiments::profile::{Layer, Profiler};
+use ccdem::experiments::profile::Profiler;
 use ccdem::experiments::scenario::RunScratch;
 use ccdem::experiments::{sweep, RunResult, Scenario, Workload};
 use ccdem::metrics::{obs_summary, profile_summary};
@@ -417,7 +417,6 @@ fn cmd_sweep(args: &[String], full_report: bool) -> ExitCode {
         "running the 30-app sweep (3 policies × 30 apps, {} s per run)…",
         duration.as_secs_f64()
     );
-    let before = metrics().snapshot();
     let (s, timing) = sweep::run_timed(&config);
     if full_report {
         println!("{}\n", s.fig9());
@@ -426,10 +425,9 @@ fn cmd_sweep(args: &[String], full_report: bool) -> ExitCode {
     }
     println!("{}", s.table1_text());
     if with_obs {
-        let delta = metrics().snapshot().delta_since(&before);
         let runs = s.apps.len() * 3;
         println!("\ntelemetry metrics ({runs} runs)");
-        println!("{}", obs_summary(&delta, Some(runs)));
+        println!("{}", obs_summary(&metrics().snapshot(), Some(runs)));
     }
     progress!("\n{timing}");
     ExitCode::SUCCESS
@@ -632,17 +630,24 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
         }
         progress!("wrote final campaign statistics to {path}");
     }
-    if let Some((sink, out)) = sink {
-        if sink.io_errors() > 0 {
-            eprintln!(
-                "warning: {} I/O errors writing {out}: {}",
-                sink.io_errors(),
-                sink.last_error().unwrap_or_default()
-            );
-            return ExitCode::FAILURE;
-        }
-        progress!("wrote {} JSONL events to {out}", sink.lines_written());
+    match sink {
+        Some((sink, out)) => jsonl_written(&sink, out),
+        None => ExitCode::SUCCESS,
     }
+}
+
+/// Fails with a warning if any write to `out` through `sink` failed, and
+/// otherwise notes how many events it holds.
+fn jsonl_written(sink: &JsonlSink, out: &str) -> ExitCode {
+    if sink.io_errors() > 0 {
+        eprintln!(
+            "warning: {} I/O errors writing {out}: {}",
+            sink.io_errors(),
+            sink.last_error().unwrap_or_default()
+        );
+        return ExitCode::FAILURE;
+    }
+    progress!("wrote {} JSONL events to {out}", sink.lines_written());
     ExitCode::SUCCESS
 }
 
@@ -675,16 +680,13 @@ fn cmd_trace(args: &[String]) -> ExitCode {
         scenario.governor.policy(),
         scenario.duration
     );
-    let before = metrics().snapshot();
     let result = scenario.run();
     obs.flush();
-    let delta = metrics().snapshot().delta_since(&before);
 
     print_run(&result);
     println!("\ntelemetry metrics (1 run)");
-    println!("{}", obs_summary(&delta, Some(1)));
-    progress!("wrote {} JSONL events to {out}", sink.lines_written());
-    ExitCode::SUCCESS
+    println!("{}", obs_summary(&metrics().snapshot(), Some(1)));
+    jsonl_written(&sink, out)
 }
 
 #[expect(
@@ -707,17 +709,20 @@ fn cmd_profile(args: &[String]) -> ExitCode {
         scenario.governor.policy(),
         scenario.duration
     );
-    let before = metrics().snapshot();
-    let mut profiler = Profiler::from_global_registry();
+    let mut profiler = Profiler::start();
     let started = std::time::Instant::now();
     let result = scenario.run_probed(&mut RunScratch::new(), &mut profiler);
     let wall = started.elapsed();
-    let delta = metrics().snapshot().delta_since(&before);
 
     print_run(&result);
     println!();
-    let layers = Layer::ALL.map(Layer::name);
-    println!("{}", profile_summary(&delta, &layers, wall));
+    let layers = profiler
+        .layers()
+        .map(|(layer, sketch)| (layer.name(), sketch));
+    println!(
+        "{}",
+        profile_summary(layers, profiler.decision_tick(), wall)
+    );
     ExitCode::SUCCESS
 }
 

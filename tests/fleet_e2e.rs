@@ -337,44 +337,95 @@ fn hostile_resume_files_exit_1_with_a_message() {
                 .expect("run count is followed by metrics");
         format!("{}{runs}{}", &saved[..at], &saved[end..])
     };
+    // Each hostile document, and the fragment of the refusal that names
+    // what is wrong with it.
+    let power = r#"checkpoint "stats": "avg_power_mw": "#;
+    let refusal = |what: &str| format!("{power}{what}");
     let hostile = [
         (
             "min_above_max",
             with_sketch(r#"{"precision":5,"count":1,"sum":7,"min":10,"max":5,"buckets":[[7,1]]}"#),
+            refusal(r#""min" 10 is above "max" 5"#),
         ),
         (
             "count_overflow",
             with_sketch(
                 r#"{"precision":5,"count":0,"sum":0,"buckets":[[1,9223372036854775808],[2,9223372036854775808]]}"#,
             ),
+            refusal(r#""buckets" entry 0: count is not an integer below 2^53"#),
         ),
         (
             "negative_index",
             with_sketch(r#"{"precision":5,"count":1,"sum":0,"min":0,"max":0,"buckets":[[-1,1]]}"#),
+            refusal(r#""buckets" entry 0: index is not a bucket"#),
         ),
         (
             "fractional_index",
             with_sketch(r#"{"precision":5,"count":1,"sum":0,"min":0,"max":0,"buckets":[[0.5,1]]}"#),
+            refusal(r#""buckets" entry 0: index is not a bucket"#),
         ),
-        ("sum_negative", with_sum("-5")),
-        ("sum_1e14", with_sum("1e14")),
-        ("sum_1e300", with_sum("1e300")),
+        (
+            "sum_negative",
+            with_sum("-5"),
+            refusal(r#""sum" -5.0 is not an integer in count·min ..= count·max"#),
+        ),
+        (
+            "sum_1e14",
+            with_sum("1e14"),
+            refusal(r#""sum" 100000000000000.0 is not an integer"#),
+        ),
+        (
+            "sum_1e300",
+            with_sum("1e300"),
+            refusal(r#""sum" 1e300 is not an integer"#),
+        ),
         (
             "zero_duration",
             saved.replacen("\"duration_us\":\"1000000\"", "\"duration_us\":\"0\"", 1),
+            r#"checkpoint "duration_us" must be positive"#.to_string(),
         ),
-        ("runs_1e30", with_runs("1e30")),
-        ("runs_2_pow_53", with_runs("9007199254740992")),
-        ("deep_nesting", "[".repeat(200_000)),
-        ("truncated", saved[..saved.len() / 2].to_string()),
+        (
+            "runs_1e30",
+            with_runs("1e30"),
+            r#"checkpoint "stats": "runs" is missing or not an integer below 2^53"#.to_string(),
+        ),
+        (
+            "runs_2_pow_53",
+            with_runs("9007199254740992"),
+            r#"checkpoint "stats": "runs" is missing or not an integer below 2^53"#.to_string(),
+        ),
+        (
+            "deep_nesting",
+            "[".repeat(200_000),
+            "nesting deeper than".to_string(),
+        ),
+        (
+            "truncated",
+            saved[..saved.len() / 2].to_string(),
+            "unexpected input at byte".to_string(),
+        ),
+        // Well-formed statistics that disagree with the cursor (stopped
+        // at 2 of 4 devices) parse, and are refused after the parse.
+        (
+            "one_sample_sketch",
+            with_sketch(
+                r#"{"precision":5,"count":1,"sum":900000,"min":900000,"max":900000,"buckets":[[502,1]]}"#,
+            ),
+            r#"checkpoint "stats" hold 1 "avg_power_mw" samples over 2 runs"#.to_string(),
+        ),
+        (
+            "cursor_behind",
+            saved.replacen("\"next_index\":\"2\"", "\"next_index\":\"1\"", 1),
+            r#"checkpoint "stats" hold 2 runs but the cursor is at device 1"#.to_string(),
+        ),
     ];
-    let refused = |name: &str, document: &str| -> String {
+    for (name, document, why) in hostile {
         assert_ne!(document, saved, "{name}: the hostile edit changed nothing");
         let path = temp(&format!("hostile_{name}.json"));
         std::fs::write(&path, document).expect("write hostile checkpoint");
         let resumed = fleet(&["--resume", path.to_str().unwrap()]);
         let _ = std::fs::remove_file(&path);
-        let stderr = String::from_utf8_lossy(&resumed.stderr).into_owned();
+        let stderr = String::from_utf8_lossy(&resumed.stderr);
         // 101 is a Rust panic; a stack overflow aborts (134, or no code).
         assert_eq!(
             resumed.status.code(),
@@ -383,33 +434,9 @@ fn hostile_resume_files_exit_1_with_a_message() {
             resumed.status
         );
         assert!(
-            stderr.contains("cannot resume"),
-            "{name}: no message on stderr: {stderr}"
+            stderr.contains(&format!("cannot resume: {why}")),
+            "{name}: want {why:?} on stderr: {stderr}"
         );
-        stderr
-    };
-    for (name, document) in hostile {
-        refused(name, &document);
-    }
-    // Well-formed statistics that disagree with the cursor (stopped at
-    // 2 of 4 devices) parse, and are refused after the parse.
-    let disagreeing = [
-        (
-            "one_sample_sketch",
-            with_sketch(
-                r#"{"precision":5,"count":1,"sum":900000,"min":900000,"max":900000,"buckets":[[502,1]]}"#,
-            ),
-            "1 \"avg_power_mw\" samples over 2 runs",
-        ),
-        (
-            "cursor_behind",
-            saved.replacen("\"next_index\":\"2\"", "\"next_index\":\"1\"", 1),
-            "2 runs but the cursor is at device 1",
-        ),
-    ];
-    for (name, document, why) in disagreeing {
-        let stderr = refused(name, &document);
-        assert!(stderr.contains(why), "{name}: {stderr}");
     }
 }
 

@@ -2,8 +2,10 @@
 //!
 //! Runs the real binary, then parses the emitted JSON Lines file with the
 //! crate's own parser: every line must be a valid object with the standard
-//! envelope, and the event stream must contain exactly one tick decision
-//! per elapsed control window plus the run lifecycle pair.
+//! envelope, the event stream must contain exactly one tick decision per
+//! elapsed control window plus the run lifecycle pair, and every row of
+//! the telemetry table on stdout must equal a count or a sum over the
+//! same run's events. A trace whose export fails exits 1.
 
 use std::process::Command;
 
@@ -95,6 +97,89 @@ fn trace_verb_emits_valid_decision_path_jsonl() {
     assert_eq!(row[1..3], ["fps", "11"], "row {row:?}");
     assert_eq!(row.last().copied(), Some(format!("{max_fps:.1}").as_str()));
 
+    // Every counter row and the gauge of the telemetry table count this
+    // run's events: the engine publishes the layers' own totals once, and
+    // the layers emit one event per frame, refresh, switch and decision.
+    let table = |name: &str| -> f64 {
+        let cells: Vec<&str> = stdout
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(name))
+            .unwrap_or_else(|| panic!("no {name} row:\n{stdout}"))
+            .split_whitespace()
+            .collect();
+        cells[2]
+            .parse()
+            .unwrap_or_else(|_| panic!("{name} row {cells:?}"))
+    };
+    let fields = |event: &'static str| {
+        events
+            .iter()
+            .filter(move |(name, _, _)| name == event)
+            .filter_map(|(_, _, value)| value.get("fields"))
+    };
+    let count_where =
+        |event, key, want: Json| fields(event).filter(|f| f.get(key) == Some(&want)).count() as f64;
+    let sum = |event, key| -> f64 {
+        fields(event)
+            .map(|f| f.get(key).and_then(Json::as_f64).expect("numeric field"))
+            .sum()
+    };
+    let is = |text: &str| Json::Str(text.into());
+    let want = [
+        (
+            "governor.decisions",
+            fields("governor.decision").count() as f64,
+        ),
+        (
+            "governor.touch_boosts",
+            count_where("governor.decision", "trigger", is("touch")),
+        ),
+        (
+            "meter.fast_path",
+            count_where("meter.frame", "fast_path", Json::Bool(true)),
+        ),
+        ("meter.frames", fields("meter.frame").count() as f64),
+        (
+            "meter.meaningful",
+            count_where("meter.frame", "class", is("meaningful")),
+        ),
+        ("meter.points_read", sum("meter.frame", "read_px")),
+        ("meter.points_skipped", sum("meter.frame", "skipped_px")),
+        (
+            "meter.redundant",
+            count_where("meter.frame", "class", is("redundant")),
+        ),
+        ("meter.tiles_checked", sum("meter.frame", "tiles_checked")),
+        (
+            "meter.tiles_descended",
+            sum("meter.frame", "tiles_descended"),
+        ),
+        (
+            "panel.content_scanouts",
+            count_where("panel.refresh", "new_content", Json::Bool(true)),
+        ),
+        (
+            "panel.rate_switches",
+            fields("panel.rate_switch").count() as f64,
+        ),
+        ("panel.refreshes", fields("panel.refresh").count() as f64),
+    ];
+    let counters: Vec<&str> = stdout
+        .lines()
+        .map(|l| l.split_whitespace().collect::<Vec<_>>())
+        .filter(|cells| cells.get(1) == Some(&"counter"))
+        .map(|cells| cells[0])
+        .collect();
+    assert_eq!(counters, want.map(|(name, _)| name), "counter rows");
+    for (name, value) in want {
+        assert_eq!(table(name), value, "{name} row against the JSONL");
+    }
+    let grid: Vec<f64> = fields("meter.frame")
+        .filter_map(|f| f.get("sampled_px").and_then(Json::as_f64))
+        .collect();
+    assert!(grid.iter().all(|&px| px == grid[0]), "one grid per run");
+    assert_eq!(table("meter.grid_px"), grid[0], "meter.grid_px row");
+
     // Exactly one run lifecycle pair, bracketing the stream in sim time.
     let count = |name: &str| events.iter().filter(|(n, _, _)| n == name).count();
     assert_eq!(count("run.start"), 1);
@@ -116,4 +201,27 @@ fn trace_verb_emits_valid_decision_path_jsonl() {
     }
 
     let _ = std::fs::remove_file(&out);
+}
+
+/// A trace whose export fails exits 1 with a warning, as a fleet trace
+/// does: `/dev/full` accepts the file but refuses every write.
+#[cfg(target_os = "linux")]
+#[test]
+fn export_to_a_full_device_exits_1() {
+    for verb in [
+        &["trace", "--duration", "2", "--seed", "5", "--out"][..],
+        &["fleet", "--devices", "2", "--duration", "1", "--trace"][..],
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_ccdem"))
+            .args(verb)
+            .args(["/dev/full", "-q"])
+            .output()
+            .expect("run ccdem");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{verb:?}: {stderr}");
+        assert!(
+            stderr.contains("I/O errors writing /dev/full"),
+            "{verb:?}: {stderr}"
+        );
+    }
 }
