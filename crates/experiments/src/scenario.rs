@@ -680,9 +680,7 @@ impl<'a, P: Probe> Engine<'a, P> {
         self.probe.exit(Layer::ScenarioFinish);
         result
     }
-}
 
-impl<P: Probe> Engine<'_, P> {
     /// Adds this run's totals, read from the layers' own counts, to the
     /// process-wide registry behind the telemetry tables of `ccdem
     /// report`, `sweep --obs summary` and `trace`. Every name is
