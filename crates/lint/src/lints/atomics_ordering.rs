@@ -2,8 +2,8 @@
 //! justified in a comment.
 //!
 //! The telemetry layer is the only concurrent code whose correctness
-//! rests on atomic memory orderings (registry counters, sink buffers,
-//! sketch bins). An `Ordering::Relaxed` that is actually fine for a
+//! rests on atomic memory orderings (the sinks' own counts and the
+//! progress quiet flag). An `Ordering::Relaxed` that is actually fine for a
 //! monotone counter is indistinguishable, at the call site, from one
 //! that silently drops a needed happens-before edge — unless the author
 //! wrote down *why*. This lint requires every `Ordering::*` argument in
